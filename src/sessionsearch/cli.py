@@ -21,10 +21,21 @@ from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")
 
-_CONFIG_ALIASES = {"lambda": "lam", "clip": "clip_terms"}
-_INT_FIELDS = frozenset({"m", "clip_terms", "depth", "k"})
-_FLOAT_FIELDS = frozenset({"lam", "gamma", "mu", "decay"})
-_TUNABLE_FIELDS = frozenset({"m", "lam", "gamma", "mu", "decay", "clip_terms"})
+# (flag, RunConfig field, help) per numeric parameter. A config file accepts the
+# flag without dashes or the field name; a field's type is its default's type.
+_PARAMS = (
+    ("--k", "k", "cutoff for @k metrics"),
+    ("--depth", "depth", "initial retrieval depth"),
+    ("--lambda", "lam", "feedback interpolation weight"),
+    ("--gamma", "gamma", "history retention weight"),
+    ("--m", "m", "feedback document count"),
+    ("--mu", "mu", "Dirichlet smoothing pseudo-count"),
+    ("--clip", "clip_terms", "keep only this many top model terms"),
+    ("--decay", "decay", "per-step query weight decay for qa-decay"),
+)
+_DEFAULTS = pipeline.RunConfig()
+_TYPES = {name: type(value) for name, value in dataclasses.asdict(_DEFAULTS).items()}
+_CONFIG_KEYS = {**{name: name for name in _TYPES}, **{f[2:]: name for f, name, _ in _PARAMS}}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -39,14 +50,15 @@ def _require_file(path: str, role: str) -> Path:
 
 
 def _coerce(field_name: str, value):
-    if field_name == "method":
+    kind = _TYPES[field_name]
+    if kind is str:
         if not isinstance(value, str):
-            raise ValueError(f"config field 'method' must be a string, got {value!r}")
+            raise ValueError(f"config field {field_name!r} must be a string, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"config field {field_name!r} must be a number, got {value!r}")
-    if field_name in _INT_FIELDS:
-        if float(value) != int(value):
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"config field {field_name!r} must be an integer, got {value!r}")
         return int(value)
     return float(value)
@@ -58,17 +70,16 @@ def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
     scalars: dict = {}
     grids: dict = {}
     for key, value in raw.items():
-        field_name = _CONFIG_ALIASES.get(key, key)
-        if field_name not in known:
+        field_name = _CONFIG_KEYS.get(key)
+        if field_name is None:
             raise ValueError(f"{path}: unknown config field {key!r}")
         if isinstance(value, list):
             if not allow_grids:
                 raise ValueError(f"{path}: field {key!r} is a list; grids are for tune only")
-            if field_name not in _TUNABLE_FIELDS:
+            if field_name not in evalkit.TUNABLE_FIELDS:
                 raise ValueError(f"{path}: field {key!r} cannot be tuned over")
             grids[field_name] = [_coerce(field_name, item) for item in value]
         else:
@@ -77,60 +88,38 @@ def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
 
 
 def _effective_config(args, file_scalars: dict) -> pipeline.RunConfig:
-    values = dataclasses.asdict(pipeline.RunConfig())
-    values.update(file_scalars)
-    for field_name in values:
+    values = dict(file_scalars)
+    for field_name in _TYPES:
         cli_value = getattr(args, field_name, None)
         if cli_value is not None:
             values[field_name] = cli_value
     return pipeline.RunConfig(**values)
 
 
-def _parse_value_list(field_name: str, text: str) -> list:
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        values.append(_coerce(field_name, int(chunk) if field_name in _INT_FIELDS else float(chunk)))
+def _parse_value_list(flag: str, field_name: str, text: str) -> list:
+    kind = _TYPES[field_name]
+    try:
+        values = [kind(chunk) for chunk in text.split(",") if chunk.strip()]
+    except ValueError:
+        raise ValueError(f"{flag}: expected {kind.__name__} values, got {text!r}") from None
     if not values:
         raise ValueError(f"empty value list for {field_name!r}: {text!r}")
     return values
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=pipeline.METHODS, default=None,
+def _add_param_flags(parser: argparse.ArgumentParser, grids: bool) -> None:
+    """Add --method, a flag per _PARAMS row and --config; with grids, each
+    tunable field's flag takes a comma-separated list, stored as grid_<field>."""
+    parser.add_argument("--method", choices=pipeline.METHODS,
                         help="scoring method (default none: plain query likelihood)")
-    parser.add_argument("--k", type=int, default=None, help="cutoff for @k metrics")
-    parser.add_argument("--depth", type=int, default=None, help="initial retrieval depth")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="feedback interpolation weight")
-    parser.add_argument("--gamma", type=float, default=None, help="history retention weight")
-    parser.add_argument("--m", type=int, default=None, help="feedback document count")
-    parser.add_argument("--mu", type=float, default=None, help="Dirichlet smoothing pseudo-count")
-    parser.add_argument("--clip", dest="clip_terms", type=int, default=None,
-                        help="keep only this many top model terms")
-    parser.add_argument("--decay", type=float, default=None,
-                        help="per-step query weight decay for qa-decay")
-    parser.add_argument("--config", default=None, help="JSON file with parameter values")
-
-
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=pipeline.METHODS, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--depth", type=int, default=None)
-    for flag, field_name in (
-        ("--lambda", "lam"),
-        ("--gamma", "gamma"),
-        ("--m", "m"),
-        ("--mu", "mu"),
-        ("--clip", "clip_terms"),
-        ("--decay", "decay"),
-    ):
-        parser.add_argument(flag, dest=f"grid_{field_name}", default=None, metavar="V1,V2,...",
-                            help=f"grid values for {field_name}")
-    parser.add_argument("--config", default=None,
-                        help="JSON config; list-valued fields become grids")
+    for flag, field_name, help_text in _PARAMS:
+        if grids and field_name in evalkit.TUNABLE_FIELDS:
+            parser.add_argument(flag, dest=f"grid_{field_name}", metavar="V1,V2,...",
+                                help=f"grid values: {help_text}")
+        else:
+            parser.add_argument(flag, dest=field_name, type=_TYPES[field_name], help=help_text)
+    parser.add_argument("--config", help="JSON config; list-valued fields become grids"
+                        if grids else "JSON file with parameter values")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write each session's term model JSON here (model methods)")
     p_run.add_argument("--dump-trace", default=None, metavar="DIR",
                        help="write each session's step trace JSON here (srm methods)")
-    _add_param_flags(p_run)
+    _add_param_flags(p_run, grids=False)
     p_run.set_defaults(func=cmd_run)
 
     p_tune = sub.add_parser("tune", help="grid-search parameters to maximize MAP")
@@ -163,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--sessions", required=True, help="training sessions JSON file")
     p_tune.add_argument("--qrels", required=True)
     p_tune.add_argument("--out", default=None, help="where to write the best-params JSON")
-    _add_grid_flags(p_tune)
+    _add_param_flags(p_tune, grids=True)
     p_tune.set_defaults(func=cmd_tune)
 
     p_eval = sub.add_parser("eval", help="score an existing run file against qrels")
@@ -172,8 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sessions", required=True,
                         help="sessions JSON file (maps session ids to topics)")
     p_eval.add_argument("--report", default=None, help="metrics report JSON to write")
-    p_eval.add_argument("--k", type=int, default=10)
-    p_eval.add_argument("--depth", type=int, default=2000)
+    p_eval.add_argument("--k", type=int, default=_DEFAULTS.k)
+    p_eval.add_argument("--depth", type=int, default=_DEFAULTS.depth)
     p_eval.set_defaults(func=cmd_eval)
 
     return parser
@@ -252,16 +241,21 @@ def cmd_tune(args) -> int:
     file_scalars, grids = (
         _load_config_file(args.config, allow_grids=True) if args.config else ({}, {})
     )
-    for field_name in _TUNABLE_FIELDS:
-        raw = getattr(args, f"grid_{field_name}", None)
+    grid_flags = [(flag, name) for flag, name, _ in _PARAMS if name in evalkit.TUNABLE_FIELDS]
+    for flag, field_name in grid_flags:
+        raw = getattr(args, f"grid_{field_name}")
         if raw is not None:
-            grids[field_name] = _parse_value_list(field_name, raw)
+            grids[field_name] = _parse_value_list(flag, field_name, raw)
     if not grids:
         raise ValueError(
-            "no grid given; pass value lists via --lambda/--gamma/--m/--mu/--decay/--clip "
+            f"no grid given; pass value lists via {'/'.join(f for f, _ in grid_flags)} "
             "or list-valued config fields"
         )
     base = _effective_config(args, file_scalars)
+    # RunConfig range-checks each grid value here, before any input is read.
+    for field_name, values in grids.items():
+        for value in values:
+            dataclasses.replace(base, **{field_name: value})
     index = InvertedIndex.load(_require_file(args.index, "index"))
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     if not sessions:

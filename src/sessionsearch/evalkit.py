@@ -243,7 +243,8 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     return rankings
 
 
-_TUNE_KEY_ORDER = ("m", "lam", "gamma", "mu", "decay", "clip_terms")
+# RunConfig fields a grid may vary, in the order grid points are visited.
+TUNABLE_FIELDS = ("m", "lam", "gamma", "mu", "decay", "clip_terms")
 
 
 def grid_tune(
@@ -264,10 +265,10 @@ def grid_tune(
     """
     if not grids or any(len(values) == 0 for values in grids.values()):
         raise ValueError("grid search needs at least one value for every grid")
-    unknown = set(grids) - set(_TUNE_KEY_ORDER)
+    unknown = set(grids) - set(TUNABLE_FIELDS)
     if unknown:
         raise ValueError(f"cannot tune over unknown parameters: {sorted(unknown)}")
-    keys = [key for key in _TUNE_KEY_ORDER if key in grids]
+    keys = [key for key in TUNABLE_FIELDS if key in grids]
     value_lists = [sorted(grids[key]) for key in keys]
 
     best_config = None

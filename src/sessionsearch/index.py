@@ -83,11 +83,17 @@ class InvertedIndex:
                 f"{path}: unsupported snapshot version {raw.get('version')!r} "
                 f"(expected {SNAPSHOT_VERSION})"
             )
+        docs = raw.get("docs")
+        if not isinstance(docs, dict):
+            raise ValueError(f"{path}: snapshot has no 'docs' object")
         doc_table = {}
-        for doc_id in sorted(raw["docs"]):
-            entry = raw["docs"][doc_id]
-            counts = {t: int(c) for t, c in sorted(entry["counts"].items())}
-            doc_table[doc_id] = DocumentRecord(doc_id, counts, int(entry["length"]))
+        for doc_id in sorted(docs):
+            entry = docs[doc_id]
+            try:
+                counts = {t: int(c) for t, c in sorted(entry["counts"].items())}
+                doc_table[doc_id] = DocumentRecord(doc_id, counts, int(entry["length"]))
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed entry for doc {doc_id!r}: {exc!r}") from exc
         return cls(*_derive(doc_table))
 
 

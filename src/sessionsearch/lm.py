@@ -144,6 +144,20 @@ def smoothed_prob(
     return tf / denom
 
 
+def _weighted_log_likelihood(
+    weights: Iterable[tuple[str, float]], doc: DocumentRecord, stats: CollectionStats, mu: float
+) -> float:
+    """Sum of weight * ln p_mu(term|doc) over (term, weight) pairs, in order;
+    -inf as soon as one term has zero smoothed probability."""
+    score = 0.0
+    for term, weight in weights:
+        p = smoothed_prob(term, doc, stats, mu)
+        if p <= 0.0:
+            return NEG_INF
+        score += weight * math.log(p)
+    return score
+
+
 def query_log_likelihood(
     query: AnalyzedText, doc: DocumentRecord, stats: CollectionStats, mu: float
 ) -> float:
@@ -152,13 +166,7 @@ def query_log_likelihood(
     Order-invariant in the query tokens (multiset semantics). Empty query
     scores 0. A token with zero probability yields -inf.
     """
-    score = 0.0
-    for term, count in query.counts().items():
-        p = smoothed_prob(term, doc, stats, mu)
-        if p <= 0.0:
-            return NEG_INF
-        score += count * math.log(p)
-    return score
+    return _weighted_log_likelihood(query.counts().items(), doc, stats, mu)
 
 
 def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
@@ -190,13 +198,7 @@ def cross_entropy_score(
         raise ValueError("cannot score with an empty model")
     if mu <= 0:
         raise ValueError(f"cross-entropy scoring requires mu > 0, got {mu}")
-    score = 0.0
-    for term, p in model.items():
-        sp = smoothed_prob(term, doc, stats, mu)
-        if sp <= 0.0:
-            return NEG_INF
-        score += p * math.log(sp)
-    return score
+    return _weighted_log_likelihood(model.items(), doc, stats, mu)
 
 
 def generalized_jaccard_sim(
@@ -250,12 +252,10 @@ def top_k_by_query_likelihood(
     candidates: set[str] = set()
     for term in dict.fromkeys(known):
         candidates.update(doc_id for doc_id, _ in index.postings.get(term, ()))
-    scored = [
+    return rank_documents(
         (doc_id, query_log_likelihood(scorable, index.doc(doc_id), index.stats, mu))
         for doc_id in candidates
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    )[:k]
 
 
 def query_likelihood_doc_weights(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,8 +65,20 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
-        if self.depth <= 0 or self.k <= 0:
-            raise ValueError("depth and k must be positive")
+        # Each test is "not (valid)" so that NaN, which fails every
+        # comparison, is rejected too.
+        for name, valid, expected in (
+            ("depth", self.depth >= 1, ">= 1"),
+            ("k", self.k >= 1, ">= 1"),
+            ("m", self.m >= 1, ">= 1"),
+            ("clip_terms", self.clip_terms >= 1, ">= 1"),
+            ("mu", math.isfinite(self.mu) and self.mu > 0.0, "finite and > 0"),
+            ("lam", 0.0 <= self.lam <= 1.0, "in [0, 1]"),
+            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+            ("decay", 0.0 < self.decay <= 1.0, "in (0, 1]"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
 
     def srm_params(self) -> SrmParams:
         variant = VARIANT_QUERY_CHANGE if self.method == METHOD_SRM_QC else VARIANT_RM1

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze
 from .index import InvertedIndex
-from .lm import query_log_likelihood
+from .lm import query_log_likelihood, rank_documents
 
 
 class ChangeType(str, enum.Enum):
@@ -172,11 +172,10 @@ def select_feedback_docs(
         return FeedbackSet((), FeedbackSource.PSEUDO)
 
     info_need = pseudo_info_need(session.queries_up_to(t))
-    scored = [
+    scored = rank_documents(
         (doc_id, query_log_likelihood(info_need, index.doc(doc_id), index.stats, mu))
         for doc_id in pool
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    )
     return FeedbackSet(tuple(doc_id for doc_id, _ in scored[:m]), FeedbackSource.PSEUDO)
 
 
@@ -211,14 +210,19 @@ def _parse_session(entry: dict, analyzer: Callable[[str], AnalyzedText]) -> Sess
         raise ValueError("'session_id' and 'topic_id' must be strings")
     steps = []
     for step in entry.get("steps", []):
+        impressions = step.get("impressions", [])
+        if not isinstance(impressions, list) or not all(isinstance(d, str) for d in impressions):
+            raise ValueError("'impressions' must be a list of strings")
         clicks = tuple(
             Click(doc_id=c["doc"], dwell=c.get("dwell")) for c in step.get("clicks", [])
         )
+        if not all(isinstance(click.doc_id, str) for click in clicks):
+            raise ValueError("a click's 'doc' must be a string")
         steps.append(
             SessionStep(
                 query_raw=step["query"],
                 query=analyzer(step["query"]),
-                impressions=tuple(step.get("impressions", [])),
+                impressions=tuple(impressions),
                 clicks=clicks,
             )
         )

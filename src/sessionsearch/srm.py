@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .analysis import AnalyzedText
+from .baselines import rm1_model
 from .index import InvertedIndex
 from .lm import (
     RankedList,
@@ -28,7 +29,6 @@ from .lm import (
     interpolate,
     kl_divergence,
     mix_doc_models,
-    query_likelihood_doc_weights,
     query_mle,
     rank_documents,
     smoothed_prob,
@@ -222,11 +222,8 @@ def feedback_model(
 def rm1_style_feedback_model(
     query: AnalyzedText, feedback: FeedbackSet, index: InvertedIndex, mu: float
 ) -> TermDistribution:
-    """Feedback model weighting docs by plain query likelihood p(d|q_t)."""
-    if not feedback.doc_ids:
-        raise ValueError("cannot build a feedback model from an empty feedback set")
-    doc_weights = query_likelihood_doc_weights(query, feedback.doc_ids, index, mu)
-    return mix_doc_models(doc_weights, index)
+    """Feedback model weighting docs by plain query likelihood p(d|q_t): RM1."""
+    return rm1_model(query, feedback.doc_ids, index, mu)
 
 
 def anchor_feedback(
@@ -296,8 +293,9 @@ def build_session_model(
             continue
         change = classify_change(previous, q_t)
         feedback = select_feedback_docs(session, t, params.m, params.mu, index)
-        lambda_t = params.lam * generalized_jaccard_sim(q_t, q_n, index)
+        lambda_t = 0.0
         if feedback.doc_ids:
+            lambda_t = params.lam * generalized_jaccard_sim(q_t, q_n, index)
             if params.variant == VARIANT_QUERY_CHANGE:
                 fm = feedback_model(change, feedback, params.change_priors, index, params.mu)
             else:

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior through the real argument parser."""
 
+import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -10,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from sessionsearch.analysis import analyze
-from sessionsearch.cli import main
+from sessionsearch.cli import _build_parser, main
 from sessionsearch.evalkit import parse_run_file
 from sessionsearch.index import InvertedIndex
 from sessionsearch.lm import top_k_by_query_likelihood
+from sessionsearch.pipeline import RunConfig
 
 CORPUS_DOCS = [
     {"id": "d1", "text": "jazz club downtown jazz music"},
@@ -288,6 +291,51 @@ class TestRunCommand:
         assert rc == 2
         assert "tune" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--mu", "nan"], "mu"),
+            (["--mu", "inf"], "mu"),
+            (["--mu", "0"], "mu"),
+            (["--mu", "0", "--method", "srm-qc"], "mu"),
+            (["--gamma", "5"], "gamma"),
+            (["--lambda", "-0.1"], "lam"),
+            (["--lambda", "nan"], "lam"),
+            (["--m", "0", "--method", "srm-qc"], "m"),
+            (["--clip", "0", "--method", "srm-qc"], "clip_terms"),
+            (["--decay", "0", "--method", "qa-decay"], "decay"),
+            (["--decay", "1.5"], "decay"),
+            (["--k", "0"], "k"),
+            (["--depth", "0"], "depth"),
+        ],
+    )
+    def test_out_of_range_parameter_rejected_before_scoring(self, workspace, capsys,
+                                                              flags, field):
+        out = workspace["dir"] / "run.txt"
+        rc = main([
+            "run", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]), "--out", str(out), *flags,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [({"mu": 0}, "mu"), ({"lambda": 1.5}, "lam"), ({"clip": 0}, "clip_terms")],
+    )
+    def test_out_of_range_config_value_rejected(self, workspace, capsys, config, field):
+        path = workspace["dir"] / "params.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        rc = main([
+            "run", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--out", str(workspace["dir"] / "run.txt"), "--config", str(path),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
 
 class TestTuneCommand:
     def test_single_point_grid_returns_that_point(self, workspace, capsys):
@@ -358,6 +406,36 @@ class TestTuneCommand:
         assert rc == 2
         assert "no grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--gamma", "0.5,2"], "gamma"),
+            (["--mu", "100,nan"], "mu"),
+            (["--m", "0,5"], "m"),
+            (["--lambda", "0.5", "--decay", "0"], "decay"),
+        ],
+    )
+    def test_bad_grid_value_reported_before_index_load(self, workspace, capsys, flags, field):
+        # The index does not exist: the grid must be checked before it is read.
+        rc = main([
+            "tune", "--index", str(workspace["dir"] / "absent.idx"),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(workspace["qrels"]), *flags,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be"), err
+        assert "absent.idx" not in err
+
+    def test_non_integer_grid_value_names_flag(self, workspace, capsys):
+        rc = main([
+            "tune", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(workspace["qrels"]), "--m", "5,1.5",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --m:")
+
     def test_no_sessions_rejected(self, workspace, capsys):
         empty = write_sessions(workspace["dir"], {"sessions": []}, name="empty.json")
         rc = main([
@@ -417,6 +495,29 @@ class TestEvalCommand:
         ])
         assert rc == 2
         assert "absent.txt" in capsys.readouterr().err
+
+
+class TestParameterFlags:
+    """Every RunConfig parameter is reachable from run and tune, and eval
+    scores with RunConfig's own k and depth unless told otherwise."""
+
+    def subparser(self, name):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices[name]
+
+    def dests(self, name):
+        return {action.dest for action in self.subparser(name)._actions}
+
+    def test_run_and_tune_have_a_flag_for_every_field(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)} - {"method"}
+        assert fields <= self.dests("run")
+        tune = {dest.removeprefix("grid_") for dest in self.dests("tune")}
+        assert fields <= tune
+
+    def test_eval_defaults_match_run_config(self):
+        args = self.subparser("eval").parse_args(["--run", "r", "--qrels", "q", "--sessions", "s"])
+        assert (args.k, args.depth) == (RunConfig().k, RunConfig().depth)
 
 
 class TestTopLevel:

@@ -102,6 +102,22 @@ def test_load_rejects_wrong_version(tmp_path, tiny_index):
         InvertedIndex.load(path)
 
 
+@pytest.mark.parametrize(
+    "docs", [None, [], {"d1": {"length": 1}}, {"d1": "a"}], ids=["absent", "list", "no-counts", "str"]
+)
+def test_load_rejects_malformed_docs_table(tmp_path, tiny_index, docs):
+    path = tmp_path / "index.json"
+    tiny_index.save(path)
+    snapshot = json.loads(path.read_text())
+    if docs is None:
+        del snapshot["docs"]
+    else:
+        snapshot["docs"] = docs
+    path.write_text(json.dumps(snapshot))
+    with pytest.raises(ValueError, match="index.json"):
+        InvertedIndex.load(path)
+
+
 def test_read_corpus_jsonl(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(

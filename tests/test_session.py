@@ -250,6 +250,23 @@ class TestLoadSessions:
         with pytest.raises(ValueError, match="d9"):
             load_sessions(path)
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"query": "q", "impressions": "d1"}, "impressions"),
+            ({"query": "q", "impressions": ["d1", 7]}, "impressions"),
+            ({"query": "q", "impressions": ["d1"], "clicks": [{"doc": ["d1"]}]}, "doc"),
+        ],
+    )
+    def test_malformed_impressions_and_clicks_rejected(self, tmp_path, step, message):
+        path = self.write(
+            tmp_path,
+            {"sessions": [{"session_id": "s1", "topic_id": "t1", "steps": [step],
+                           "current_query": "q"}]},
+        )
+        with pytest.raises(ValueError, match=message):
+            load_sessions(path)
+
     def test_top_level_shape_enforced(self, tmp_path):
         path = tmp_path / "sessions.json"
         path.write_text("[]")

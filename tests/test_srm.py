@@ -259,6 +259,17 @@ class TestBuildSessionModel:
         assert trace.records[0].gamma_t == 0.0
         assert trace.records[0].feedback.doc_ids == ()
 
+    def test_lambda_t_is_zero_on_steps_without_feedback(self, tiny_index):
+        # Step 1 shows nothing, so its anchored model is the bare query MLE
+        # and no feedback weight applies; step 2 clicks d1 and gets one.
+        session = make_session([(["a"], [], []), (["a"], ["d1"], ["d1"])], ["a", "b"])
+        _, trace = build_session_model(session, self.params(), tiny_index)
+        first, second, _ = trace.records
+        assert first.feedback.doc_ids == ()
+        assert first.lambda_t == 0.0
+        assert second.feedback.doc_ids == ("d1",)
+        assert 0.0 < second.lambda_t <= 0.5
+
     def test_hand_walk_clicked_doc_becomes_model(self, tiny_index):
         # One history step, q_1 = q_n, lambda = 1: the anchored model at both
         # steps is the clicked doc's MLE, so the final model is exactly that.
