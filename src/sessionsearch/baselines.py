@@ -72,7 +72,7 @@ def qa_score(
     less; decay=1 weighs all queries equally. Tokens unseen in the collection
     are dropped, the same convention the first-pass ranker uses.
     """
-    queries = [step.query for step in session.history] + [session.current_query]
+    queries = session.queries
     if decay is None:
         info_need = known_terms_only(pseudo_info_need(queries), index.stats)
         return query_log_likelihood(info_need, doc, index.stats, mu)

@@ -182,14 +182,35 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _metrics_for_rankings(ordered, qrels, k: int, depth: int):
-    """ordered: (session_id, topic_id, doc ids in rank order) triples."""
-    g_max = qrels.max_grade()
+def _load_qrels(path: str, sessions) -> evalkit.Qrels:
+    """Read qrels and require the topic of every session that will be scored."""
+    qrels = evalkit.Qrels.from_trec_file(_require_file(path, "qrels"))
+    for session in sessions:
+        if session.current_query.tokens and session.topic_id not in qrels.grades_by_topic:
+            raise ValueError(
+                f"{path}: unknown topic {session.topic_id!r} of session {session.session_id!r}"
+            )
+    return qrels
+
+
+def _report(path, ordered, qrels, skipped, config: dict, metadata: dict) -> None:
+    """Score (session_id, topic_id, doc ids in rank order) triples against
+    qrels when given, print the mean when any session was scored, and write
+    the report to path when given."""
     per_session = {}
-    for session_id, topic_id, doc_ids in ordered:
-        grades = qrels.for_topic(topic_id)
-        per_session[session_id] = evalkit.session_metrics(doc_ids, grades, k, depth, g_max)
-    return per_session, g_max
+    metadata = {**metadata, "ndcg_ideal_depth": config["depth"]}
+    if qrels is not None:
+        g_max = metadata["max_grade"] = qrels.max_grade()
+        for session_id, topic_id, doc_ids in ordered:
+            per_session[session_id] = evalkit.session_metrics(
+                doc_ids, qrels.for_topic(topic_id), config["k"], config["depth"], g_max
+            )
+    report = evalkit.build_report(per_session, skipped, config, metadata)
+    if report["mean"]:
+        print("mean: " + json.dumps(report["mean"], sort_keys=True))
+    if path:
+        _write_json(Path(path), report)
+        print(f"wrote {path}")
 
 
 def cmd_run(args) -> int:
@@ -197,9 +218,7 @@ def cmd_run(args) -> int:
     config = _effective_config(args, file_scalars)
     index = InvertedIndex.load(_require_file(args.index, "index"))
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
-    ids = [s.session_id for s in sessions]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{args.sessions}: duplicate session ids")
+    qrels = _load_qrels(args.qrels, sessions) if args.qrels else None
 
     results, skipped = pipeline.run_sessions(sessions, index, config)
     rankings = {result.session_id: result.ranking for result in results}
@@ -219,21 +238,8 @@ def cmd_run(args) -> int:
             if result.trace is not None:
                 _write_json(trace_dir / f"{result.session_id}.trace.json", result.trace.to_dict())
 
-    per_session: dict = {}
-    metadata = {"run_tag": config.method, "ndcg_ideal_depth": config.depth}
-    if args.qrels:
-        qrels = evalkit.Qrels.from_trec_file(_require_file(args.qrels, "qrels"))
-        ordered = [
-            (r.session_id, r.topic_id, [doc_id for doc_id, _ in r.ranking]) for r in results
-        ]
-        per_session, g_max = _metrics_for_rankings(ordered, qrels, config.k, config.depth)
-        metadata["max_grade"] = g_max
-    report = evalkit.build_report(per_session, skipped, config.to_dict(), metadata)
-    if report.mean:
-        print("mean: " + json.dumps(report.mean, sort_keys=True))
-    if args.report:
-        _write_json(Path(args.report), report.to_dict())
-        print(f"wrote {args.report}")
+    ordered = [(r.session_id, r.topic_id, [doc_id for doc_id, _ in r.ranking]) for r in results]
+    _report(args.report, ordered, qrels, skipped, config.to_dict(), {"run_tag": config.method})
     return 0
 
 
@@ -260,7 +266,7 @@ def cmd_tune(args) -> int:
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     if not sessions:
         raise ValueError(f"{args.sessions}: no sessions to tune on")
-    qrels = evalkit.Qrels.from_trec_file(_require_file(args.qrels, "qrels"))
+    qrels = _load_qrels(args.qrels, sessions)
 
     best, table = evalkit.grid_tune(
         sessions, qrels, index, base, grids, score_fn=pipeline.score_session
@@ -291,15 +297,8 @@ def cmd_eval(args) -> int:
         (session_id, topic_of[session_id], [doc_id for doc_id, _ in ranking])
         for session_id, ranking in rankings.items()
     ]
-    per_session, g_max = _metrics_for_rankings(ordered, qrels, args.k, args.depth)
     skipped = [s.session_id for s in sessions if s.session_id not in rankings]
-    config = {"k": args.k, "depth": args.depth}
-    metadata = {"max_grade": g_max, "ndcg_ideal_depth": args.depth}
-    report = evalkit.build_report(per_session, skipped, config, metadata)
-    print("mean: " + json.dumps(report.mean, sort_keys=True))
-    if args.report:
-        _write_json(Path(args.report), report.to_dict())
-        print(f"wrote {args.report}")
+    _report(args.report, ordered, qrels, skipped, {"k": args.k, "depth": args.depth}, {})
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -153,46 +153,30 @@ def session_metrics(
     }
 
 
-@dataclass
-class MetricsReport:
-    """Per-session metrics plus their mean, with run configuration attached."""
-
-    per_session: dict[str, dict[str, float]] = field(default_factory=dict)
-    mean: dict[str, float] = field(default_factory=dict)
-    skipped: list[str] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "metadata": self.metadata,
-            "per_session": self.per_session,
-            "mean": self.mean,
-            "skipped": self.skipped,
-        }
-
-
 def build_report(
     per_session: Mapping[str, Mapping[str, float]],
     skipped: Sequence[str],
     config: Mapping,
     metadata: Mapping,
-) -> MetricsReport:
-    """Assemble a report, averaging each metric over the evaluated sessions."""
+) -> dict:
+    """Assemble a report, averaging each metric over the evaluated sessions.
+
+    Returns the report as written: "config", "metadata", "per_session",
+    "mean" (empty when no session was evaluated) and "skipped".
+    """
     mean: dict[str, float] = {}
     if per_session:
         keys = next(iter(per_session.values())).keys()
         count = len(per_session)
         for key in keys:
             mean[key] = math.fsum(metrics[key] for metrics in per_session.values()) / count
-    return MetricsReport(
-        per_session={sid: dict(metrics) for sid, metrics in per_session.items()},
-        mean=mean,
-        skipped=list(skipped),
-        config=dict(config),
-        metadata=dict(metadata),
-    )
+    return {
+        "config": dict(config),
+        "metadata": dict(metadata),
+        "per_session": {sid: dict(metrics) for sid, metrics in per_session.items()},
+        "mean": mean,
+        "skipped": list(skipped),
+    }
 
 
 def write_run_file(

@@ -90,10 +90,18 @@ class InvertedIndex:
         for doc_id in sorted(docs):
             entry = docs[doc_id]
             try:
-                counts = {t: int(c) for t, c in sorted(entry["counts"].items())}
-                doc_table[doc_id] = DocumentRecord(doc_id, counts, int(entry["length"]))
-            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                counts = dict(sorted(entry["counts"].items()))
+                length = entry["length"]
+            except (KeyError, TypeError, AttributeError) as exc:
                 raise ValueError(f"{path}: malformed entry for doc {doc_id!r}: {exc!r}") from exc
+            # type() rather than isinstance(): JSON true/false load as bool.
+            if counts and (set(map(type, counts.values())) != {int} or min(counts.values()) < 1):
+                raise ValueError(f"{path}: doc {doc_id!r}: counts must be positive integers")
+            if type(length) is not int or length != sum(counts.values()):
+                raise ValueError(
+                    f"{path}: doc {doc_id!r}: length {length!r} is not the sum of its counts"
+                )
+            doc_table[doc_id] = DocumentRecord(doc_id, counts, length)
         return cls(*_derive(doc_table))
 
 

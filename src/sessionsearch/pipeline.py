@@ -121,29 +121,28 @@ def score_session_full(
             f"session {session.session_id!r}: current query has no analyzable terms"
         )
     candidates = top_k_by_query_likelihood(q_n, index, config.mu, config.depth)
-    method = config.method
     result = SessionResult(session.session_id, session.topic_id, candidates)
-
+    method = config.method
     if method == METHOD_NONE or not candidates:
         return result
 
-    if method in (METHOD_SRM_QC, METHOD_SRM_RM1):
-        model, trace = build_session_model(session, config.srm_params(), index)
-        result.model = model
-        result.trace = trace
-        result.ranking = rerank(candidates, model, index, config.mu)
+    if method in (METHOD_QA_UNIFORM, METHOD_QA_DECAY):
+        # qa_score covers the whole query pool, current query included, so it
+        # replaces the candidate score rather than adding to it.
+        decay = None if method == METHOD_QA_UNIFORM else config.decay
+        result.ranking = rank_documents([
+            (doc_id, qa_score(session, index.doc(doc_id), index, config.mu, decay))
+            for doc_id, _ in candidates
+        ])
         return result
 
-    if method in (METHOD_RM3_QN, METHOD_RM3_QPRIME):
-        if method == METHOD_RM3_QN:
-            feedback_query = q_n
-        else:
-            feedback_query = pseudo_info_need(
-                [step.query for step in session.history] + [q_n]
-            )
+    if method in (METHOD_SRM_QC, METHOD_SRM_RM1):
+        result.model, result.trace = build_session_model(session, config.srm_params(), index)
+    else:
+        feedback_query = q_n if method == METHOD_RM3_QN else pseudo_info_need(session.queries)
         feedback = top_k_by_query_likelihood(feedback_query, index, config.mu, config.m)
         if feedback:
-            model = rm3_model(
+            result.model = rm3_model(
                 feedback_query,
                 [doc_id for doc_id, _ in feedback],
                 index,
@@ -153,19 +152,8 @@ def score_session_full(
             )
         else:
             # Nothing retrievable to expand with; score with the bare query.
-            model = query_mle(feedback_query)
-        result.model = model
-        result.ranking = rerank(candidates, model, index, config.mu)
-        return result
-
-    # qa_score covers the whole query pool, current query included, so it
-    # replaces the candidate score rather than adding to it.
-    decay = None if method == METHOD_QA_UNIFORM else config.decay
-    rescored = [
-        (doc_id, qa_score(session, index.doc(doc_id), index, config.mu, decay))
-        for doc_id, _ in candidates
-    ]
-    result.ranking = rank_documents(rescored)
+            result.model = query_mle(feedback_query)
+    result.ranking = rerank(candidates, result.model, index, config.mu)
     return result
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -65,15 +66,17 @@ class Session:
     current_raw: str
     current_query: AnalyzedText
 
+    @property
+    def queries(self) -> list[AnalyzedText]:
+        """Queries q_1..q_n: the history queries, then the current query."""
+        return [step.query for step in self.history] + [self.current_query]
+
     def queries_up_to(self, t: int) -> list[AnalyzedText]:
         """Queries q_1..q_t, where step len(history)+1 is the current query."""
         n = len(self.history) + 1
         if not 1 <= t <= n:
             raise ValueError(f"step {t} out of range 1..{n}")
-        queries = [step.query for step in self.history[: min(t, len(self.history))]]
-        if t == n:
-            queries.append(self.current_query)
-        return queries
+        return self.queries[:t]
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,8 @@ def load_sessions(
 
     Expected shape: {"sessions": [{"session_id", "topic_id", "steps":
     [{"query", "impressions", "clicks": [{"doc", "dwell"?}]}], "current_query"}]}.
-    Violations raise ValueError naming the offending session.
+    Violations, and a session id used twice, raise ValueError naming the
+    offending session.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict) or not isinstance(raw.get("sessions"), list):
@@ -200,6 +204,10 @@ def load_sessions(
             raise ValueError(f"{path}: session {label}: malformed entry: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: session {label}: {exc}") from exc
+    counts = Counter(session.session_id for session in sessions)
+    repeated = sorted(session_id for session_id, count in counts.items() if count > 1)
+    if repeated:
+        raise ValueError(f"{path}: duplicate session ids: {repeated}")
     return sessions
 
 

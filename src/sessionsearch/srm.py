@@ -67,7 +67,6 @@ class SrmParams:
     mu: float = 2500.0
     clip_terms: int = 100
     variant: str = VARIANT_QUERY_CHANGE
-    change_priors: dict[ChangeType, float] = field(default_factory=default_change_priors)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -76,9 +75,6 @@ class SrmParams:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
         if self.variant not in (VARIANT_QUERY_CHANGE, VARIANT_RM1):
             raise ValueError(f"unknown variant {self.variant!r}")
-        total = sum(self.change_priors.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"change priors must sum to 1, got {total}")
 
 
 @dataclass
@@ -109,7 +105,8 @@ class StepTrace:
             },
             "lambda_t": self.lambda_t,
             "gamma_t": self.gamma_t,
-            "kl": "inf" if math.isinf(self.kl) else self.kl,
+            # JSON has no infinity; an undefined divergence is written as null.
+            "kl": None if math.isinf(self.kl) else self.kl,
             "top_terms": [[t, p] for t, p in self.top_terms],
         }
 
@@ -283,12 +280,10 @@ def build_session_model(
         raise ValueError(
             f"session {session.session_id!r}: current query has no analyzable terms"
         )
-    n = len(session.history) + 1
     model = ZERO
     trace = SrmTrace(session_id=session.session_id)
     previous: Optional[AnalyzedText] = None
-    for t in range(1, n + 1):
-        q_t = session.history[t - 1].query if t < n else q_n
+    for t, q_t in enumerate(session.queries, start=1):
         if not q_t.tokens:
             continue
         change = classify_change(previous, q_t)
@@ -297,7 +292,7 @@ def build_session_model(
         if feedback.doc_ids:
             lambda_t = params.lam * generalized_jaccard_sim(q_t, q_n, index)
             if params.variant == VARIANT_QUERY_CHANGE:
-                fm = feedback_model(change, feedback, params.change_priors, index, params.mu)
+                fm = feedback_model(change, feedback, default_change_priors(), index, params.mu)
             else:
                 fm = rm1_style_feedback_model(q_t, feedback, index, params.mu)
             anchored = anchor_feedback(fm, q_t, q_n, params.lam, index)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from sessionsearch import pipeline
 from sessionsearch.analysis import analyze
 from sessionsearch.cli import _build_parser, main
 from sessionsearch.evalkit import parse_run_file
@@ -222,6 +223,43 @@ class TestRunCommand:
         ])
         assert rc == 2
         assert "duplicate session ids" in capsys.readouterr().err
+
+    def test_missing_qrels_file_writes_no_run_file(self, workspace, capsys):
+        out = workspace["dir"] / "run.txt"
+        rc = main([
+            "run", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(workspace["dir"] / "nope.txt"), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "nope.txt" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_topic_writes_no_run_file(self, workspace, capsys):
+        qrels = workspace["dir"] / "other_qrels.txt"
+        qrels.write_text("t2 0 d1 1\n", encoding="utf-8")
+        out = workspace["dir"] / "run.txt"
+        rc = main([
+            "run", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(qrels), "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'t1'" in err and "'s1'" in err
+        assert not out.exists()
+
+    def test_skipped_session_needs_no_topic(self, workspace):
+        # s2's current query is a stopword, so it is never scored.
+        payload = json.loads(json.dumps(SESSIONS))
+        payload["sessions"][1]["topic_id"] = "t9"
+        sessions = write_sessions(workspace["dir"], payload, name="t9.json")
+        rc = main([
+            "run", "--index", str(workspace["index"]),
+            "--sessions", str(sessions), "--qrels", str(workspace["qrels"]),
+            "--out", str(workspace["dir"] / "run.txt"),
+        ])
+        assert rc == 0
 
     def test_dump_model_and_trace(self, workspace):
         models = workspace["dir"] / "models"
@@ -436,6 +474,32 @@ class TestTuneCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --m:")
 
+    def test_missing_topic_rejected_before_scoring(self, workspace, capsys, monkeypatch):
+        scored = []
+        monkeypatch.setattr(pipeline, "score_session_full", lambda *args: scored.append(args))
+        qrels = workspace["dir"] / "other_qrels.txt"
+        qrels.write_text("t2 0 d1 1\n", encoding="utf-8")
+        rc = main([
+            "tune", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(qrels), "--lambda", "0.5",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'t1'" in err and "'s1'" in err
+        assert scored == []
+
+    def test_duplicate_session_ids_rejected(self, workspace, capsys):
+        doubled = {"sessions": [SESSIONS["sessions"][0], SESSIONS["sessions"][0]]}
+        sessions = write_sessions(workspace["dir"], doubled, name="dup.json")
+        rc = main([
+            "tune", "--index", str(workspace["index"]),
+            "--sessions", str(sessions),
+            "--qrels", str(workspace["qrels"]), "--method", "none", "--m", "5",
+        ])
+        assert rc == 2
+        assert "duplicate session ids: ['s1']" in capsys.readouterr().err
+
     def test_no_sessions_rejected(self, workspace, capsys):
         empty = write_sessions(workspace["dir"], {"sessions": []}, name="empty.json")
         rc = main([
@@ -486,6 +550,18 @@ class TestEvalCommand:
         ])
         assert rc == 2
         assert "ghost" in capsys.readouterr().err
+
+    def test_duplicate_session_ids_rejected(self, workspace, capsys):
+        run_path = workspace["dir"] / "run.txt"
+        run_path.write_text("s1 Q0 d1 1 -1.0 t\n", encoding="utf-8")
+        doubled = {"sessions": [SESSIONS["sessions"][0], SESSIONS["sessions"][0]]}
+        sessions = write_sessions(workspace["dir"], doubled, name="dup.json")
+        rc = main([
+            "eval", "--run", str(run_path),
+            "--qrels", str(workspace["qrels"]), "--sessions", str(sessions),
+        ])
+        assert rc == 2
+        assert "duplicate session ids: ['s1']" in capsys.readouterr().err
 
     def test_missing_file_exits_with_error(self, workspace, capsys):
         rc = main([

@@ -253,17 +253,16 @@ class TestReport:
             "s2": {"mrr": 0.5, "map": 0.25},
         }
         report = build_report(per_session, ["s3"], {"k": 10}, {"tag": "x"})
-        assert report.mean == {"mrr": 0.75, "map": 0.375}
-        assert report.skipped == ["s3"]
-        payload = report.to_dict()
-        assert payload["config"] == {"k": 10}
-        assert payload["metadata"] == {"tag": "x"}
-        assert payload["per_session"]["s2"]["map"] == 0.25
+        assert report["mean"] == {"mrr": 0.75, "map": 0.375}
+        assert report["skipped"] == ["s3"]
+        assert report["config"] == {"k": 10}
+        assert report["metadata"] == {"tag": "x"}
+        assert report["per_session"]["s2"]["map"] == 0.25
 
     def test_empty_per_session_gives_empty_mean(self):
         report = build_report({}, [], {}, {})
-        assert report.mean == {}
-        assert report.per_session == {}
+        assert report["mean"] == {}
+        assert report["per_session"] == {}
 
 
 def ranking_fn(relevant_first):

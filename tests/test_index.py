@@ -118,6 +118,29 @@ def test_load_rejects_malformed_docs_table(tmp_path, tiny_index, docs):
         InvertedIndex.load(path)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"length": 3, "counts": {"a": 2.9, "b": 1}},
+        {"length": 3, "counts": {"a": -3, "b": 1}},
+        {"length": 3, "counts": {"a": True, "b": 1}},
+        {"length": 3, "counts": {"a": "1", "b": 1}},
+        {"length": 3, "counts": {"a": 0, "b": 1}},
+        {"length": 99, "counts": {"a": 2, "b": 1}},
+        {"length": 3.0, "counts": {"a": 2, "b": 1}},
+    ],
+    ids=["float", "negative", "bool", "string", "zero", "length-sum", "float-length"],
+)
+def test_load_rejects_counts_it_would_change(tmp_path, tiny_index, entry):
+    path = tmp_path / "index.json"
+    tiny_index.save(path)
+    snapshot = json.loads(path.read_text())
+    snapshot["docs"]["d1"] = entry
+    path.write_text(json.dumps(snapshot))
+    with pytest.raises(ValueError, match=r"index\.json: doc 'd1'"):
+        InvertedIndex.load(path)
+
+
 def test_read_corpus_jsonl(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(

@@ -1,5 +1,6 @@
 """Feedback models, anchoring, self-clarity, the session update, and rerank."""
 
+import json
 import math
 import random
 
@@ -269,6 +270,14 @@ class TestBuildSessionModel:
         assert first.lambda_t == 0.0
         assert second.feedback.doc_ids == ("d1",)
         assert 0.0 < second.lambda_t <= 0.5
+
+    def test_trace_writes_infinite_kl_as_json_null(self, tiny_index):
+        # Step 1 has an empty prior and step 2's query lies outside the
+        # prior's support; step 3 repeats step 2, so its divergence is 0.
+        session = make_session([(["a"], [], []), (["b"], [], [])], ["b"])
+        _, trace = build_session_model(session, self.params(), tiny_index)
+        records = json.loads(json.dumps(trace.to_dict()))["records"]
+        assert [record["kl"] for record in records] == [None, None, 0.0]
 
     def test_hand_walk_clicked_doc_becomes_model(self, tiny_index):
         # One history step, q_1 = q_n, lambda = 1: the anchored model at both
