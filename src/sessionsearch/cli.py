@@ -183,7 +183,8 @@ def cmd_index(args) -> int:
 
 
 def _load_qrels(path: str, sessions) -> evalkit.Qrels:
-    """Read qrels and require the topic of every session that will be scored."""
+    """Read qrels and require the topic of every given session that has a
+    current query (sessions without one are never scored)."""
     qrels = evalkit.Qrels.from_trec_file(_require_file(path, "qrels"))
     for session in sessions:
         if session.current_query.tokens and session.topic_id not in qrels.grades_by_topic:
@@ -216,9 +217,9 @@ def _report(path, ordered, qrels, skipped, config: dict, metadata: dict) -> None
 def cmd_run(args) -> int:
     file_scalars, _ = _load_config_file(args.config, allow_grids=False) if args.config else ({}, {})
     config = _effective_config(args, file_scalars)
-    index = InvertedIndex.load(_require_file(args.index, "index"))
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     qrels = _load_qrels(args.qrels, sessions) if args.qrels else None
+    index = InvertedIndex.load(_require_file(args.index, "index"))
 
     results, skipped = pipeline.run_sessions(sessions, index, config)
     rankings = {result.session_id: result.ranking for result in results}
@@ -262,11 +263,11 @@ def cmd_tune(args) -> int:
     for field_name, values in grids.items():
         for value in values:
             dataclasses.replace(base, **{field_name: value})
-    index = InvertedIndex.load(_require_file(args.index, "index"))
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     if not sessions:
         raise ValueError(f"{args.sessions}: no sessions to tune on")
     qrels = _load_qrels(args.qrels, sessions)
+    index = InvertedIndex.load(_require_file(args.index, "index"))
 
     best, table = evalkit.grid_tune(
         sessions, qrels, index, base, grids, score_fn=pipeline.score_session
@@ -285,13 +286,15 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # RunConfig range-checks --k and --depth before any input is read.
+    pipeline.RunConfig(k=args.k, depth=args.depth)
     rankings = evalkit.parse_run_file(_require_file(args.run, "run"))
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
-    qrels = evalkit.Qrels.from_trec_file(_require_file(args.qrels, "qrels"))
     topic_of = {session.session_id: session.topic_id for session in sessions}
     unknown = [key for key in rankings if key not in topic_of]
     if unknown:
         raise ValueError(f"{args.run}: session ids not in {args.sessions}: {sorted(unknown)}")
+    qrels = _load_qrels(args.qrels, [s for s in sessions if s.session_id in rankings])
 
     ordered = [
         (session_id, topic_of[session_id], [doc_id for doc_id, _ in ranking])

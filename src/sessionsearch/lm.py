@@ -8,7 +8,7 @@ floored so callers can rank or fail loudly as they see fit.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import AnalyzedText
 from .index import DocumentRecord, CollectionStats, InvertedIndex
@@ -144,17 +144,43 @@ def smoothed_prob(
     return tf / denom
 
 
-def _weighted_log_likelihood(
-    weights: Iterable[tuple[str, float]], doc: DocumentRecord, stats: CollectionStats, mu: float
-) -> float:
-    """Sum of weight * ln p_mu(term|doc) over (term, weight) pairs, in order;
-    -inf as soon as one term has zero smoothed probability."""
-    score = 0.0
+def log_likelihood_scorer(
+    weights: Iterable[tuple[str, float]], stats: CollectionStats, mu: float
+) -> Callable[[DocumentRecord], float]:
+    """Per-document scorer of sum weight * ln p_mu(term|doc) over the
+    (term, weight) pairs, in order; -inf as soon as one term has zero
+    smoothed probability.
+
+    Each term's background mass mu * P(term|C) is computed once here with
+    smoothed_prob's own expression, and each document's denominator once per
+    call, so every probability and the sum are bit-identical to summing
+    weight * ln(smoothed_prob(...)) term by term. Like smoothed_prob, an
+    empty document with mu = 0 raises ValueError, unless there are no terms
+    (the empty sum, 0).
+    """
+    total_tokens = stats.total_tokens
+    collection_tf = stats.collection_tf
+    terms = []
     for term, weight in weights:
-        p = smoothed_prob(term, doc, stats, mu)
-        if p <= 0.0:
-            return NEG_INF
-        score += weight * math.log(p)
+        cf = collection_tf.get(term, 0)
+        terms.append((term, weight, mu * cf / total_tokens if mu > 0 and cf else 0))
+    log = math.log
+
+    def score(doc: DocumentRecord) -> float:
+        denom = doc.length + mu
+        if denom <= 0 and terms:
+            raise ValueError(
+                f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={mu}"
+            )
+        tf = doc.term_counts.get
+        total = 0.0
+        for term, weight, background in terms:
+            p = (tf(term, 0) + background) / denom
+            if p <= 0.0:
+                return NEG_INF
+            total += weight * log(p)
+        return total
+
     return score
 
 
@@ -166,7 +192,7 @@ def query_log_likelihood(
     Order-invariant in the query tokens (multiset semantics). Empty query
     scores 0. A token with zero probability yields -inf.
     """
-    return _weighted_log_likelihood(query.counts().items(), doc, stats, mu)
+    return log_likelihood_scorer(query.counts().items(), stats, mu)(doc)
 
 
 def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
@@ -186,19 +212,27 @@ def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
     return max(total, 0.0)
 
 
-def cross_entropy_score(
-    model: TermDistribution, doc: DocumentRecord, stats: CollectionStats, mu: float
-) -> float:
-    """Sum over model terms of p(w|model) * ln p_smoothed(w|doc).
+def cross_entropy_scorer(
+    model: TermDistribution, stats: CollectionStats, mu: float
+) -> Callable[[DocumentRecord], float]:
+    """Per-document scorer of sum over model terms of
+    p(w|model) * ln p_smoothed(w|doc).
 
-    -inf when any model term has zero smoothed probability (absent from the
-    corpus entirely).
+    A document scores -inf when any model term has zero smoothed probability
+    (absent from the corpus entirely).
     """
     if model.is_zero:
         raise ValueError("cannot score with an empty model")
     if mu <= 0:
         raise ValueError(f"cross-entropy scoring requires mu > 0, got {mu}")
-    return _weighted_log_likelihood(model.items(), doc, stats, mu)
+    return log_likelihood_scorer(model.items(), stats, mu)
+
+
+def cross_entropy_score(
+    model: TermDistribution, doc: DocumentRecord, stats: CollectionStats, mu: float
+) -> float:
+    """cross_entropy_scorer(model, stats, mu) applied to one document."""
+    return cross_entropy_scorer(model, stats, mu)(doc)
 
 
 def generalized_jaccard_sim(
@@ -252,10 +286,8 @@ def top_k_by_query_likelihood(
     candidates: set[str] = set()
     for term in dict.fromkeys(known):
         candidates.update(doc_id for doc_id, _ in index.postings.get(term, ()))
-    return rank_documents(
-        (doc_id, query_log_likelihood(scorable, index.doc(doc_id), index.stats, mu))
-        for doc_id in candidates
-    )[:k]
+    score = log_likelihood_scorer(scorable.counts().items(), index.stats, mu)
+    return rank_documents((doc_id, score(index.doc(doc_id))) for doc_id in candidates)[:k]
 
 
 def query_likelihood_doc_weights(
@@ -272,10 +304,8 @@ def query_likelihood_doc_weights(
     """
     if not doc_ids:
         raise ValueError("cannot weight an empty document set")
-    lls = [
-        query_log_likelihood(query, index.doc(doc_id), index.stats, mu)
-        for doc_id in doc_ids
-    ]
+    score = log_likelihood_scorer(query.counts().items(), index.stats, mu)
+    lls = [score(index.doc(doc_id)) for doc_id in doc_ids]
     peak = max(lls)
     if peak == NEG_INF:
         uniform = 1.0 / len(doc_ids)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze
 from .index import InvertedIndex
-from .lm import query_log_likelihood, rank_documents
+from .lm import log_likelihood_scorer, rank_documents
 
 
 class ChangeType(str, enum.Enum):
@@ -175,10 +175,8 @@ def select_feedback_docs(
         return FeedbackSet((), FeedbackSource.PSEUDO)
 
     info_need = pseudo_info_need(session.queries_up_to(t))
-    scored = rank_documents(
-        (doc_id, query_log_likelihood(info_need, index.doc(doc_id), index.stats, mu))
-        for doc_id in pool
-    )
+    score = log_likelihood_scorer(info_need.counts().items(), index.stats, mu)
+    scored = rank_documents((doc_id, score(index.doc(doc_id))) for doc_id in pool)
     return FeedbackSet(tuple(doc_id for doc_id, _ in scored[:m]), FeedbackSource.PSEUDO)
 
 
@@ -218,6 +216,8 @@ def _parse_session(entry: dict, analyzer: Callable[[str], AnalyzedText]) -> Sess
         raise ValueError("'session_id' and 'topic_id' must be strings")
     steps = []
     for step in entry.get("steps", []):
+        if not isinstance(step["query"], str):
+            raise ValueError("'query' must be a string")
         impressions = step.get("impressions", [])
         if not isinstance(impressions, list) or not all(isinstance(d, str) for d in impressions):
             raise ValueError("'impressions' must be a list of strings")

@@ -24,7 +24,7 @@ from .lm import (
     TermDistribution,
     ZERO,
     clip_distribution,
-    cross_entropy_score,
+    cross_entropy_scorer,
     generalized_jaccard_sim,
     interpolate,
     kl_divergence,
@@ -334,8 +334,6 @@ def rerank(
     score descending with doc_id tie-break, so the output does not depend on
     the input order.
     """
-    rescored = [
-        (doc_id, ql + cross_entropy_score(model, index.doc(doc_id), index.stats, mu))
-        for doc_id, ql in candidates
-    ]
+    score = cross_entropy_scorer(model, index.stats, mu)
+    rescored = [(doc_id, ql + score(index.doc(doc_id))) for doc_id, ql in candidates]
     return rank_documents(rescored)

@@ -261,6 +261,21 @@ class TestRunCommand:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    def test_bad_sessions_reported_before_index_load(self, workspace, capsys, command):
+        bad = write_sessions(workspace["dir"], {"sessions": [
+            {"session_id": "s1", "topic_id": "t1", "steps": [{"query": 5}],
+             "current_query": "jazz"}]}, name="bad.json")
+        rc = main([
+            command, "--index", str(workspace["dir"] / "absent.idx"),
+            "--sessions", str(bad), "--qrels", str(workspace["qrels"]),
+            "--out", str(workspace["dir"] / "out.txt"), "--m", "5",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "'query' must be a string" in err
+        assert "absent.idx" not in err
+
     def test_dump_model_and_trace(self, workspace):
         models = workspace["dir"] / "models"
         traces = workspace["dir"] / "traces"
@@ -562,6 +577,34 @@ class TestEvalCommand:
         ])
         assert rc == 2
         assert "duplicate session ids: ['s1']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, field", [(["--k", "0"], "k"), (["--depth", "0"], "depth"),
+                                              (["--k", "-3"], "k")])
+    def test_out_of_range_cutoff_rejected_before_reading(self, workspace, capsys, flags, field):
+        rc = main([
+            "eval", "--run", str(workspace["dir"] / "absent.txt"),
+            "--qrels", str(workspace["qrels"]),
+            "--sessions", str(workspace["sessions"]), *flags,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be"), err
+        assert "absent.txt" not in err
+
+    def test_missing_topic_names_qrels_and_session(self, workspace, capsys):
+        run_path = workspace["dir"] / "run.txt"
+        run_path.write_text("s1 Q0 d1 1 -1.0 t\n", encoding="utf-8")
+        qrels = workspace["dir"] / "other_qrels.txt"
+        qrels.write_text("t2 0 d1 1\n", encoding="utf-8")
+        report = workspace["dir"] / "report.json"
+        rc = main([
+            "eval", "--run", str(run_path), "--qrels", str(qrels),
+            "--sessions", str(workspace["sessions"]), "--report", str(report),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "other_qrels.txt" in err and "'t1'" in err and "'s1'" in err
+        assert not report.exists()
 
     def test_missing_file_exits_with_error(self, workspace, capsys):
         rc = main([

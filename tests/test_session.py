@@ -256,6 +256,7 @@ class TestLoadSessions:
             ({"query": "q", "impressions": "d1"}, "impressions"),
             ({"query": "q", "impressions": ["d1", 7]}, "impressions"),
             ({"query": "q", "impressions": ["d1"], "clicks": [{"doc": ["d1"]}]}, "doc"),
+            ({"query": 5}, "'query' must be a string"),
         ],
     )
     def test_malformed_impressions_and_clicks_rejected(self, tmp_path, step, message):
