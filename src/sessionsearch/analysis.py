@@ -10,6 +10,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 # Fixed English stopword list (NLTK's list minus apostrophe forms). The bare
 # single letters ("s", "t", "d", ...) matter: the tokenizer splits on
@@ -203,7 +206,13 @@ class AnalyzedText:
     def length(self) -> int:
         return len(self.tokens)
 
-    def counts(self) -> Counter:
+    def counts(self) -> Mapping[str, int]:
+        """Occurrences of each token, in first-occurrence order; read-only."""
+        return MappingProxyType(self._tally)
+
+    @cached_property
+    def _tally(self) -> Counter:
+        # Tallied once per instance: scoring asks for it once per document.
         return Counter(self.tokens)
 
 

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 from .analysis import AnalyzedText
 from .index import DocumentRecord, InvertedIndex
 from .lm import (
+    LogLikelihoodScorer,
     TermDistribution,
     clip_distribution,
     interpolate,
@@ -78,11 +79,12 @@ def qa_score(
         return query_log_likelihood(info_need, doc, index.stats, mu)
     if not 0.0 < decay <= 1.0:
         raise ValueError(f"decay must be in (0, 1], got {decay}")
+    # sum_t decay^(n-t) ln p(q_t|d) = sum_w (sum_t decay^(n-t) c_t(w)) ln p(w|d):
+    # one scorer over the decayed term counts.
     n = len(queries)
-    score = 0.0
+    weights: dict[str, float] = {}
     for t, query in enumerate(queries, start=1):
-        scorable = known_terms_only(query, index.stats)
-        if not scorable.tokens:
-            continue
-        score += decay ** (n - t) * query_log_likelihood(scorable, doc, index.stats, mu)
-    return score
+        scale = decay ** (n - t)
+        for term, count in known_terms_only(query, index.stats).counts().items():
+            weights[term] = weights.get(term, 0.0) + scale * count
+    return LogLikelihoodScorer(weights.items(), index.stats, mu)(doc)

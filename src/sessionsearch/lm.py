@@ -8,7 +8,8 @@ floored so callers can rank or fail loudly as they see fit.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import AnalyzedText
 from .index import DocumentRecord, CollectionStats, InvertedIndex
@@ -144,44 +145,77 @@ def smoothed_prob(
     return tf / denom
 
 
-def log_likelihood_scorer(
-    weights: Iterable[tuple[str, float]], stats: CollectionStats, mu: float
-) -> Callable[[DocumentRecord], float]:
-    """Per-document scorer of sum weight * ln p_mu(term|doc) over the
-    (term, weight) pairs, in order; -inf as soon as one term has zero
-    smoothed probability.
+class LogLikelihoodScorer:
+    """Per-document scorer of sum weight * ln p_mu(term|doc) over fixed
+    (term, weight) pairs with distinct terms.
 
-    Each term's background mass mu * P(term|C) is computed once here with
-    smoothed_prob's own expression, and each document's denominator once per
-    call, so every probability and the sum are bit-identical to summing
-    weight * ln(smoothed_prob(...)) term by term. Like smoothed_prob, an
-    empty document with mu = 0 raises ValueError, unless there are no terms
-    (the empty sum, 0).
+    Dirichlet smoothing splits the sum (Zhai & Lafferty, SIGIR 2001) into a
+    constant, a length part and a sum over the terms the document contains:
+
+        sum_w p_w ln(mu P(w|C)) - (sum_w p_w) ln(|d| + mu)
+            + sum_{w in d} p_w ln(1 + tf / (mu P(w|C)))
+
+    The constant and the weight total are fixed here, each document pays one
+    ln(|d| + mu), and only its matched terms cost a summand. A term without
+    background mass (cf = 0, or any term when mu = 0) is required: a
+    document without it scores -inf, and one with it gets p_w ln tf, so
+    mu = 0 is the unsmoothed estimate. The summands are added with
+    math.fsum, which is correctly rounded and so independent of their order:
+    documents equal in exact arithmetic (same length, same multiset of
+    summands) score bit-equal. Like smoothed_prob, an empty document with
+    mu = 0 raises ValueError, unless there are no terms (the empty sum, 0).
     """
-    total_tokens = stats.total_tokens
-    collection_tf = stats.collection_tf
-    terms = []
-    for term, weight in weights:
-        cf = collection_tf.get(term, 0)
-        terms.append((term, weight, mu * cf / total_tokens if mu > 0 and cf else 0))
-    log = math.log
 
-    def score(doc: DocumentRecord) -> float:
-        denom = doc.length + mu
-        if denom <= 0 and terms:
+    __slots__ = ("weights", "_background", "_required", "_mu", "_constant", "_weight_total")
+
+    def __init__(
+        self, weights: Iterable[tuple[str, float]], stats: CollectionStats, mu: float
+    ):
+        self.weights: dict[str, float] = dict(weights)
+        self._mu = mu
+        # mu * P(term|C) of each smoothed term, with smoothed_prob's expression.
+        self._background: dict[str, float] = {}
+        self._required: list[str] = []
+        collection_tf = stats.collection_tf
+        logs = []
+        for term, weight in self.weights.items():
+            cf = collection_tf.get(term, 0)
+            if mu > 0 and cf:
+                background = self._background[term] = mu * cf / stats.total_tokens
+                logs.append(weight * math.log(background))
+            else:
+                self._required.append(term)
+        self._constant = math.fsum(logs)
+        self._weight_total = math.fsum(self.weights.values())
+
+    def summand(self, term: str, tf: int) -> float:
+        """What tf >= 1 occurrences of the scored term add to the matched sum."""
+        background = self._background.get(term)
+        if background is None:
+            return self.weights[term] * math.log(tf)
+        return self.weights[term] * math.log1p(tf / background)
+
+    def total(self, doc: DocumentRecord, summands: Iterable[float]) -> float:
+        """The score of doc, given the summands of the scored terms it holds."""
+        if not self.weights:
+            return 0.0
+        denom = doc.length + self._mu
+        if denom <= 0:
             raise ValueError(
-                f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={mu}"
+                f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={self._mu}"
             )
-        tf = doc.term_counts.get
-        total = 0.0
-        for term, weight, background in terms:
-            p = (tf(term, 0) + background) / denom
-            if p <= 0.0:
+        for term in self._required:
+            if not doc.term_counts.get(term):
                 return NEG_INF
-            total += weight * log(p)
-        return total
+        return self._constant - self._weight_total * math.log(denom) + math.fsum(summands)
 
-    return score
+    def __call__(self, doc: DocumentRecord) -> float:
+        # Intersecting two key views walks the smaller one: the document's
+        # terms or the scored terms, whichever are fewer.
+        counts = doc.term_counts
+        summand = self.summand
+        matched = counts.keys() & self.weights.keys()
+        return self.total(doc, [summand(term, counts[term]) for term in matched])
 
 
 def query_log_likelihood(
@@ -192,7 +226,7 @@ def query_log_likelihood(
     Order-invariant in the query tokens (multiset semantics). Empty query
     scores 0. A token with zero probability yields -inf.
     """
-    return log_likelihood_scorer(query.counts().items(), stats, mu)(doc)
+    return LogLikelihoodScorer(query.counts().items(), stats, mu)(doc)
 
 
 def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
@@ -214,7 +248,7 @@ def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
 
 def cross_entropy_scorer(
     model: TermDistribution, stats: CollectionStats, mu: float
-) -> Callable[[DocumentRecord], float]:
+) -> LogLikelihoodScorer:
     """Per-document scorer of sum over model terms of
     p(w|model) * ln p_smoothed(w|doc).
 
@@ -225,7 +259,7 @@ def cross_entropy_scorer(
         raise ValueError("cannot score with an empty model")
     if mu <= 0:
         raise ValueError(f"cross-entropy scoring requires mu > 0, got {mu}")
-    return log_likelihood_scorer(model.items(), stats, mu)
+    return LogLikelihoodScorer(model.items(), stats, mu)
 
 
 def cross_entropy_score(
@@ -280,14 +314,36 @@ def top_k_by_query_likelihood(
     Ties break by doc_id ascending. Returns at most k (doc_id, score) pairs.
     """
     scorable = known_terms_only(query, index.stats)
-    known = scorable.tokens
-    if not known:
+    if not scorable.tokens:
         return []
-    candidates: set[str] = set()
-    for term in dict.fromkeys(known):
-        candidates.update(doc_id for doc_id, _ in index.postings.get(term, ()))
-    score = log_likelihood_scorer(scorable.counts().items(), index.stats, mu)
-    return rank_documents((doc_id, score(index.doc(doc_id))) for doc_id in candidates)[:k]
+    score = LogLikelihoodScorer(scorable.counts().items(), index.stats, mu)
+    # Term at a time: each posting hands its document the term's summand,
+    # computed once per distinct tf. A document matched by one term keeps
+    # that term's 1-tuple; only documents matched by several build tuples.
+    summands: dict[str, tuple[float, ...]] = {}
+    for term in score.weights:
+        postings = index.postings[term]
+        per_tf = {tf: (score.summand(term, tf),) for tf in set(map(itemgetter(1), postings))}
+        for doc_id, tf in postings:
+            summands[doc_id] = summands.get(doc_id, ()) + per_tf[tf]
+    # The scorer's own total gives each document exactly the score the
+    # scorer would give it. Documents of one length with the same summands
+    # share it: every scored term is known (cf > 0), so terms are required
+    # only when mu = 0, and then a document holds them all exactly when it
+    # has a summand for each.
+    docs = index.doc_table
+    totals: dict[tuple[int, tuple[float, ...]], float] = {}
+    scores: dict[str, float] = {}
+    for doc_id, values in summands.items():
+        doc = docs[doc_id]
+        key = (doc.length, values)
+        if key not in totals:
+            totals[key] = score.total(doc, values)
+        scores[doc_id] = totals[key]
+    # Only documents scoring at least the k-th best score can rank; the cut
+    # keeps ties with it, so the doc_id tie rule still decides them.
+    cut = sorted(scores.values(), reverse=True)[k - 1] if len(scores) > k else NEG_INF
+    return rank_documents([pair for pair in scores.items() if pair[1] >= cut])[:k]
 
 
 def query_likelihood_doc_weights(
@@ -304,7 +360,7 @@ def query_likelihood_doc_weights(
     """
     if not doc_ids:
         raise ValueError("cannot weight an empty document set")
-    score = log_likelihood_scorer(query.counts().items(), index.stats, mu)
+    score = LogLikelihoodScorer(query.counts().items(), index.stats, mu)
     lls = [score(index.doc(doc_id)) for doc_id in doc_ids]
     peak = max(lls)
     if peak == NEG_INF:
@@ -317,7 +373,11 @@ def query_likelihood_doc_weights(
 
 def rank_documents(scores: Iterable[tuple[str, float]]) -> RankedList:
     """Sort (doc_id, score) pairs by score descending, then doc_id ascending."""
-    return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
+    # Two stable sorts on C-level keys beat one on a tuple key built per
+    # pair; reverse=True keeps equal scores in doc_id order.
+    ranked = sorted(scores, key=itemgetter(0))
+    ranked.sort(key=itemgetter(1), reverse=True)
+    return ranked
 
 
 def mix_doc_models(

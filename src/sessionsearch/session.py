@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze
 from .index import InvertedIndex
-from .lm import log_likelihood_scorer, rank_documents
+from .lm import LogLikelihoodScorer, rank_documents
 
 
 class ChangeType(str, enum.Enum):
@@ -175,7 +175,7 @@ def select_feedback_docs(
         return FeedbackSet((), FeedbackSource.PSEUDO)
 
     info_need = pseudo_info_need(session.queries_up_to(t))
-    score = log_likelihood_scorer(info_need.counts().items(), index.stats, mu)
+    score = LogLikelihoodScorer(info_need.counts().items(), index.stats, mu)
     scored = rank_documents((doc_id, score(index.doc(doc_id))) for doc_id in pool)
     return FeedbackSet(tuple(doc_id for doc_id, _ in scored[:m]), FeedbackSource.PSEUDO)
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from sessionsearch.analysis import (
     STOPWORDS,
     AnalyzedText,
@@ -178,3 +180,17 @@ def test_analyzed_text_counts_order():
     text = AnalyzedText(("b", "a", "b", "c"))
     assert list(text.counts().items()) == [("b", 2), ("a", 1), ("c", 1)]
     assert text.length == 4
+
+
+def test_analyzed_text_counts_are_read_only_and_tallied_once(monkeypatch):
+    from sessionsearch import analysis
+
+    text = AnalyzedText(("b", "a", "b"))
+    first = text.counts()
+    with pytest.raises(TypeError):
+        first["a"] = 5
+    monkeypatch.setattr(analysis, "Counter", None)  # a second tally would fail
+    assert text.counts() == {"b": 2, "a": 1}
+    # Equal texts stay equal and hash alike once one has been tallied.
+    assert text == AnalyzedText(("b", "a", "b"))
+    assert hash(text) == hash(AnalyzedText(("b", "a", "b")))

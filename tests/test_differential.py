@@ -1,0 +1,269 @@
+"""Differential test: every method's ranking against brute force.
+
+Hypothesis draws small corpora and sessions. Each method's ranking from
+score_session_full (the path behind score_session, which also returns the
+model) is compared with scores rebuilt from the tests/oracle.py
+primitives alone: query_ll for the first pass and query aggregation,
+session_model for SRM-QC and SRM-RM1, and rm1_feedback_model plus an
+interpolate-and-clip written here for RM3-QN and RM3-Q'. Required:
+
+- every score agrees with brute force within 1e-9 relative to the larger
+  of 1 and its magnitude (-inf exactly);
+- the order follows the brute-force scores, except between scores within
+  that tolerance of each other;
+- structural ties (same length, same sorted (weight, tf, cf) over the
+  matched terms of every scored query or model) score bit-equal and are
+  ranked in doc_id order.
+
+A cut that selects documents or terms (feedback top-m, clipping) is
+ill-defined between two candidates within the tolerance, so examples with
+such a near-tie at a cut are skipped.
+"""
+
+import math
+from collections import Counter
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+import oracle  # noqa: E402
+from conftest import instance_index, instance_session  # noqa: E402
+
+from sessionsearch.pipeline import METHODS, RunConfig, score_session_full  # noqa: E402
+
+TOLERANCE = 1e-9
+NEG_INF = float("-inf")
+UNSEEN = "zz"  # a query word no document contains
+
+
+@st.composite
+def instances(draw):
+    vocab = [f"w{i}" for i in range(draw(st.integers(3, 7)))]
+    token_lists = draw(st.lists(st.lists(st.sampled_from(vocab), min_size=1, max_size=7),
+                                min_size=2, max_size=7))
+    if draw(st.booleans()):
+        # Add each document's mirror image under w0 <-> w1, so the two
+        # words have equal cf and mirrored documents are structural ties.
+        mirror = {"w0": "w1", "w1": "w0"}
+        token_lists = token_lists[:4] + [[mirror.get(t, t) for t in tokens]
+                                         for tokens in token_lists[:4]]
+    docs = {f"d{i}": dict(Counter(tokens)) for i, tokens in enumerate(token_lists)}
+    doc_ids = sorted(docs)
+    query = st.lists(st.sampled_from(vocab * 4 + [UNSEEN]), min_size=1, max_size=4)
+    steps = []
+    for _ in range(draw(st.integers(0, 3))):
+        impressions = draw(st.lists(st.sampled_from(doc_ids), unique=True))
+        clicks = draw(st.lists(st.sampled_from(impressions), unique=True)) if impressions else []
+        steps.append({"query": draw(query), "impressions": impressions, "clicks": clicks})
+    return {
+        "docs": docs,
+        "steps": steps,
+        "current": draw(query),
+        "params": {
+            "gamma": draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
+            "lam": draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
+            "m": draw(st.integers(1, 4)),
+            "mu": draw(st.sampled_from([10.0, 100.0, 2500.0])),
+        },
+        "clip_terms": draw(st.sampled_from([2, 3, 100])),
+        "decay": draw(st.sampled_from([0.5, 0.92, 1.0])),
+        "depth": draw(st.sampled_from([1, 3, 2000])),
+    }
+
+
+def near(a, b):
+    """Finite and within the tolerance of each other (equal included)."""
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= TOLERANCE * max(
+        1.0, abs(a), abs(b))
+
+
+def cut_is_near_tie(ordered_values, keep):
+    """ordered_values sorted descending; keeping `keep` of them splits a near-tie."""
+    return 0 < keep < len(ordered_values) and near(ordered_values[keep - 1], ordered_values[keep])
+
+
+class BruteForce:
+    def __init__(self, instance):
+        self.instance = instance
+        self.docs = instance["docs"]
+        self.coll = oracle.build_collection(self.docs)
+        self.mu = instance["params"]["mu"]
+        steps = instance["steps"]
+        self.queries = [step["query"] for step in steps] + [instance["current"]]
+
+    def known(self, tokens):
+        return [t for t in tokens if self.coll["cf"].get(t, 0) > 0]
+
+    def ql(self, tokens, doc_id):
+        return oracle.query_ll(tokens, self.docs[doc_id], self.coll["len"][doc_id],
+                               self.coll, self.mu)
+
+    def first_pass(self, tokens):
+        """(doc_id, score) of every document holding a known token, best first."""
+        known = self.known(tokens)
+        scored = [(d, self.ql(known, d)) for d, counts in self.docs.items()
+                  if not set(known).isdisjoint(counts)]
+        return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+
+    def cross_entropy(self, model, doc_id):
+        total = 0.0
+        for term, p in model.items():
+            prob = oracle.dirichlet_prob(term, self.docs[doc_id], self.coll["len"][doc_id],
+                                         self.coll, self.mu)
+            if prob <= 0.0:
+                return NEG_INF
+            total += p * math.log(prob)
+        return total
+
+    def clipped(self, model, clip_terms):
+        kept = sorted(((t, p) for t, p in model.items() if p > 0.0),
+                      key=lambda item: (-item[1], item[0]))
+        assume(not cut_is_near_tie([p for _, p in kept], clip_terms))
+        if len(kept) <= clip_terms:
+            return dict(kept)
+        kept = kept[:clip_terms]
+        mass = math.fsum(p for _, p in kept)
+        return {t: p / mass for t, p in kept}
+
+    def feedback_cuts_are_clear(self):
+        """No pseudo-click selection of the session walk splits a near-tie."""
+        steps = self.instance["steps"]
+        n = len(steps) + 1
+        m = self.instance["params"]["m"]
+        for t in range(1, n + 1):
+            visible = steps[: min(t, n - 1)]
+            if any(step["clicks"] for step in visible):
+                continue
+            pool = list(dict.fromkeys(d for step in visible for d in step["impressions"]))
+            need = [token for query in self.queries[:t] for token in query]
+            scores = sorted((self.ql(need, d) for d in pool), reverse=True)
+            if cut_is_near_tie(scores, m):
+                return False
+        return True
+
+    def expected(self, method, candidates, config):
+        """Brute-force score of each candidate under one method."""
+        q_n = self.known(self.instance["current"])
+        first = {d: self.ql(q_n, d) for d in candidates}
+        if method == "none":
+            return first
+        if method == "qa-uniform":
+            need = self.known([token for query in self.queries for token in query])
+            return {d: self.ql(need, d) for d in candidates}
+        if method == "qa-decay":
+            n = len(self.queries)
+            scores = {}
+            for d in candidates:
+                total = 0.0
+                for t, query in enumerate(self.queries, start=1):
+                    known = self.known(query)
+                    if known:
+                        total += config.decay ** (n - t) * self.ql(known, d)
+                scores[d] = total
+            return scores
+        if method in ("srm-qc", "srm-rm1"):
+            assume(self.feedback_cuts_are_clear())
+            variant = oracle.QC if method == "srm-qc" else oracle.RM1
+            instance = dict(self.instance, params=dict(self.instance["params"], variant=variant))
+            model = self.clipped(oracle.session_model(instance), config.clip_terms)
+        else:
+            tokens = (self.instance["current"] if method == "rm3-qn"
+                      else [token for query in self.queries for token in query])
+            ranked = self.first_pass(tokens)
+            assume(not cut_is_near_tie([s for _, s in ranked], config.m))
+            feedback = [d for d, _ in ranked[: config.m]]
+            query_model = oracle.query_model(tokens)
+            if feedback:
+                rm1 = oracle.rm1_feedback_model(tokens, feedback, self.docs, self.coll, self.mu)
+                lam = config.lam
+                expanded = {
+                    term: (1.0 - lam) * query_model.get(term, 0.0) + lam * rm1.get(term, 0.0)
+                    for term in set(query_model) | set(rm1)
+                }
+                model = self.clipped(expanded, config.clip_terms)
+            else:
+                model = query_model
+        return {d: first[d] + self.cross_entropy(model, d) for d in candidates}
+
+    def signature(self, doc_id, weighted_terms):
+        """Length plus the sorted (weight, tf, cf) of every scored term the document holds."""
+        counts = self.docs[doc_id]
+        return (self.coll["len"][doc_id],) + tuple(
+            tuple(sorted((w, counts[t], self.coll["cf"][t]) for t, w in weights.items()
+                         if t in counts))
+            for weights in weighted_terms
+        )
+
+    def scored_weights(self, method, config, model):
+        """The (term -> weight) maps a method scores with, as the program weights them."""
+        current = dict(Counter(self.known(self.instance["current"])))
+        if method == "none":
+            return [current]
+        if method == "qa-uniform":
+            return [dict(Counter(self.known([t for q in self.queries for t in q])))]
+        if method == "qa-decay":
+            n = len(self.queries)
+            weights = {}
+            for t, query in enumerate(self.queries, start=1):
+                for term, count in Counter(self.known(query)).items():
+                    weights[term] = weights.get(term, 0.0) + config.decay ** (n - t) * count
+            return [weights]
+        return [current, model.as_dict()]
+
+
+def agree(got, want):
+    if want == NEG_INF or got == NEG_INF:
+        return got == want
+    # Relative to at least 1: a score whose exact value is 0 (every
+    # probability 1) comes out of the split within rounding of 0.
+    return abs(got - want) <= TOLERANCE * max(1.0, abs(got), abs(want))
+
+
+def below(a, b):
+    """Brute-force score a is clearly below b."""
+    if a == NEG_INF:
+        return b != NEG_INF
+    return b != NEG_INF and a < b - TOLERANCE * max(1.0, abs(a), abs(b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instance=instances(), method=st.sampled_from(METHODS))
+def test_every_method_matches_brute_force(instance, method):
+    params = instance["params"]
+    config = RunConfig(method=method, lam=params["lam"], gamma=params["gamma"], m=params["m"],
+                       mu=params["mu"], clip_terms=instance["clip_terms"],
+                       decay=instance["decay"], depth=instance["depth"])
+    brute = BruteForce(instance)
+    index = instance_index(instance)
+    session = instance_session(instance)
+    result = score_session_full(session, index, config)
+    ranking = result.ranking
+
+    # Candidates: the brute-force top depth, up to near-ties at the cut.
+    first = brute.first_pass(instance["current"])
+    expected_set = {d for d, _ in first[: config.depth]}
+    got_set = {d for d, _ in ranking}
+    assert len(got_set) == len(ranking) == len(expected_set)
+    if got_set != expected_set:
+        cut = first[config.depth - 1][1]
+        assert all(near(dict(first)[d], cut) for d in got_set ^ expected_set)
+
+    if not ranking:
+        return
+    want = brute.expected(method, got_set, config)
+    for doc_id, score in ranking:
+        assert agree(score, want[doc_id]), (doc_id, score, want[doc_id])
+    for (a, _), (b, _) in zip(ranking, ranking[1:]):
+        assert not below(want[a], want[b]), (a, b, want[a], want[b])
+
+    weights = brute.scored_weights(method, config, result.model)
+    position = {doc_id: i for i, (doc_id, _) in enumerate(ranking)}
+    score_of = dict(ranking)
+    by_signature = {}
+    for doc_id in sorted(got_set):
+        by_signature.setdefault(brute.signature(doc_id, weights), []).append(doc_id)
+    for tied in by_signature.values():
+        assert len({score_of[d] for d in tied}) == 1, tied
+        assert [position[d] for d in tied] == sorted(position[d] for d in tied), tied

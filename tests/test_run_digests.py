@@ -25,13 +25,13 @@ from sessionsearch.pipeline import METHODS
 GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 RUN_SHA256 = {
-    "none": "44619a694fe3e02088883c7656efcabd61489c31fc89c7721602d979ff06e72f",
-    "srm-qc": "4f78c5d46288b65d7bf73c7cfc9affd47c1f857916493482a0ff014811786f7f",
-    "srm-rm1": "a5fe627bf42f3b369378188d49a47609e024eb1670058e1c87c3a0371fe11d5b",
-    "rm3-qn": "802939a0254c6ec4f38640b084673bf76ce2d2d85f873bedb3548edefcc5ee0c",
-    "rm3-qprime": "a3f0f211554a0dba7f59894693a222f6bf205c2d647730bf2d5b04cd5b80f39d",
-    "qa-uniform": "cfdb149c64ff4c9588df593cb501ef998fa362152e22efb31d153ef21459dbab",
-    "qa-decay": "de5dcbc0491bddb76655fbefde572f0a52b5bae2bdf81453b828ceff08477467",
+    "none": "132b8cfd59020efb8d7d36473fb3f83bcf9d69f9cf1e4d9adc32b30a11f7e676",
+    "srm-qc": "3e3937d28dab5ad4b45523d4b548b98c6b6a65a432b882d0e56e165e7103ae8b",
+    "srm-rm1": "11b4445e0667ba47b16313ccd0ee6e4d81d4d8fb8ba9183ca4e77ab8ffe3292c",
+    "rm3-qn": "bb6e8b66c81681f05abfafa5b69b705dbfaa3d8cc741d458c544364f79f71956",
+    "rm3-qprime": "77d4847bc19ac6dd02b1eb715d683ebf7ab89b053524221f4af74264f9546938",
+    "qa-uniform": "52b6b2980d35eef6ccb0de145d12f3ffb0aeccb64304d5d646e2e34270ba051c",
+    "qa-decay": "e2e3bad669ce3ca5d8033770967e714c20716dc6143f2b82e225a19be557a038",
 }
 
 

@@ -1,9 +1,15 @@
-"""Property test: the precomputed scorer equals the term-by-term reference.
+"""Property tests of the split Dirichlet scorer.
 
-log_likelihood_scorer fixes each term's background count once and each
-document's denominator once per call. These tests require the result to be
-exactly (not approximately) the sum of weight * ln(smoothed_prob(...)) in
-the same term order, on random small corpora and models.
+LogLikelihoodScorer computes sum weight * ln p_mu(term|doc) as a constant,
+a length part and an fsum over the matched terms. These tests require:
+
+- agreement with the term-by-term sum of weight * ln(smoothed_prob(...))
+  within 1e-12 relative to the larger of 1 and the score's magnitude, with
+  -inf results, ValueErrors and the empty sum exactly as the reference
+  gives them;
+- bit-equal scores for documents that swap terms of equal cf and equal tf
+  (the doc_id tie rule depends on it);
+- bit-equal scores from the term-at-a-time first pass and the scorer.
 """
 
 import math
@@ -14,12 +20,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sessionsearch.index import CollectionStats, DocumentRecord  # noqa: E402
-from sessionsearch.lm import NEG_INF, log_likelihood_scorer, smoothed_prob  # noqa: E402
+from sessionsearch.analysis import AnalyzedText, whitespace_analyze  # noqa: E402
+from sessionsearch.index import CollectionStats, DocumentRecord, build_index  # noqa: E402
+from sessionsearch.lm import (  # noqa: E402
+    NEG_INF,
+    LogLikelihoodScorer,
+    known_terms_only,
+    smoothed_prob,
+    top_k_by_query_likelihood,
+)
 
 VOCABULARY = ("a", "b", "c", "d", "e")
 # Model terms may also name words no document contains.
 MODEL_TERMS = VOCABULARY + ("unseen", "zzz")
+RELATIVE = 1e-12
 
 
 def build_corpus(token_lists):
@@ -59,6 +73,15 @@ def outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
+def agrees(got, expected):
+    """Exact for -inf, errors and the empty sum; otherwise within RELATIVE
+    of the larger of 1 and the magnitude (an exact 0, every probability 1,
+    comes out of the split within rounding of 0)."""
+    if isinstance(expected, float) and math.isfinite(expected) and isinstance(got, float):
+        return abs(got - expected) <= RELATIVE * max(1.0, abs(got), abs(expected))
+    return got == expected
+
+
 @st.composite
 def corpora(draw):
     # Few distinct lengths, so many documents share one; length 0 included.
@@ -68,7 +91,7 @@ def corpora(draw):
             lambda n: st.lists(st.sampled_from(VOCABULARY), min_size=n, max_size=n)),
         min_size=1, max_size=12,
     ))
-    return build_corpus(token_lists)
+    return token_lists
 
 
 weights = st.lists(
@@ -84,25 +107,93 @@ mus = st.one_of(st.just(0.0), st.sampled_from([0.5, 10.0, 2500.0]),
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(corpus=corpora(), pairs=weights, mu=mus)
-def test_scorer_equals_term_by_term_reference(corpus, pairs, mu):
-    docs, stats = corpus
-    reused = log_likelihood_scorer(pairs, stats, mu)
+@given(token_lists=corpora(), pairs=weights, mu=mus)
+def test_scorer_equals_term_by_term_reference(token_lists, pairs, mu):
+    docs, stats = build_corpus(token_lists)
+    reused = LogLikelihoodScorer(pairs, stats, mu)
     for doc in docs:
         got = outcome(reused, doc)
-        assert got == outcome(reference, pairs, doc, stats, mu)
-        assert got == outcome(log_likelihood_scorer(pairs, stats, mu), doc)
+        assert agrees(got, outcome(reference, pairs, doc, stats, mu))
+        if not pairs:
+            assert got == 0.0
+        # A scorer reused over many documents (and its per-length cache)
+        # gives exactly what a fresh one gives.
+        assert got == outcome(LogLikelihoodScorer(pairs, stats, mu), doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shared=st.lists(st.sampled_from(VOCABULARY), max_size=8),
+    tf=st.integers(1, 4),
+    between=st.lists(st.sampled_from(("b", "c", "d")), min_size=1, max_size=3, unique=True),
+    weight=st.one_of(st.integers(1, 3), st.floats(1e-3, 1.0, allow_nan=False)),
+    other_weights=st.lists(st.floats(1e-3, 1.0, allow_nan=False), min_size=3, max_size=3),
+    mu=st.sampled_from([0.5, 10.0, 2500.0]),
+)
+def test_documents_swapping_equal_terms_score_equal(
+    shared, tf, between, weight, other_weights, mu
+):
+    # "x" and "y" have equal cf and equal weight; one document holds x
+    # where the other holds y, tf times, so both are equal in exact
+    # arithmetic. The scored terms put other terms between x and y, where
+    # an order-dependent sum would round the two documents apart.
+    with_x = shared + ["x"] * tf
+    with_y = shared + ["y"] * tf
+    docs, stats = build_corpus([with_x, with_y, ["a", "b", "c", "d", "e"]])
+    pairs = [("x", weight)] + list(zip(between, other_weights)) + [("y", weight)]
+    score = LogLikelihoodScorer(pairs, stats, mu)
+    assert score(docs[0]) == score(docs[1])
+
+
+def test_swapped_terms_tie_that_term_order_summation_breaks():
+    # A 3-term query whose term-by-term sums differ in the last bit for two
+    # documents that are equal in exact arithmetic.
+    docs, stats = build_corpus([["x"], ["y"], ["a", "b"]])
+    pairs = [("x", 1), ("b", 2), ("y", 1)]
+    assert reference(pairs, docs[0], stats, 2500.0) != reference(pairs, docs[1], stats, 2500.0)
+    score = LogLikelihoodScorer(pairs, stats, 2500.0)
+    assert score(docs[0]) == score(docs[1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    token_lists=corpora(),
+    query=st.lists(st.sampled_from(MODEL_TERMS), min_size=1, max_size=6),
+    mu=mus,
+)
+def test_first_pass_equals_scorer_bit_for_bit(token_lists, query, mu):
+    index = build_index(
+        [(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(token_lists)],
+        analyzer=whitespace_analyze,
+    )
+    query_text = AnalyzedText(tuple(query))
+    ranked = top_k_by_query_likelihood(query_text, index, mu, len(token_lists))
+    scorable = known_terms_only(query_text, index.stats)
+    score = LogLikelihoodScorer(scorable.counts().items(), index.stats, mu)
+    matching = {doc_id for doc_id, doc in index.doc_table.items()
+                if set(doc.term_counts) & set(scorable.tokens)}
+    assert {doc_id for doc_id, _ in ranked} == matching
+    for doc_id, got in ranked:
+        assert got == score(index.doc(doc_id))
 
 
 def test_empty_document_with_zero_mu_rejected():
     docs, stats = build_corpus([["a", "b"], []])
     with pytest.raises(ValueError, match="empty document"):
-        log_likelihood_scorer([("a", 1)], stats, 0.0)(docs[1])
+        LogLikelihoodScorer([("a", 1)], stats, 0.0)(docs[1])
     # No terms, nothing to smooth: the empty sum, as before.
-    assert log_likelihood_scorer([], stats, 0.0)(docs[1]) == 0.0
+    assert LogLikelihoodScorer([], stats, 0.0)(docs[1]) == 0.0
 
 
 def test_term_absent_from_corpus_scores_neg_inf():
     docs, stats = build_corpus([["a", "b"], ["b"]])
-    score = log_likelihood_scorer([("a", 0.5), ("zzz", 0.5)], stats, 2500.0)
+    score = LogLikelihoodScorer([("a", 0.5), ("zzz", 0.5)], stats, 2500.0)
     assert [score(doc) for doc in docs] == [NEG_INF, NEG_INF]
+
+
+def test_zero_mu_is_the_unsmoothed_estimate():
+    docs, stats = build_corpus([["a", "a", "b"], ["b", "c"]])
+    score = LogLikelihoodScorer([("a", 2), ("b", 1)], stats, 0.0)
+    assert score(docs[0]) == pytest.approx(2 * math.log(2 / 3) + math.log(1 / 3), rel=RELATIVE)
+    # "a" is in the collection but not in the second document.
+    assert score(docs[1]) == NEG_INF
