@@ -318,32 +318,18 @@ def top_k_by_query_likelihood(
         return []
     score = LogLikelihoodScorer(scorable.counts().items(), index.stats, mu)
     # Term at a time: each posting hands its document the term's summand,
-    # computed once per distinct tf. A document matched by one term keeps
-    # that term's 1-tuple; only documents matched by several build tuples.
-    summands: dict[str, tuple[float, ...]] = {}
+    # computed once per distinct tf.
+    summands: dict[str, list[float]] = {}
     for term in score.weights:
         postings = index.postings[term]
-        per_tf = {tf: (score.summand(term, tf),) for tf in set(map(itemgetter(1), postings))}
+        per_tf = {tf: score.summand(term, tf) for tf in set(map(itemgetter(1), postings))}
         for doc_id, tf in postings:
-            summands[doc_id] = summands.get(doc_id, ()) + per_tf[tf]
+            summands.setdefault(doc_id, []).append(per_tf[tf])
     # The scorer's own total gives each document exactly the score the
-    # scorer would give it. Documents of one length with the same summands
-    # share it: every scored term is known (cf > 0), so terms are required
-    # only when mu = 0, and then a document holds them all exactly when it
-    # has a summand for each.
+    # scorer would give it.
     docs = index.doc_table
-    totals: dict[tuple[int, tuple[float, ...]], float] = {}
-    scores: dict[str, float] = {}
-    for doc_id, values in summands.items():
-        doc = docs[doc_id]
-        key = (doc.length, values)
-        if key not in totals:
-            totals[key] = score.total(doc, values)
-        scores[doc_id] = totals[key]
-    # Only documents scoring at least the k-th best score can rank; the cut
-    # keeps ties with it, so the doc_id tie rule still decides them.
-    cut = sorted(scores.values(), reverse=True)[k - 1] if len(scores) > k else NEG_INF
-    return rank_documents([pair for pair in scores.items() if pair[1] >= cut])[:k]
+    scores = [(doc_id, score.total(docs[doc_id], values)) for doc_id, values in summands.items()]
+    return rank_documents(scores)[:k]
 
 
 def query_likelihood_doc_weights(

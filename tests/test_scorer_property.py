@@ -116,8 +116,8 @@ def test_scorer_equals_term_by_term_reference(token_lists, pairs, mu):
         assert agrees(got, outcome(reference, pairs, doc, stats, mu))
         if not pairs:
             assert got == 0.0
-        # A scorer reused over many documents (and its per-length cache)
-        # gives exactly what a fresh one gives.
+        # A scorer reused over many documents gives exactly what a fresh one
+        # gives.
         assert got == outcome(LogLikelihoodScorer(pairs, stats, mu), doc)
 
 
