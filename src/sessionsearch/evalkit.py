@@ -15,6 +15,10 @@ from typing import Callable, Mapping, Sequence
 
 RankedDocs = Sequence[str]
 
+# Highest qrels grade. Gains are 2^grade - 1: three docs at grade 1023
+# overflow the ideal DCG and make nDCG NaN; at 64 no topic size can.
+MAX_GRADE = 64
+
 
 @dataclass(frozen=True)
 class Qrels:
@@ -27,7 +31,7 @@ class Qrels:
         """Parse whitespace-separated "topic_id 0 doc_id grade" lines.
 
         Negative grades (spam judgments) are clamped to 0. Malformed lines
-        raise ValueError naming the line.
+        and grades above MAX_GRADE raise ValueError naming the line.
         """
         grades: dict[str, dict[str, int]] = {}
         with open(path, "r", encoding="utf-8") as handle:
@@ -46,6 +50,8 @@ class Qrels:
                     raise ValueError(
                         f"{path}: line {lineno}: grade {grade_str!r} is not an integer"
                     ) from exc
+                if grade > MAX_GRADE:
+                    raise ValueError(f"{path}: line {lineno}: grade {grade} is above {MAX_GRADE}")
                 grades.setdefault(topic_id, {})[doc_id] = max(0, grade)
         return cls(grades)
 

@@ -1,17 +1,20 @@
 """Inverted index over a document corpus, with collection statistics.
 
-An index is immutable once built. Serialization is a self-describing JSON
-snapshot (magic header + format version); postings and statistics are
-derived from the document table in sorted order on both build and load so a
-round trip reproduces them exactly.
+The document table is the one stored form: records in doc_id order, each
+count map in term order. Postings and collection statistics are derived
+from it in one pass, so a built index and its loaded snapshot are equal down
+to iteration order. The snapshot (JSON, magic header + format version) holds
+the table as written; `load` rejects one out of order instead of re-sorting
+it. An index is immutable once built.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import ge, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -41,15 +44,20 @@ class CollectionStats:
 class InvertedIndex:
     """Postings, document table, and collection statistics for one corpus."""
 
-    def __init__(
-        self,
-        postings: dict[str, tuple[tuple[str, int], ...]],
-        doc_table: dict[str, DocumentRecord],
-        stats: CollectionStats,
-    ):
-        self.postings = postings
+    def __init__(self, doc_table: dict[str, DocumentRecord]):
+        """Index a document table given in doc_id order, counts in term order."""
+        gathered: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
+        for doc_id, rec in doc_table.items():
+            for term, count in rec.term_counts.items():
+                gathered[term].append((doc_id, count))
         self.doc_table = doc_table
-        self.stats = stats
+        self.postings = {term: tuple(gathered[term]) for term in sorted(gathered)}
+        self.stats = CollectionStats(
+            total_tokens=sum(rec.length for rec in doc_table.values()),
+            collection_tf={t: sum(map(itemgetter(1), p)) for t, p in self.postings.items()},
+            doc_freq={t: len(p) for t, p in self.postings.items()},
+            num_docs=len(doc_table),
+        )
 
     def doc(self, doc_id: str) -> DocumentRecord:
         return self.doc_table[doc_id]
@@ -87,13 +95,20 @@ class InvertedIndex:
         if not isinstance(docs, dict):
             raise ValueError(f"{path}: snapshot has no 'docs' object")
         doc_table = {}
-        for doc_id in sorted(docs):
-            entry = docs[doc_id]
+        previous = None
+        for doc_id, entry in docs.items():
+            if previous is not None and doc_id <= previous:
+                raise ValueError(
+                    f"{path}: doc {doc_id!r}: not in doc_id order (it follows {previous!r})"
+                )
+            previous = doc_id
             try:
-                counts = dict(sorted(entry["counts"].items()))
+                counts = entry["counts"]
                 length = entry["length"]
-            except (KeyError, TypeError, AttributeError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed entry for doc {doc_id!r}: {exc!r}") from exc
+            if not isinstance(counts, dict):
+                raise ValueError(f"{path}: doc {doc_id!r}: counts must be a JSON object")
             # type() rather than isinstance(): JSON true/false load as bool.
             if counts and (set(map(type, counts.values())) != {int} or min(counts.values()) < 1):
                 raise ValueError(f"{path}: doc {doc_id!r}: counts must be positive integers")
@@ -101,33 +116,11 @@ class InvertedIndex:
                 raise ValueError(
                     f"{path}: doc {doc_id!r}: length {length!r} is not the sum of its counts"
                 )
+            terms = list(counts)
+            if any(map(ge, terms, terms[1:])):
+                raise ValueError(f"{path}: doc {doc_id!r}: counts are not in term order")
             doc_table[doc_id] = DocumentRecord(doc_id, counts, length)
-        return cls(*_derive(doc_table))
-
-
-def _derive(
-    doc_table: dict[str, DocumentRecord],
-) -> tuple[dict[str, tuple[tuple[str, int], ...]], dict[str, DocumentRecord], CollectionStats]:
-    """Derive postings and stats from a document table, in sorted term order."""
-    postings: dict[str, list[tuple[str, int]]] = {}
-    collection_tf: Counter = Counter()
-    doc_freq: Counter = Counter()
-    total = 0
-    for doc_id in sorted(doc_table):
-        rec = doc_table[doc_id]
-        total += rec.length
-        for term, count in rec.term_counts.items():
-            postings.setdefault(term, []).append((doc_id, count))
-            collection_tf[term] += count
-            doc_freq[term] += 1
-    frozen = {term: tuple(postings[term]) for term in sorted(postings)}
-    stats = CollectionStats(
-        total_tokens=total,
-        collection_tf={t: collection_tf[t] for t in sorted(collection_tf)},
-        doc_freq={t: doc_freq[t] for t in sorted(doc_freq)},
-        num_docs=len(doc_table),
-    )
-    return frozen, doc_table, stats
+        return cls(doc_table)
 
 
 def build_index(
@@ -144,9 +137,9 @@ def build_index(
         if doc_id in doc_table:
             raise ValueError(f"duplicate doc_id: {doc_id!r}")
         analyzed = analyzer(text)
-        counts = dict(sorted(Counter(analyzed.tokens).items()))
+        counts = dict(sorted(analyzed.counts().items()))
         doc_table[doc_id] = DocumentRecord(doc_id, counts, analyzed.length)
-    return InvertedIndex(*_derive(doc_table))
+    return InvertedIndex(dict(sorted(doc_table.items())))
 
 
 def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:

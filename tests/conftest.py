@@ -100,13 +100,17 @@ def spot_doc():
 
 
 @pytest.fixture
-def club_index():
+def club_docs():
     """Small themed corpus used by feedback and baseline tests."""
-    docs = [
+    return [
         ("d1", "jazz club downtown jazz music nights"),
         ("d2", "rock club uptown loud rock music"),
         ("d3", "quiet jazz records shop"),
         ("d4", "club membership prices downtown"),
         ("d5", "rock climbing gym routes"),
     ]
-    return build_index(docs, analyzer=whitespace_analyze)
+
+
+@pytest.fixture
+def club_index(club_docs):
+    return build_index(club_docs, analyzer=whitespace_analyze)

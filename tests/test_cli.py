@@ -235,6 +235,21 @@ class TestRunCommand:
         assert "nope.txt" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unsorted_snapshot_rejected(self, workspace, capsys):
+        snapshot = json.loads(workspace["index"].read_text(encoding="utf-8"))
+        snapshot["docs"] = dict(reversed(snapshot["docs"].items()))
+        workspace["index"].write_text(json.dumps(snapshot), encoding="utf-8")
+        out = workspace["dir"] / "run.txt"
+        rc = main([
+            "run", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]), "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "snapshot.idx" in err[0] and "doc_id order" in err[0]
+        assert not out.exists()
+
     def test_missing_topic_writes_no_run_file(self, workspace, capsys):
         qrels = workspace["dir"] / "other_qrels.txt"
         qrels.write_text("t2 0 d1 1\n", encoding="utf-8")

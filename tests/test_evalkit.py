@@ -8,6 +8,7 @@ import pytest
 from conftest import make_session
 
 from sessionsearch.evalkit import (
+    MAX_GRADE,
     Qrels,
     average_precision,
     build_report,
@@ -181,6 +182,17 @@ class TestQrels:
         path.write_text("t1 0 d1 high\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             Qrels.from_trec_file(path)
+
+    def test_grade_above_bound_rejected(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"t1 0 d1 {MAX_GRADE}\nt1 0 d2 {MAX_GRADE + 1}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"qrels\.txt: line 2"):
+            Qrels.from_trec_file(path)
+        # At the bound itself every metric stays finite.
+        grades = {f"d{i}": MAX_GRADE for i in range(3)}
+        ranking = ["d2", "x", "d0"]
+        assert math.isfinite(ndcg_at_k(ranking, grades, 10))
+        assert math.isfinite(nerr_at_k(ranking, grades, 10, MAX_GRADE))
 
     def test_unknown_topic_rejected(self):
         qrels = Qrels({"t1": {"d1": 1}})

@@ -62,17 +62,32 @@ def test_idf_single_doc_and_unseen():
     assert nine.idf("never-indexed") == pytest.approx(math.log(20.0), abs=1e-12)
 
 
-def test_save_load_round_trip(tmp_path, club_index):
+def iteration_order(index):
+    table = index.doc_table.items()
+    return (
+        [(doc_id, list(rec.term_counts.items()), rec.length) for doc_id, rec in table],
+        list(index.postings.items()),
+        list(index.stats.collection_tf.items()),
+        list(index.stats.doc_freq.items()),
+    )
+
+
+def test_save_load_round_trip(tmp_path, club_docs):
+    # Built from the corpus in reverse: the index is in doc_id order anyway,
+    # so the loaded snapshot matches it down to iteration order.
+    built = build_index(reversed(club_docs), analyzer=whitespace_analyze)
     path = tmp_path / "index.json"
-    club_index.save(path)
+    built.save(path)
     loaded = InvertedIndex.load(path)
-    assert loaded.postings == club_index.postings
-    assert loaded.stats == club_index.stats
-    assert loaded.doc_table == club_index.doc_table
+    assert iteration_order(loaded) == iteration_order(built)
+    assert loaded.stats == built.stats
+    resaved = tmp_path / "resaved.json"
+    loaded.save(resaved)
+    assert resaved.read_bytes() == path.read_bytes()
     # Scores, not just structures, must survive the round trip bit for bit.
     query = AnalyzedText(("jazz", "club"))
-    for doc_id in club_index.doc_table:
-        before = query_log_likelihood(query, club_index.doc(doc_id), club_index.stats, 2500.0)
+    for doc_id in built.doc_table:
+        before = query_log_likelihood(query, built.doc(doc_id), built.stats, 2500.0)
         after = query_log_likelihood(query, loaded.doc(doc_id), loaded.stats, 2500.0)
         assert before == after
 
@@ -103,7 +118,16 @@ def test_load_rejects_wrong_version(tmp_path, tiny_index):
 
 
 @pytest.mark.parametrize(
-    "docs", [None, [], {"d1": {"length": 1}}, {"d1": "a"}], ids=["absent", "list", "no-counts", "str"]
+    "docs",
+    [
+        None,
+        [],
+        {"d1": {"length": 1}},
+        {"d1": "a"},
+        {"d1": {"length": 3, "counts": [["a", 2], ["b", 1]]}},
+        {"d2": {"length": 1, "counts": {"b": 1}}, "d1": {"length": 1, "counts": {"a": 1}}},
+    ],
+    ids=["absent", "list", "no-counts", "str", "list-counts", "unsorted-doc-ids"],
 )
 def test_load_rejects_malformed_docs_table(tmp_path, tiny_index, docs):
     path = tmp_path / "index.json"
@@ -128,8 +152,12 @@ def test_load_rejects_malformed_docs_table(tmp_path, tiny_index, docs):
         {"length": 3, "counts": {"a": 0, "b": 1}},
         {"length": 99, "counts": {"a": 2, "b": 1}},
         {"length": 3.0, "counts": {"a": 2, "b": 1}},
+        {"length": 3, "counts": {"b": 1, "a": 2}},
     ],
-    ids=["float", "negative", "bool", "string", "zero", "length-sum", "float-length"],
+    ids=[
+        "float", "negative", "bool", "string", "zero", "length-sum", "float-length",
+        "unsorted-terms",
+    ],
 )
 def test_load_rejects_counts_it_would_change(tmp_path, tiny_index, entry):
     path = tmp_path / "index.json"
