@@ -30,10 +30,14 @@ class Qrels:
     def from_trec_file(cls, path: str | Path) -> "Qrels":
         """Parse whitespace-separated "topic_id 0 doc_id grade" lines.
 
-        Negative grades (spam judgments) are clamped to 0. Malformed lines
-        and grades above MAX_GRADE raise ValueError naming the line.
+        Negative grades (spam judgments) are clamped to 0. Malformed lines,
+        grades above MAX_GRADE and a second, different grade for the same
+        (topic, doc) raise ValueError naming the line; a repeated identical
+        judgment is accepted.
         """
         grades: dict[str, dict[str, int]] = {}
+        # (grade as written, line) of each judgment, to name a conflict.
+        judged: dict[tuple[str, str], tuple[int, int]] = {}
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
@@ -52,6 +56,12 @@ class Qrels:
                     ) from exc
                 if grade > MAX_GRADE:
                     raise ValueError(f"{path}: line {lineno}: grade {grade} is above {MAX_GRADE}")
+                first_grade, first_line = judged.setdefault((topic_id, doc_id), (grade, lineno))
+                if first_grade != grade:
+                    raise ValueError(
+                        f"{path}: line {lineno}: topic {topic_id!r} doc {doc_id!r} has grade "
+                        f"{grade}, but line {first_line} gave it grade {first_grade}"
+                    )
                 grades.setdefault(topic_id, {})[doc_id] = max(0, grade)
         return cls(grades)
 
@@ -252,6 +262,11 @@ def grid_tune(
     better to displace the incumbent, so ties resolve toward smaller m, then
     smaller lambda, then smaller gamma. Returns the winning config and the
     full score table.
+
+    Sessions are scored session-major: score_fn(session, index, config)
+    sees every point of one session before the next session, so a scorer
+    may reuse the session's stages across points (pipeline.StagedScorer).
+    Each point's MAP still adds its sessions' APs in session order.
     """
     if not grids or any(len(values) == 0 for values in grids.values()):
         raise ValueError("grid search needs at least one value for every grid")
@@ -261,26 +276,25 @@ def grid_tune(
     keys = [key for key in TUNABLE_FIELDS if key in grids]
     value_lists = [sorted(grids[key]) for key in keys]
 
+    points = [dict(zip(keys, point)) for point in itertools.product(*value_lists)]
+    configs = [replace(base_config, **params) for params in points]
+    # aps[i]: the AP of every scored session at point i, in session order.
+    aps: list[list[float]] = [[] for _ in points]
+    for session in sessions:
+        if not session.current_query.tokens:
+            continue
+        grades = qrels.for_topic(session.topic_id)
+        for values, config in zip(aps, configs):
+            ranking = [doc_id for doc_id, _ in score_fn(session, index, config)]
+            values.append(average_precision(ranking, grades))
+
     best_config = None
     best_map = -1.0
     table: list[dict] = []
-    for point in itertools.product(*value_lists):
-        config = replace(base_config, **dict(zip(keys, point)))
-        mean_map = _mean_average_precision(sessions, qrels, index, config, score_fn)
-        table.append({"params": dict(zip(keys, point)), "map": mean_map})
+    for params, config, values in zip(points, configs, aps):
+        mean_map = math.fsum(values) / len(values) if values else 0.0
+        table.append({"params": params, "map": mean_map})
         if mean_map > best_map:
             best_map = mean_map
             best_config = config
     return best_config, table
-
-
-def _mean_average_precision(sessions, qrels, index, config, score_fn) -> float:
-    values = []
-    for session in sessions:
-        if not session.current_query.tokens:
-            continue
-        ranking = [doc_id for doc_id, _ in score_fn(session, index, config)]
-        values.append(average_precision(ranking, qrels.for_topic(session.topic_id)))
-    if not values:
-        return 0.0
-    return math.fsum(values) / len(values)

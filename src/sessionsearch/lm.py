@@ -145,6 +145,35 @@ def smoothed_prob(
     return tf / denom
 
 
+class LogRatios(dict):
+    """ln(1 + tf / (mu P(term|C))) of each (term, tf) over one collection and
+    mu, or ln tf for a term without background mass, computed on its first
+    lookup and kept.
+
+    The ratio depends on neither the weights nor the document, so scorers
+    over the same stats and mu can share one table. It is computed with the
+    operations of LogLikelihoodScorer (background mass, then log), so
+    weight * ratio is the scorer's summand bit for bit.
+    """
+
+    __slots__ = ("stats", "mu")
+
+    def __init__(self, stats: CollectionStats, mu: float):
+        super().__init__()
+        self.stats = stats
+        self.mu = mu
+
+    def __missing__(self, key: tuple[str, int]) -> float:
+        term, tf = key
+        cf = self.stats.collection_tf.get(term, 0)
+        if self.mu > 0 and cf:
+            value = math.log1p(tf / (self.mu * cf / self.stats.total_tokens))
+        else:
+            value = math.log(tf)
+        self[key] = value
+        return value
+
+
 class LogLikelihoodScorer:
     """Per-document scorer of sum weight * ln p_mu(term|doc) over fixed
     (term, weight) pairs with distinct terms.
@@ -164,15 +193,25 @@ class LogLikelihoodScorer:
     documents equal in exact arithmetic (same length, same multiset of
     summands) score bit-equal. Like smoothed_prob, an empty document with
     mu = 0 raises ValueError, unless there are no terms (the empty sum, 0).
+    Given a LogRatios table over the same stats and mu, calls read each
+    matched term's log ratio from it; the scores are the same floats.
     """
 
-    __slots__ = ("weights", "_background", "_required", "_mu", "_constant", "_weight_total")
+    __slots__ = ("weights", "_background", "_required", "_mu", "_constant", "_weight_total",
+                 "_ratios")
 
     def __init__(
-        self, weights: Iterable[tuple[str, float]], stats: CollectionStats, mu: float
+        self,
+        weights: Iterable[tuple[str, float]],
+        stats: CollectionStats,
+        mu: float,
+        ratios: LogRatios | None = None,
     ):
+        if ratios is not None and (ratios.stats is not stats or ratios.mu != mu):
+            raise ValueError("log ratios of another collection or mu")
         self.weights: dict[str, float] = dict(weights)
         self._mu = mu
+        self._ratios = ratios
         # mu * P(term|C) of each smoothed term, with smoothed_prob's expression.
         self._background: dict[str, float] = {}
         self._required: list[str] = []
@@ -213,9 +252,13 @@ class LogLikelihoodScorer:
         # Intersecting two key views walks the smaller one: the document's
         # terms or the scored terms, whichever are fewer.
         counts = doc.term_counts
-        summand = self.summand
-        matched = counts.keys() & self.weights.keys()
-        return self.total(doc, [summand(term, counts[term]) for term in matched])
+        weights = self.weights
+        matched = counts.keys() & weights.keys()
+        ratios = self._ratios
+        if ratios is None:
+            summand = self.summand
+            return self.total(doc, [summand(term, counts[term]) for term in matched])
+        return self.total(doc, [weights[term] * ratios[term, counts[term]] for term in matched])
 
 
 def query_log_likelihood(
@@ -247,19 +290,23 @@ def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
 
 
 def cross_entropy_scorer(
-    model: TermDistribution, stats: CollectionStats, mu: float
+    model: TermDistribution,
+    stats: CollectionStats,
+    mu: float,
+    ratios: LogRatios | None = None,
 ) -> LogLikelihoodScorer:
     """Per-document scorer of sum over model terms of
     p(w|model) * ln p_smoothed(w|doc).
 
     A document scores -inf when any model term has zero smoothed probability
-    (absent from the corpus entirely).
+    (absent from the corpus entirely). ratios, when given, is a LogRatios
+    table over the same stats and mu, shared with other scorers.
     """
     if model.is_zero:
         raise ValueError("cannot score with an empty model")
     if mu <= 0:
         raise ValueError(f"cross-entropy scoring requires mu > 0, got {mu}")
-    return LogLikelihoodScorer(model.items(), stats, mu)
+    return LogLikelihoodScorer(model.items(), stats, mu, ratios)
 
 
 def cross_entropy_score(

@@ -4,6 +4,11 @@ Every method starts from the same top-depth query-likelihood candidate list
 for the current query and differs only in how it rescores those candidates.
 Scoring is pure per session, and sessions are processed in input order, so
 repeated runs are byte-identical.
+
+The stages of one session's scoring are looked up in a Stages memo under
+the parameters each depends on; scoring the same session again with the
+same memo (StagedScorer, which tune uses) redoes only what the changed
+parameters reach, and gives the same floats as scoring it afresh.
 """
 
 from __future__ import annotations
@@ -16,8 +21,15 @@ from typing import Optional
 
 from .baselines import qa_score, rm3_model
 from .index import InvertedIndex
-from .lm import RankedList, TermDistribution, query_mle, rank_documents, top_k_by_query_likelihood
-from .session import Session, pseudo_info_need
+from .lm import (
+    LogRatios,
+    RankedList,
+    TermDistribution,
+    query_mle,
+    rank_documents,
+    top_k_by_query_likelihood,
+)
+from .session import Session, Stages, pseudo_info_need
 from .srm import (
     SrmParams,
     SrmTrace,
@@ -112,15 +124,30 @@ def score_session(
 
 
 def score_session_full(
-    session: Session, index: InvertedIndex, config: RunConfig
+    session: Session,
+    index: InvertedIndex,
+    config: RunConfig,
+    stages: Optional[Stages] = None,
 ) -> SessionResult:
-    """Like score_session but keeps the learned model and trace when present."""
+    """Like score_session but keeps the learned model and trace when present.
+
+    stages is this session's memo (a fresh one when None). It keys the first
+    pass by (mu, depth), the RM3 feedback first pass by (feedback query, mu,
+    m), the session model's feedback stages as build_session_model does,
+    and the rerank's LogRatios table per mu. The rest runs every call.
+    """
     q_n = session.current_query
     if not q_n.tokens:
         raise ValueError(
             f"session {session.session_id!r}: current query has no analyzable terms"
         )
-    candidates = top_k_by_query_likelihood(q_n, index, config.mu, config.depth)
+    if stages is None:
+        stages = Stages()
+    mu = config.mu
+    candidates = stages.get(
+        ("first_pass", mu, config.depth),
+        lambda: top_k_by_query_likelihood(q_n, index, mu, config.depth),
+    )
     result = SessionResult(session.session_id, session.topic_id, candidates)
     method = config.method
     if method == METHOD_NONE or not candidates:
@@ -131,30 +158,55 @@ def score_session_full(
         # replaces the candidate score rather than adding to it.
         decay = None if method == METHOD_QA_UNIFORM else config.decay
         result.ranking = rank_documents([
-            (doc_id, qa_score(session, index.doc(doc_id), index, config.mu, decay))
+            (doc_id, qa_score(session, index.doc(doc_id), index, mu, decay))
             for doc_id, _ in candidates
         ])
         return result
 
     if method in (METHOD_SRM_QC, METHOD_SRM_RM1):
-        result.model, result.trace = build_session_model(session, config.srm_params(), index)
+        result.model, result.trace = build_session_model(
+            session, config.srm_params(), index, stages
+        )
     else:
         feedback_query = q_n if method == METHOD_RM3_QN else pseudo_info_need(session.queries)
-        feedback = top_k_by_query_likelihood(feedback_query, index, config.mu, config.m)
+        feedback = stages.get(
+            ("rm3_feedback", feedback_query.tokens, mu, config.m),
+            lambda: top_k_by_query_likelihood(feedback_query, index, mu, config.m),
+        )
         if feedback:
             result.model = rm3_model(
                 feedback_query,
                 [doc_id for doc_id, _ in feedback],
                 index,
-                config.mu,
+                mu,
                 config.lam,
                 config.clip_terms,
             )
         else:
             # Nothing retrievable to expand with; score with the bare query.
             result.model = query_mle(feedback_query)
-    result.ranking = rerank(candidates, result.model, index, config.mu)
+    ratios = stages.get(("log_ratios", mu), lambda: LogRatios(index.stats, mu))
+    result.ranking = rerank(candidates, result.model, index, mu, ratios)
     return result
+
+
+class StagedScorer:
+    """A score_session for grid_tune that reuses a session's stages across
+    grid points: it keeps one Stages memo and starts a fresh one whenever
+    another session (or index) arrives, so it holds one session's stages.
+
+    Scores every call through the module's score_session_full, exactly as
+    score_session does.
+    """
+
+    def __init__(self):
+        self._session = self._index = None
+        self._stages = Stages()
+
+    def __call__(self, session: Session, index: InvertedIndex, config: RunConfig) -> RankedList:
+        if session is not self._session or index is not self._index:
+            self._session, self._index, self._stages = session, index, Stages()
+        return score_session_full(session, index, config, self._stages).ranking
 
 
 def run_sessions(

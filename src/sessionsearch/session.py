@@ -103,6 +103,30 @@ class FeedbackSet:
     source: FeedbackSource
 
 
+class Stages:
+    """One session's stage results, each under a key of exactly the
+    parameters it depends on, so a caller that scores the session again
+    with other parameters reuses what they leave unchanged.
+
+    Valid for one session and one index: start a fresh memo for another.
+    Every lookup of a key returns the same object, so callers must not
+    mutate what they get.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def get(self, key, compute: Callable[[], object]):
+        """The value stored under key, computed by compute() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
+
 def classify_change(
     previous: Optional[AnalyzedText], current: AnalyzedText
 ) -> QueryChange:

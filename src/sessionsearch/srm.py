@@ -20,6 +20,7 @@ from .analysis import AnalyzedText
 from .baselines import rm1_model
 from .index import InvertedIndex
 from .lm import (
+    LogRatios,
     RankedList,
     TermDistribution,
     ZERO,
@@ -38,6 +39,7 @@ from .session import (
     FeedbackSet,
     QueryChange,
     Session,
+    Stages,
     classify_change,
     select_feedback_docs,
 )
@@ -266,7 +268,10 @@ def srm_update(
 
 
 def build_session_model(
-    session: Session, params: SrmParams, index: InvertedIndex
+    session: Session,
+    params: SrmParams,
+    index: InvertedIndex,
+    stages: Optional[Stages] = None,
 ) -> tuple[TermDistribution, SrmTrace]:
     """Walk the whole session and return the final clipped model plus trace.
 
@@ -274,12 +279,20 @@ def build_session_model(
     change evidence), though their impressions and clicks still feed later
     feedback sets. A session whose current query analyzes to nothing is an
     error; callers decide whether to skip it.
+
+    Each step's feedback set, keyed (t, m, mu), and feedback model, keyed
+    (t, m, mu, variant), come from stages (a fresh memo when None), so
+    models of the same session that differ only in lam, gamma or clip_terms
+    share them.
     """
     q_n = session.current_query
     if not q_n.tokens:
         raise ValueError(
             f"session {session.session_id!r}: current query has no analyzable terms"
         )
+    if stages is None:
+        stages = Stages()
+    m, mu, variant = params.m, params.mu, params.variant
     model = ZERO
     trace = SrmTrace(session_id=session.session_id)
     previous: Optional[AnalyzedText] = None
@@ -287,14 +300,18 @@ def build_session_model(
         if not q_t.tokens:
             continue
         change = classify_change(previous, q_t)
-        feedback = select_feedback_docs(session, t, params.m, params.mu, index)
+        feedback = stages.get(
+            ("feedback", t, m, mu), lambda: select_feedback_docs(session, t, m, mu, index)
+        )
         lambda_t = 0.0
         if feedback.doc_ids:
             lambda_t = params.lam * generalized_jaccard_sim(q_t, q_n, index)
-            if params.variant == VARIANT_QUERY_CHANGE:
-                fm = feedback_model(change, feedback, default_change_priors(), index, params.mu)
-            else:
-                fm = rm1_style_feedback_model(q_t, feedback, index, params.mu)
+            fm = stages.get(
+                ("feedback_model", t, m, mu, variant),
+                lambda: feedback_model(change, feedback, default_change_priors(), index, mu)
+                if variant == VARIANT_QUERY_CHANGE
+                else rm1_style_feedback_model(q_t, feedback, index, mu),
+            )
             anchored = anchor_feedback(fm, q_t, q_n, params.lam, index)
         else:
             # No usable feedback: the anchored model degenerates to the
@@ -326,14 +343,16 @@ def rerank(
     model: TermDistribution,
     index: InvertedIndex,
     mu: float,
+    ratios: Optional[LogRatios] = None,
 ) -> RankedList:
     """Re-rank query-likelihood candidates with a session model.
 
     Candidate scores must be the current query's log likelihoods; the final
     score adds the model's cross entropy against each document. Sorting is
     score descending with doc_id tie-break, so the output does not depend on
-    the input order.
+    the input order. ratios, when given, is a LogRatios table over
+    index.stats and mu that reranks of the same candidates share.
     """
-    score = cross_entropy_scorer(model, index.stats, mu)
+    score = cross_entropy_scorer(model, index.stats, mu, ratios)
     rescored = [(doc_id, ql + score(index.doc(doc_id))) for doc_id, ql in candidates]
     return rank_documents(rescored)

@@ -495,6 +495,48 @@ class TestTuneCommand:
         assert err.startswith(f"error: {field} must be"), err
         assert "absent.idx" not in err
 
+    @pytest.mark.parametrize(
+        "flags, config, label",
+        [
+            (["--lambda", "0.3,0.30"], None, "--lambda: duplicate grid value 0.3"),
+            (["--m", "5,10,5"], None, "--m: duplicate grid value 5"),
+            ([], {"gamma": [0.5, 0.5]}, "field 'gamma': duplicate grid value 0.5"),
+            ([], {"clip": [10, 10.0]}, "field 'clip': duplicate grid value 10"),
+        ],
+        ids=["flag-float", "flag-int", "config-float", "config-int"],
+    )
+    def test_duplicate_grid_value_rejected_before_reading(
+        self, workspace, capsys, flags, config, label
+    ):
+        # No input exists: the grid must be checked before any is read.
+        absent = workspace["dir"] / "absent"
+        if config is not None:
+            path = workspace["dir"] / "grid.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            flags = [*flags, "--config", str(path)]
+        rc = main([
+            "tune", "--index", str(absent / "x.idx"), "--sessions", str(absent / "s.json"),
+            "--qrels", str(absent / "q.txt"), *flags,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert label in err
+        assert "absent" not in err
+
+    def test_conflicting_qrels_grades_rejected(self, workspace, capsys):
+        qrels = workspace["dir"] / "conflict_qrels.txt"
+        qrels.write_text(QRELS_TEXT + "t1 0 d1 0\n", encoding="utf-8")
+        rc = main([
+            "tune", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(qrels), "--lambda", "0.5",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {qrels}: line 3: ") and err.count("\n") == 1, err
+        assert "line 1" in err and "'t1'" in err and "'d1'" in err
+
     def test_non_integer_grid_value_names_flag(self, workspace, capsys):
         rc = main([
             "tune", "--index", str(workspace["index"]),

@@ -18,6 +18,10 @@ interpolate-and-clip written here for RM3-QN and RM3-Q'. Required:
 A cut that selects documents or terms (feedback top-m, clipping) is
 ill-defined between two candidates within the tolerance, so examples with
 such a near-tie at a cut are skipped.
+
+A second test tunes each method over random grids twice, scoring with
+plain score_session and with pipeline.StagedScorer, which reuses a
+session's stages across grid points; the two must agree bit for bit.
 """
 
 import math
@@ -31,11 +35,30 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import oracle  # noqa: E402
 from conftest import instance_index, instance_session  # noqa: E402
 
-from sessionsearch.pipeline import METHODS, RunConfig, score_session_full  # noqa: E402
+from sessionsearch.evalkit import Qrels, grid_tune  # noqa: E402
+from sessionsearch.session import select_feedback_docs  # noqa: E402
+from sessionsearch.pipeline import (  # noqa: E402
+    METHODS,
+    RunConfig,
+    StagedScorer,
+    score_session,
+    score_session_full,
+)
 
 TOLERANCE = 1e-9
 NEG_INF = float("-inf")
 UNSEEN = "zz"  # a query word no document contains
+
+
+@st.composite
+def sessions_over(draw, doc_ids, query):
+    """The steps and current query of one session over the given documents."""
+    steps = []
+    for _ in range(draw(st.integers(0, 3))):
+        impressions = draw(st.lists(st.sampled_from(doc_ids), unique=True))
+        clicks = draw(st.lists(st.sampled_from(impressions), unique=True)) if impressions else []
+        steps.append({"query": draw(query), "impressions": impressions, "clicks": clicks})
+    return {"steps": steps, "current": draw(query)}
 
 
 @st.composite
@@ -50,17 +73,10 @@ def instances(draw):
         token_lists = token_lists[:4] + [[mirror.get(t, t) for t in tokens]
                                          for tokens in token_lists[:4]]
     docs = {f"d{i}": dict(Counter(tokens)) for i, tokens in enumerate(token_lists)}
-    doc_ids = sorted(docs)
     query = st.lists(st.sampled_from(vocab * 4 + [UNSEEN]), min_size=1, max_size=4)
-    steps = []
-    for _ in range(draw(st.integers(0, 3))):
-        impressions = draw(st.lists(st.sampled_from(doc_ids), unique=True))
-        clicks = draw(st.lists(st.sampled_from(impressions), unique=True)) if impressions else []
-        steps.append({"query": draw(query), "impressions": impressions, "clicks": clicks})
     return {
         "docs": docs,
-        "steps": steps,
-        "current": draw(query),
+        **draw(sessions_over(sorted(docs), query)),
         "params": {
             "gamma": draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
             "lam": draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
@@ -267,3 +283,102 @@ def test_every_method_matches_brute_force(instance, method):
     for tied in by_signature.values():
         assert len({score_of[d] for d in tied}) == 1, tied
         assert [position[d] for d in tied] == sorted(position[d] for d in tied), tied
+
+
+# The tunable fields each method's scoring reads.
+TUNED_BY = {
+    "none": ("mu",),
+    "qa-uniform": ("mu",),
+    "qa-decay": ("mu", "decay"),
+    "rm3-qn": ("m", "lam", "mu", "clip_terms"),
+    "rm3-qprime": ("m", "lam", "mu", "clip_terms"),
+    "srm-qc": ("m", "lam", "gamma", "mu", "clip_terms"),
+    "srm-rm1": ("m", "lam", "gamma", "mu", "clip_terms"),
+}
+GRID_VALUES = {
+    "m": [1, 2, 4],
+    "lam": [0.0, 0.5, 1.0],
+    "gamma": [0.0, 0.3, 1.0],
+    "mu": [1.0, 10.0, 2500.0],
+    "clip_terms": [2, 3, 100],
+    "decay": [0.5, 0.92, 1.0],
+}
+
+
+@st.composite
+def tune_instances(draw):
+    instance = draw(instances())
+    doc_ids = sorted(instance["docs"])
+    vocab = sorted({term for counts in instance["docs"].values() for term in counts})
+    query = st.lists(st.sampled_from(vocab * 4 + [UNSEEN]), min_size=1, max_size=4)
+    sessions = [instance] + draw(st.lists(sessions_over(doc_ids, query), max_size=2))
+    method = draw(st.sampled_from(METHODS))
+    fields = draw(st.lists(st.sampled_from(TUNED_BY[method]), min_size=1, max_size=3,
+                           unique=True))
+    grids = {field: draw(st.lists(st.sampled_from(GRID_VALUES[field]), min_size=2,
+                                  max_size=2, unique=True))
+             for field in fields}
+    return {
+        "docs": instance["docs"],
+        "sessions": sessions,
+        "grades": {doc_id: draw(st.integers(0, 2)) for doc_id in doc_ids},
+        "method": method,
+        "depth": instance["depth"],
+        "grids": grids,
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tune=tune_instances())
+def test_staged_tune_equals_plain_tune_bit_for_bit(tune):
+    index = instance_index(tune)
+    sessions = [instance_session(session, session_id=f"s{i}")
+                for i, session in enumerate(tune["sessions"])]
+    qrels = Qrels({"t1": tune["grades"]})
+    base = RunConfig(method=tune["method"], depth=tune["depth"])
+    outcomes = []
+    for score_fn in (score_session, StagedScorer()):
+        scored = []
+
+        def recorded(session, index, config, score_fn=score_fn, scored=scored):
+            ranking = score_fn(session, index, config)
+            scored.append((session.session_id, config, ranking))
+            return ranking
+
+        best, table = grid_tune(sessions, qrels, index, base, tune["grids"], recorded)
+        outcomes.append((best, table, scored))
+    plain, staged = outcomes
+    # Best config, table (MAP floats included) and every (session, point)
+    # ranking with its scores, in the order grid_tune asked for them.
+    assert staged == plain
+
+
+def tune_rankings(score_fn, sessions, index, base, grids):
+    """grid_tune's result and every ranking score_fn gave it, in order."""
+    scored = []
+
+    def recorded(session, index, config):
+        ranking = score_fn(session, index, config)
+        scored.append((session.session_id, config, ranking))
+        return ranking
+
+    qrels = Qrels({"t1": {"dA": 1}})
+    return grid_tune(sessions, qrels, index, base, grids, recorded), scored
+
+
+@pytest.mark.parametrize("method", ["srm-qc", "srm-rm1", "rm3-qn", "rm3-qprime"])
+def test_staged_tune_keys_feedback_selection_by_mu(method):
+    # "w0" is rare in the collection. At mu = 1 the one-word dA is the best
+    # match for "w0", at mu = 2500 the longer dB with three of them: the
+    # feedback top-1 (pseudo-clicks and RM3 alike) changes with mu alone.
+    instance = {"docs": {"dA": {"w0": 1}, "dB": {"w0": 3, "w1": 2, "w2": 2},
+                         "dC": {"w1": 1, "w2": 1, "w3": 1}, "dD": {"w3": 40}}}
+    index = instance_index(instance)
+    session = instance_session(dict(instance, steps=[
+        {"query": ["w0"], "impressions": ["dA", "dB"], "clicks": []}], current=["w0", "w1"]))
+    picks = {mu: select_feedback_docs(session, 1, 1, mu, index).doc_ids for mu in (1.0, 2500.0)}
+    assert picks == {1.0: ("dA",), 2500.0: ("dB",)}
+    grids = {"m": [1, 2], "mu": [1.0, 2500.0]}
+    base = RunConfig(method=method)
+    assert (tune_rankings(StagedScorer(), [session], index, base, grids)
+            == tune_rankings(score_session, [session], index, base, grids))

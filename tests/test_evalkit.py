@@ -194,6 +194,20 @@ class TestQrels:
         assert math.isfinite(ndcg_at_k(ranking, grades, 10))
         assert math.isfinite(nerr_at_k(ranking, grades, 10, MAX_GRADE))
 
+    def test_conflicting_grades_rejected(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("t1 0 d1 2\nt1 0 d2 1\nt2 0 d1 1\nt1 0 d1 0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            Qrels.from_trec_file(path)
+        message = str(raised.value)
+        assert message.startswith(f"{path}: line 4:"), message
+        assert "line 1" in message and "'t1'" in message and "'d1'" in message
+
+    def test_repeated_identical_judgment_accepted(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("t1 0 d1 2\nt1 0 d2 1\nt1 0 d1 2\n", encoding="utf-8")
+        assert Qrels.from_trec_file(path).for_topic("t1") == {"d1": 2, "d2": 1}
+
     def test_unknown_topic_rejected(self):
         qrels = Qrels({"t1": {"d1": 1}})
         with pytest.raises(ValueError, match="t9"):

@@ -64,6 +64,28 @@ def test_scoring_calls_go_through_module_attributes(monkeypatch, club_index, met
     assert calls == EXPECTED[method]
 
 
+@pytest.mark.parametrize("method", ["srm-qc", "srm-rm1"])
+def test_staged_scorer_reaches_only_the_changed_stages(monkeypatch, club_index, method):
+    calls = set()
+    for module, name in REBOUND:
+        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        monkeypatch.setattr(module, name, counting(calls, key, getattr(module, name)))
+    session = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])
+    scorer = pipeline.StagedScorer()
+    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.3, gamma=0.3))
+    assert calls == EXPECTED[method]
+    # Another (lambda, gamma) point of the same session: the first pass,
+    # the feedback set and the feedback model come from the memo.
+    calls.clear()
+    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.7, gamma=0.5))
+    assert calls == {"pipeline.build_session_model", "srm.anchor_feedback", "pipeline.rerank"}
+    # A new session object starts a fresh memo.
+    calls.clear()
+    other = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])
+    assert scorer(other, club_index, pipeline.RunConfig(method=method, lam=0.7, gamma=0.5))
+    assert calls == EXPECTED[method]
+
+
 @pytest.mark.parametrize("fn", [build_index, load_sessions])
 def test_analyzer_is_the_only_default_argument(fn):
     defaults = [p.name for p in inspect.signature(fn).parameters.values()
