@@ -5,10 +5,9 @@ for the current query and differs only in how it rescores those candidates.
 Scoring is pure per session, and sessions are processed in input order, so
 repeated runs are byte-identical.
 
-The stages of one session's scoring are looked up in a Stages memo under
-the parameters each depends on; scoring the same session again with the
-same memo (StagedScorer, which tune uses) redoes only what the changed
-parameters reach, and gives the same floats as scoring it afresh.
+A session's stages are looked up in a Stages memo under the parameters
+each depends on (see score_session_full), so StagedScorer, which tune
+uses, redoes at each grid point only what its changed parameters reach.
 """
 
 from __future__ import annotations
@@ -200,8 +199,7 @@ class StagedScorer:
     """
 
     def __init__(self):
-        self._session = self._index = None
-        self._stages = Stages()
+        self._session = self._index = self._stages = None
 
     def __call__(self, session: Session, index: InvertedIndex, config: RunConfig) -> RankedList:
         if session is not self._session or index is not self._index:

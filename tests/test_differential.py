@@ -36,7 +36,7 @@ import oracle  # noqa: E402
 from conftest import instance_index, instance_session  # noqa: E402
 
 from sessionsearch.evalkit import Qrels, grid_tune  # noqa: E402
-from sessionsearch.session import select_feedback_docs  # noqa: E402
+from sessionsearch.lm import top_k_by_query_likelihood  # noqa: E402
 from sessionsearch.pipeline import (  # noqa: E402
     METHODS,
     RunConfig,
@@ -44,6 +44,7 @@ from sessionsearch.pipeline import (  # noqa: E402
     score_session,
     score_session_full,
 )
+from sessionsearch.session import select_feedback_docs  # noqa: E402
 
 TOLERANCE = 1e-9
 NEG_INF = float("-inf")
@@ -328,33 +329,9 @@ def tune_instances(draw):
     }
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(tune=tune_instances())
-def test_staged_tune_equals_plain_tune_bit_for_bit(tune):
-    index = instance_index(tune)
-    sessions = [instance_session(session, session_id=f"s{i}")
-                for i, session in enumerate(tune["sessions"])]
-    qrels = Qrels({"t1": tune["grades"]})
-    base = RunConfig(method=tune["method"], depth=tune["depth"])
-    outcomes = []
-    for score_fn in (score_session, StagedScorer()):
-        scored = []
-
-        def recorded(session, index, config, score_fn=score_fn, scored=scored):
-            ranking = score_fn(session, index, config)
-            scored.append((session.session_id, config, ranking))
-            return ranking
-
-        best, table = grid_tune(sessions, qrels, index, base, tune["grids"], recorded)
-        outcomes.append((best, table, scored))
-    plain, staged = outcomes
-    # Best config, table (MAP floats included) and every (session, point)
-    # ranking with its scores, in the order grid_tune asked for them.
-    assert staged == plain
-
-
-def tune_rankings(score_fn, sessions, index, base, grids):
-    """grid_tune's result and every ranking score_fn gave it, in order."""
+def tune_rankings(score_fn, sessions, qrels, index, base, grids):
+    """grid_tune's best config and table, and every ranking with its scores
+    that score_fn gave it, in the order grid_tune asked for them."""
     scored = []
 
     def recorded(session, index, config):
@@ -362,15 +339,26 @@ def tune_rankings(score_fn, sessions, index, base, grids):
         scored.append((session.session_id, config, ranking))
         return ranking
 
-    qrels = Qrels({"t1": {"dA": 1}})
     return grid_tune(sessions, qrels, index, base, grids, recorded), scored
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tune=tune_instances())
+def test_staged_tune_equals_plain_tune_bit_for_bit(tune):
+    index = instance_index(tune)
+    sessions = [instance_session(session, session_id=f"s{i}")
+                for i, session in enumerate(tune["sessions"])]
+    args = (sessions, Qrels({"t1": tune["grades"]}), index,
+            RunConfig(method=tune["method"], depth=tune["depth"]), tune["grids"])
+    assert tune_rankings(StagedScorer(), *args) == tune_rankings(score_session, *args)
 
 
 @pytest.mark.parametrize("method", ["srm-qc", "srm-rm1", "rm3-qn", "rm3-qprime"])
 def test_staged_tune_keys_feedback_selection_by_mu(method):
     # "w0" is rare in the collection. At mu = 1 the one-word dA is the best
     # match for "w0", at mu = 2500 the longer dB with three of them: the
-    # feedback top-1 (pseudo-clicks and RM3 alike) changes with mu alone.
+    # pseudo-click top-1 changes with mu alone, and so does the top-2 of
+    # the current query that RM3-QN expands from.
     instance = {"docs": {"dA": {"w0": 1}, "dB": {"w0": 3, "w1": 2, "w2": 2},
                          "dC": {"w1": 1, "w2": 1, "w3": 1}, "dD": {"w3": 40}}}
     index = instance_index(instance)
@@ -378,7 +366,9 @@ def test_staged_tune_keys_feedback_selection_by_mu(method):
         {"query": ["w0"], "impressions": ["dA", "dB"], "clicks": []}], current=["w0", "w1"]))
     picks = {mu: select_feedback_docs(session, 1, 1, mu, index).doc_ids for mu in (1.0, 2500.0)}
     assert picks == {1.0: ("dA",), 2500.0: ("dB",)}
-    grids = {"m": [1, 2], "mu": [1.0, 2500.0]}
-    base = RunConfig(method=method)
-    assert (tune_rankings(StagedScorer(), [session], index, base, grids)
-            == tune_rankings(score_session, [session], index, base, grids))
+    top2 = {mu: top_k_by_query_likelihood(session.current_query, index, mu, 2)[1][0]
+            for mu in (1.0, 2500.0)}
+    assert top2 == {1.0: "dA", 2500.0: "dC"}
+    args = ([session], Qrels({"t1": {"dA": 1}}), index, RunConfig(method=method),
+            {"m": [1, 2], "mu": [1.0, 2500.0]})
+    assert tune_rankings(StagedScorer(), *args) == tune_rankings(score_session, *args)
