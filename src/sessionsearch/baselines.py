@@ -19,10 +19,9 @@ from .lm import (
     known_terms_only,
     mix_doc_models,
     query_likelihood_doc_weights,
-    query_log_likelihood,
     query_mle,
 )
-from .session import Session, pseudo_info_need
+from .session import Session, Stages, pseudo_info_need
 
 
 def rm1_model(
@@ -45,17 +44,26 @@ def rm3_model(
     mu: float,
     lam: float,
     clip_terms: int = 100,
+    stages: Optional[Stages] = None,
 ) -> TermDistribution:
     """Query MLE interpolated with RM1, clipped for scoring.
 
     lam is the feedback weight: 0 gives the bare query model, 1 pure RM1.
+    The RM1 model is looked up in stages (a fresh memo when None) under
+    (query tokens, feedback doc ids, mu); only the mix and the clip depend
+    on lam and clip_terms.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    expanded = interpolate(
-        1.0 - lam, query_mle(query), lam, rm1_model(query, feedback_doc_ids, index, mu)
+    if stages is None:
+        stages = Stages()
+    qm = query_mle(query)
+    feedback_doc_ids = tuple(feedback_doc_ids)
+    fm = stages.get(
+        ("rm1", query.tokens, feedback_doc_ids, mu),
+        lambda: rm1_model(query, feedback_doc_ids, index, mu),
     )
-    return clip_distribution(expanded, clip_terms)
+    return clip_distribution(interpolate(1.0 - lam, qm, lam, fm), clip_terms)
 
 
 def qa_score(
@@ -64,6 +72,7 @@ def qa_score(
     index: InvertedIndex,
     mu: float,
     decay: Optional[float] = None,
+    stages: Optional[Stages] = None,
 ) -> float:
     """Query-aggregation score of one document for a session.
 
@@ -72,13 +81,28 @@ def qa_score(
     likelihoods are summed with weight decay^(n-t), so older queries count
     less; decay=1 weighs all queries equally. Tokens unseen in the collection
     are dropped, the same convention the first-pass ranker uses.
+
+    The scorer depends only on the session, mu and decay, so it is built on
+    the first lookup in stages (a fresh memo when None) under
+    ("qa", mu, decay) and reused for every later document of the session.
     """
+    if decay is not None and not 0.0 < decay <= 1.0:
+        raise ValueError(f"decay must be in (0, 1], got {decay}")
+    if stages is None:
+        stages = Stages()
+    scorer = stages.get(("qa", mu, decay), lambda: _qa_scorer(session, index, mu, decay))
+    return scorer(doc)
+
+
+def _qa_scorer(
+    session: Session, index: InvertedIndex, mu: float, decay: Optional[float]
+) -> LogLikelihoodScorer:
+    """The scorer qa_score applies: one query of the session's known terms,
+    concatenated (decay=None) or with decayed counts."""
     queries = session.queries
     if decay is None:
         info_need = known_terms_only(pseudo_info_need(queries), index.stats)
-        return query_log_likelihood(info_need, doc, index.stats, mu)
-    if not 0.0 < decay <= 1.0:
-        raise ValueError(f"decay must be in (0, 1], got {decay}")
+        return LogLikelihoodScorer(info_need.counts().items(), index.stats, mu)
     # sum_t decay^(n-t) ln p(q_t|d) = sum_w (sum_t decay^(n-t) c_t(w)) ln p(w|d):
     # one scorer over the decayed term counts.
     n = len(queries)
@@ -87,4 +111,4 @@ def qa_score(
         scale = decay ** (n - t)
         for term, count in known_terms_only(query, index.stats).counts().items():
             weights[term] = weights.get(term, 0.0) + scale * count
-    return LogLikelihoodScorer(weights.items(), index.stats, mu)(doc)
+    return LogLikelihoodScorer(weights.items(), index.stats, mu)

@@ -81,7 +81,7 @@ def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
                 raise ValueError(f"{path}: field {key!r} is a list; grids are for tune only")
             if field_name not in evalkit.TUNABLE_FIELDS:
                 raise ValueError(f"{path}: field {key!r} cannot be tuned over")
-            grids[field_name] = _distinct(
+            grids[field_name] = evalkit.distinct_grid_values(
                 f"{path}: field {key!r}", [_coerce(field_name, item) for item in value]
             )
         else:
@@ -106,17 +106,7 @@ def _parse_value_list(flag: str, field_name: str, text: str) -> list:
         raise ValueError(f"{flag}: expected {kind.__name__} values, got {text!r}") from None
     if not values:
         raise ValueError(f"empty value list for {field_name!r}: {text!r}")
-    return _distinct(flag, values)
-
-
-def _distinct(label: str, values: list) -> list:
-    """values, unless one repeats (a repeated grid value repeats a grid point)."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise ValueError(f"{label}: duplicate grid value {value!r}")
-        seen.add(value)
-    return values
+    return evalkit.distinct_grid_values(flag, values)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, grids: bool) -> None:

@@ -247,6 +247,16 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
 TUNABLE_FIELDS = ("m", "lam", "gamma", "mu", "decay", "clip_terms")
 
 
+def distinct_grid_values(label: str, values: Sequence) -> Sequence:
+    """values, unless one repeats (a repeated grid value repeats a grid point)."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{label}: duplicate grid value {value!r}")
+        seen.add(value)
+    return values
+
+
 def grid_tune(
     sessions: Sequence,
     qrels: Qrels,
@@ -263,7 +273,8 @@ def grid_tune(
     smaller lambda, then smaller gamma. Returns the winning config and the
     full score table.
 
-    Sessions are scored session-major: score_fn(session, index, config)
+    A value repeated within one grid raises ValueError before anything is
+    scored. Sessions are scored session-major: score_fn(session, index, config)
     sees every point of one session before the next session, so a scorer
     may reuse the session's stages across points (pipeline.StagedScorer).
     Each point's MAP still adds its sessions' APs in session order.
@@ -274,7 +285,7 @@ def grid_tune(
     if unknown:
         raise ValueError(f"cannot tune over unknown parameters: {sorted(unknown)}")
     keys = [key for key in TUNABLE_FIELDS if key in grids]
-    value_lists = [sorted(grids[key]) for key in keys]
+    value_lists = [sorted(distinct_grid_values(f"{key!r} grid", grids[key])) for key in keys]
 
     points = [dict(zip(keys, point)) for point in itertools.product(*value_lists)]
     configs = [replace(base_config, **params) for params in points]

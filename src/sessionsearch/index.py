@@ -10,9 +10,11 @@ it. An index is immutable once built.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import ge, itemgetter
 from pathlib import Path
@@ -22,6 +24,23 @@ from .analysis import AnalyzedText, analyze
 
 SNAPSHOT_MAGIC = "sessionsearch-index"
 SNAPSHOT_VERSION = 1
+
+
+@contextmanager
+def _collector_paused():
+    """Keep the cyclic garbage collector off while an index is allocated.
+
+    Loading or building one allocates hundreds of thousands of tuples and
+    dicts, none of them garbage, and each allocation burst would trigger
+    another pass over all of them. The caller's setting is restored after.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,7 @@ class CollectionStats:
 class InvertedIndex:
     """Postings, document table, and collection statistics for one corpus."""
 
+    @_collector_paused()
     def __init__(self, doc_table: dict[str, DocumentRecord]):
         """Index a document table given in doc_id order, counts in term order."""
         gathered: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
@@ -82,6 +102,7 @@ class InvertedIndex:
         )
 
     @classmethod
+    @_collector_paused()
     def load(cls, path: str | Path) -> "InvertedIndex":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict) or raw.get("magic") != SNAPSHOT_MAGIC:

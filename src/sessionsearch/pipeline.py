@@ -132,8 +132,9 @@ def score_session_full(
 
     stages is this session's memo (a fresh one when None). It keys the first
     pass by (mu, depth), the RM3 feedback first pass by (feedback query, mu,
-    m), the session model's feedback stages as build_session_model does,
-    and the rerank's LogRatios table per mu. The rest runs every call.
+    m), the session model's feedback stages as build_session_model does, the
+    QA scorer and the RM1 model as qa_score and rm3_model do, and the
+    rerank's LogRatios table per mu. The rest runs every call.
     """
     q_n = session.current_query
     if not q_n.tokens:
@@ -157,7 +158,7 @@ def score_session_full(
         # replaces the candidate score rather than adding to it.
         decay = None if method == METHOD_QA_UNIFORM else config.decay
         result.ranking = rank_documents([
-            (doc_id, qa_score(session, index.doc(doc_id), index, mu, decay))
+            (doc_id, qa_score(session, index.doc(doc_id), index, mu, decay, stages))
             for doc_id, _ in candidates
         ])
         return result
@@ -180,6 +181,7 @@ def score_session_full(
                 mu,
                 config.lam,
                 config.clip_terms,
+                stages,
             )
         else:
             # Nothing retrievable to expand with; score with the bare query.

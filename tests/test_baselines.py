@@ -7,10 +7,13 @@ import pytest
 import oracle
 from conftest import make_session, text
 
+from sessionsearch import baselines
 from sessionsearch.analysis import whitespace_analyze
 from sessionsearch.baselines import qa_score, rm1_model, rm3_model
 from sessionsearch.index import build_index
 from sessionsearch.lm import doc_mle, query_log_likelihood, query_mle
+from sessionsearch.pipeline import RunConfig, StagedScorer
+from sessionsearch.session import Stages
 
 
 @pytest.fixture
@@ -163,3 +166,34 @@ class TestQueryAggregation:
         session = make_session([], ["a"])
         with pytest.raises(ValueError):
             qa_score(session, tiny_index.doc("d1"), tiny_index, 100.0, decay=decay)
+
+    @pytest.mark.parametrize("mu", [10.0, 2500.0])
+    @pytest.mark.parametrize("decay", [None, 0.5, 0.92, 1.0])
+    def test_shared_stages_score_bit_for_bit_like_fresh_ones(self, club_index, decay, mu):
+        # A history with repeats and a term the collection lacks, so the
+        # concatenated and the decayed query both differ from the current one.
+        session = make_session(
+            [(["jazz", "club"], [], []), (["rock", "zzz"], [], []), (["jazz"], [], [])],
+            ["club", "music"],
+        )
+        stages = Stages()
+        for doc_id in sorted(club_index.doc_table):
+            doc = club_index.doc(doc_id)
+            shared = qa_score(session, doc, club_index, mu, decay, stages)
+            assert shared.hex() == qa_score(session, doc, club_index, mu, decay).hex()
+
+    def test_scorer_built_once_per_session_mu_and_decay(self, monkeypatch, club_index):
+        built = []
+        real = baselines._qa_scorer
+
+        def recording(session, index, mu, decay):
+            built.append((mu, decay))
+            return real(session, index, mu, decay)
+
+        monkeypatch.setattr(baselines, "_qa_scorer", recording)
+        session = make_session([(["jazz"], [], [])], ["jazz", "club"])
+        scorer = StagedScorer()
+        points = [("qa-decay", 0.5), ("qa-decay", 0.92), ("qa-uniform", 0.5), ("qa-decay", 0.5)]
+        for method, decay in points:
+            assert len(scorer(session, club_index, RunConfig(method=method, decay=decay))) == 4
+        assert built == [(2500.0, 0.5), (2500.0, 0.92), (2500.0, None)]

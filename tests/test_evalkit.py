@@ -365,3 +365,18 @@ class TestGridTune:
             grid_tune(
                 self.sessions(), self.QRELS, None, RunConfig(), {"depth": [10]}, ranking_fn
             )
+
+    @pytest.mark.parametrize("grids, named", [
+        ({"lam": [0.3, 0.3]}, "'lam' grid: duplicate grid value 0.3"),
+        ({"m": [5], "clip_terms": [10, 20, 10.0]}, "'clip_terms' grid: duplicate grid value 10"),
+    ])
+    def test_repeated_grid_value_rejected_before_scoring(self, grids, named):
+        scored = []
+
+        def score(session, index, config):
+            scored.append(config)
+            return ranking_fn(True)
+
+        with pytest.raises(ValueError, match=named):
+            grid_tune(self.sessions(), self.QRELS, None, RunConfig(), grids, score)
+        assert scored == []

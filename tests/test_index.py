@@ -1,5 +1,6 @@
 """Index construction, statistics, persistence, and corpus parsing."""
 
+import gc
 import json
 import math
 
@@ -115,6 +116,30 @@ def test_load_rejects_wrong_version(tmp_path, tiny_index):
     path.write_text(json.dumps(snapshot))
     with pytest.raises(ValueError):
         InvertedIndex.load(path)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The caller's cyclic-collector setting, restored after the test."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_load_and_build_keep_the_callers_collector_setting(tmp_path, tiny_index, collector):
+    path = tmp_path / "index.json"
+    tiny_index.save(path)
+    assert InvertedIndex.load(path).postings == tiny_index.postings
+    assert gc.isenabled() is collector
+    assert build_index([("d1", "a b")]).stats.num_docs == 1
+    assert gc.isenabled() is collector
+    snapshot = json.loads(path.read_text())
+    snapshot["docs"]["d1"]["length"] += 1
+    path.write_text(json.dumps(snapshot))
+    with pytest.raises(ValueError, match="is not the sum of its counts"):
+        InvertedIndex.load(path)
+    assert gc.isenabled() is collector
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import make_session
 
-from sessionsearch import pipeline, srm
+from sessionsearch import baselines, pipeline, srm
 from sessionsearch.analysis import analyze
 from sessionsearch.index import build_index
 from sessionsearch.session import load_sessions
@@ -43,6 +43,17 @@ EXPECTED = {
 }
 
 
+# What a second (lambda, gamma) point of a session reaches under
+# StagedScorer: the first pass, the feedback set and the feedback model
+# come from the memo; QA's scorer too, though qa_score is still called
+# once per candidate.
+SECOND_POINT = {
+    "srm-qc": {"pipeline.build_session_model", "srm.anchor_feedback", "pipeline.rerank"},
+    "srm-rm1": {"pipeline.build_session_model", "srm.anchor_feedback", "pipeline.rerank"},
+    "qa-decay": {"pipeline.qa_score"},
+}
+
+
 def counting(calls, key, real):
     def wrapper(*args, **kwargs):
         calls.add(key)
@@ -51,12 +62,18 @@ def counting(calls, key, real):
     return wrapper
 
 
-@pytest.mark.parametrize("method", sorted(EXPECTED))
-def test_scoring_calls_go_through_module_attributes(monkeypatch, club_index, method):
+def rebind(monkeypatch, targets=REBOUND):
+    """Wrap each target; returns the set of 'module.name' keys called."""
     calls = set()
-    for module, name in REBOUND:
+    for module, name in targets:
         key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
         monkeypatch.setattr(module, name, counting(calls, key, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("method", sorted(EXPECTED))
+def test_scoring_calls_go_through_module_attributes(monkeypatch, club_index, method):
+    calls = rebind(monkeypatch)
     # The history click gives step 1 a feedback set, so every SRM stage runs.
     session = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])
     result = pipeline.score_session_full(session, club_index, pipeline.RunConfig(method=method))
@@ -64,26 +81,42 @@ def test_scoring_calls_go_through_module_attributes(monkeypatch, club_index, met
     assert calls == EXPECTED[method]
 
 
-@pytest.mark.parametrize("method", ["srm-qc", "srm-rm1"])
+@pytest.mark.parametrize("method", sorted(SECOND_POINT))
 def test_staged_scorer_reaches_only_the_changed_stages(monkeypatch, club_index, method):
-    calls = set()
-    for module, name in REBOUND:
-        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
-        monkeypatch.setattr(module, name, counting(calls, key, getattr(module, name)))
+    calls = rebind(monkeypatch)
     session = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])
     scorer = pipeline.StagedScorer()
     assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.3, gamma=0.3))
     assert calls == EXPECTED[method]
-    # Another (lambda, gamma) point of the same session: the first pass,
-    # the feedback set and the feedback model come from the memo.
     calls.clear()
     assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.7, gamma=0.5))
-    assert calls == {"pipeline.build_session_model", "srm.anchor_feedback", "pipeline.rerank"}
+    assert calls == SECOND_POINT[method]
     # A new session object starts a fresh memo.
     calls.clear()
     other = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])
     assert scorer(other, club_index, pipeline.RunConfig(method=method, lam=0.7, gamma=0.5))
     assert calls == EXPECTED[method]
+
+
+@pytest.mark.parametrize("method", ["rm3-qn", "rm3-qprime"])
+def test_staged_scorer_keeps_the_rm1_model_across_lambda_and_clip(
+    monkeypatch, club_index, method
+):
+    calls = rebind(monkeypatch, REBOUND + ((baselines, "rm1_model"),))
+    session = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])
+    scorer = pipeline.StagedScorer()
+    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.3))
+    assert calls == {"pipeline.top_k_by_query_likelihood", "baselines.rm1_model",
+                     "pipeline.rerank"}
+    # Only the interpolation, the clip and the rerank depend on lambda and clip.
+    calls.clear()
+    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.7, clip_terms=3))
+    assert calls == {"pipeline.rerank"}
+    # Another mu is another first pass and another RM1 model.
+    calls.clear()
+    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.7, mu=10.0))
+    assert calls == {"pipeline.top_k_by_query_likelihood", "baselines.rm1_model",
+                     "pipeline.rerank"}
 
 
 @pytest.mark.parametrize("fn", [build_index, load_sessions])
