@@ -274,7 +274,9 @@ def grid_tune(
     full score table.
 
     A value repeated within one grid raises ValueError before anything is
-    scored. Sessions are scored session-major: score_fn(session, index, config)
+    scored.
+
+    Sessions are scored session-major: score_fn(session, index, config)
     sees every point of one session before the next session, so a scorer
     may reuse the session's stages across points (pipeline.StagedScorer).
     Each point's MAP still adds its sessions' APs in session order.
