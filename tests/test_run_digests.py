@@ -1,10 +1,13 @@
-"""Byte-identity guard: the run file of every method on one generated input.
+"""Byte-identity guard: the run file of every method, and the tune output of
+three grids, on one generated input.
 
 The input comes from the benchmark's own generator (bench/gen.py, loaded
 read-only and without writing bytecode): seed 7, 400 documents, 36
-sessions. Each method's run file is compared with the SHA-256 recorded for
-it, so a change that moves a ranking or the last digit of any score fails
-here, however it was meant. A change that alters scores on purpose records
+sessions. Each method's run file and each grid's best-params JSON is
+compared with the SHA-256 recorded for it, so a change that moves a ranking
+or the last digit of any score fails here, however it was meant. Two of
+the grids vary mu, so a stage or table that one mu wrongly reuses at
+another shows here. A change that alters scores on purpose records
 the new digests and says in CHANGES.md which digits moved and why.
 
 The digests are tied to this interpreter (CPython 3.11, whose float repr
@@ -32,6 +35,16 @@ RUN_SHA256 = {
     "rm3-qprime": "77d4847bc19ac6dd02b1eb715d683ebf7ab89b053524221f4af74264f9546938",
     "qa-uniform": "52b6b2980d35eef6ccb0de145d12f3ffb0aeccb64304d5d646e2e34270ba051c",
     "qa-decay": "e2e3bad669ce3ca5d8033770967e714c20716dc6143f2b82e225a19be557a038",
+}
+
+# tune grids, each with the best.json SHA-256 it writes.
+TUNE_GRIDS = {
+    "srm-qc": (["--lambda", "0.2,0.5,0.8", "--gamma", "0.3,0.7"],
+               "116f67376b54808b12f45a66cbbd556a54ba2460d8ec2a1ee84f0abf40c15f48"),
+    "rm3-qn": (["--lambda", "0.3,0.6", "--mu", "500,2500"],
+               "ce681bc732e78085db943e9e697ece2c9ac7b59e02ee186699268dddfb8710a7"),
+    "qa-decay": (["--decay", "0.5,0.92", "--mu", "500,2500"],
+                 "23b9133383a7fa61bc2f42d10ff9e2d9fe7a7afd95655b8294f4cca662c614d3"),
 }
 
 
@@ -67,3 +80,14 @@ def test_run_file_is_byte_identical(generated, method):
                  "--sessions", str(generated / "sessions.json"),
                  "--method", method, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[method]
+
+
+@pytest.mark.parametrize("method", sorted(TUNE_GRIDS))
+def test_tune_output_is_byte_identical(generated, method):
+    flags, digest = TUNE_GRIDS[method]
+    out = generated / f"best.{method}.json"
+    assert main(["tune", "--index", str(generated / "index.json"),
+                 "--sessions", str(generated / "sessions.json"),
+                 "--qrels", str(generated / "qrels.txt"),
+                 "--method", method, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
