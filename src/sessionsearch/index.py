@@ -10,12 +10,10 @@ it. An index is immutable once built.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from collections import defaultdict
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import ge, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
@@ -26,21 +24,14 @@ SNAPSHOT_MAGIC = "sessionsearch-index"
 SNAPSHOT_VERSION = 1
 
 
-@contextmanager
-def _collector_paused():
-    """Keep the cyclic garbage collector off while an index is allocated.
-
-    Loading or building one allocates hundreds of thousands of tuples and
-    dicts, none of them garbage, and each allocation burst would trigger
-    another pass over all of them. The caller's setting is restored after.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+def valid_id(text: str, file_name: bool = False) -> bool:
+    """Whether text can stand as an id in the output files: non-empty and
+    without whitespace, which would split a run file column. A file_name id
+    (a session id names dump files) also holds no '/' or '\\' and is not
+    '.' or '..'."""
+    if text.split() != [text]:
+        return False
+    return not file_name or ("/" not in text and "\\" not in text and text not in (".", ".."))
 
 
 @dataclass(frozen=True)
@@ -58,12 +49,14 @@ class CollectionStats:
     collection_tf: Mapping[str, int]
     doc_freq: Mapping[str, int]
     num_docs: int
+    # lm.log_ratios keeps one lm.LogRatios table per mu here. It is derived
+    # from the fields above, so it takes no part in equality or repr.
+    log_ratio_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class InvertedIndex:
     """Postings, document table, and collection statistics for one corpus."""
 
-    @_collector_paused()
     def __init__(self, doc_table: dict[str, DocumentRecord]):
         """Index a document table given in doc_id order, counts in term order."""
         gathered: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
@@ -102,7 +95,6 @@ class InvertedIndex:
         )
 
     @classmethod
-    @_collector_paused()
     def load(cls, path: str | Path) -> "InvertedIndex":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict) or raw.get("magic") != SNAPSHOT_MAGIC:
@@ -118,6 +110,8 @@ class InvertedIndex:
         doc_table = {}
         previous = None
         for doc_id, entry in docs.items():
+            if not valid_id(doc_id):
+                raise ValueError(f"{path}: doc id {doc_id!r} is empty or contains whitespace")
             if previous is not None and doc_id <= previous:
                 raise ValueError(
                     f"{path}: doc {doc_id!r}: not in doc_id order (it follows {previous!r})"
@@ -166,8 +160,9 @@ def build_index(
 def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
     """Yield (doc_id, text) pairs from a JSON-lines corpus file.
 
-    Each line must be an object with string fields "id" and "text"; blank
-    lines are allowed. Malformed lines raise ValueError naming the line.
+    Each line must be an object with string fields "id" and "text", the id
+    a valid_id; blank lines are allowed. Malformed lines raise ValueError
+    naming the line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -184,4 +179,8 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
             doc_id, text = obj["id"], obj["text"]
             if not isinstance(doc_id, str) or not isinstance(text, str):
                 raise ValueError(f"{path}: line {lineno}: 'id' and 'text' must be strings")
+            if not valid_id(doc_id):
+                raise ValueError(
+                    f"{path}: line {lineno}: doc id {doc_id!r} is empty or contains whitespace"
+                )
             yield doc_id, text

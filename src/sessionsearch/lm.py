@@ -150,10 +150,9 @@ class LogRatios(dict):
     mu, or ln tf for a term without background mass, computed on its first
     lookup and kept.
 
-    The ratio depends on neither the weights nor the document, so scorers
-    over the same stats and mu can share one table. It is computed with the
-    operations of LogLikelihoodScorer (background mass, then log), so
-    weight * ratio is the scorer's summand bit for bit.
+    The ratio depends on neither the weights nor the document, so every
+    scorer over the same stats and mu reads the one table that log_ratios
+    keeps on the stats.
     """
 
     __slots__ = ("stats", "mu")
@@ -167,11 +166,21 @@ class LogRatios(dict):
         term, tf = key
         cf = self.stats.collection_tf.get(term, 0)
         if self.mu > 0 and cf:
+            # mu * P(term|C), with smoothed_prob's expression.
             value = math.log1p(tf / (self.mu * cf / self.stats.total_tokens))
         else:
             value = math.log(tf)
         self[key] = value
         return value
+
+
+def log_ratios(stats: CollectionStats, mu: float) -> LogRatios:
+    """The LogRatios table of stats and mu, created on first use and kept on
+    stats for as long as stats lives."""
+    table = stats.log_ratio_tables.get(mu)
+    if table is None:
+        table = stats.log_ratio_tables[mu] = LogRatios(stats, mu)
+    return table
 
 
 class LogLikelihoodScorer:
@@ -185,43 +194,30 @@ class LogLikelihoodScorer:
             + sum_{w in d} p_w ln(1 + tf / (mu P(w|C)))
 
     The constant and the weight total are fixed here, each document pays one
-    ln(|d| + mu), and only its matched terms cost a summand. A term without
-    background mass (cf = 0, or any term when mu = 0) is required: a
-    document without it scores -inf, and one with it gets p_w ln tf, so
+    ln(|d| + mu), and each matched term costs one summand: its weight times
+    its log ratio from the collection's LogRatios table for mu. A term
+    without background mass (cf = 0, or any term when mu = 0) is required:
+    a document without it scores -inf, and one with it gets p_w ln tf, so
     mu = 0 is the unsmoothed estimate. The summands are added with
     math.fsum, which is correctly rounded and so independent of their order:
     documents equal in exact arithmetic (same length, same multiset of
     summands) score bit-equal. Like smoothed_prob, an empty document with
     mu = 0 raises ValueError, unless there are no terms (the empty sum, 0).
-    Given a LogRatios table over the same stats and mu, calls read each
-    matched term's log ratio from it; the scores are the same floats.
     """
 
-    __slots__ = ("weights", "_background", "_required", "_mu", "_constant", "_weight_total",
-                 "_ratios")
+    __slots__ = ("weights", "_ratios", "_required", "_mu", "_constant", "_weight_total")
 
-    def __init__(
-        self,
-        weights: Iterable[tuple[str, float]],
-        stats: CollectionStats,
-        mu: float,
-        ratios: LogRatios | None = None,
-    ):
-        if ratios is not None and (ratios.stats is not stats or ratios.mu != mu):
-            raise ValueError("log ratios of another collection or mu")
+    def __init__(self, weights: Iterable[tuple[str, float]], stats: CollectionStats, mu: float):
         self.weights: dict[str, float] = dict(weights)
         self._mu = mu
-        self._ratios = ratios
-        # mu * P(term|C) of each smoothed term, with smoothed_prob's expression.
-        self._background: dict[str, float] = {}
+        self._ratios = log_ratios(stats, mu)
         self._required: list[str] = []
         collection_tf = stats.collection_tf
         logs = []
         for term, weight in self.weights.items():
             cf = collection_tf.get(term, 0)
             if mu > 0 and cf:
-                background = self._background[term] = mu * cf / stats.total_tokens
-                logs.append(weight * math.log(background))
+                logs.append(weight * math.log(mu * cf / stats.total_tokens))
             else:
                 self._required.append(term)
         self._constant = math.fsum(logs)
@@ -229,10 +225,7 @@ class LogLikelihoodScorer:
 
     def summand(self, term: str, tf: int) -> float:
         """What tf >= 1 occurrences of the scored term add to the matched sum."""
-        background = self._background.get(term)
-        if background is None:
-            return self.weights[term] * math.log(tf)
-        return self.weights[term] * math.log1p(tf / background)
+        return self.weights[term] * self._ratios[term, tf]
 
     def total(self, doc: DocumentRecord, summands: Iterable[float]) -> float:
         """The score of doc, given the summands of the scored terms it holds."""
@@ -252,13 +245,9 @@ class LogLikelihoodScorer:
         # Intersecting two key views walks the smaller one: the document's
         # terms or the scored terms, whichever are fewer.
         counts = doc.term_counts
-        weights = self.weights
-        matched = counts.keys() & weights.keys()
-        ratios = self._ratios
-        if ratios is None:
-            summand = self.summand
-            return self.total(doc, [summand(term, counts[term]) for term in matched])
-        return self.total(doc, [weights[term] * ratios[term, counts[term]] for term in matched])
+        summand = self.summand
+        return self.total(doc, [summand(term, counts[term])
+                                for term in counts.keys() & self.weights.keys()])
 
 
 def query_log_likelihood(
@@ -290,23 +279,19 @@ def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
 
 
 def cross_entropy_scorer(
-    model: TermDistribution,
-    stats: CollectionStats,
-    mu: float,
-    ratios: LogRatios | None = None,
+    model: TermDistribution, stats: CollectionStats, mu: float
 ) -> LogLikelihoodScorer:
     """Per-document scorer of sum over model terms of
     p(w|model) * ln p_smoothed(w|doc).
 
     A document scores -inf when any model term has zero smoothed probability
-    (absent from the corpus entirely). ratios, when given, is a LogRatios
-    table over the same stats and mu, shared with other scorers.
+    (absent from the corpus entirely).
     """
     if model.is_zero:
         raise ValueError("cannot score with an empty model")
     if mu <= 0:
         raise ValueError(f"cross-entropy scoring requires mu > 0, got {mu}")
-    return LogLikelihoodScorer(model.items(), stats, mu, ratios)
+    return LogLikelihoodScorer(model.items(), stats, mu)
 
 
 def cross_entropy_score(

@@ -21,7 +21,6 @@ from typing import Optional
 from .baselines import qa_score, rm3_model
 from .index import InvertedIndex
 from .lm import (
-    LogRatios,
     RankedList,
     TermDistribution,
     query_mle,
@@ -133,8 +132,9 @@ def score_session_full(
     stages is this session's memo (a fresh one when None). It keys the first
     pass by (mu, depth), the RM3 feedback first pass by (feedback query, mu,
     m), the session model's feedback stages as build_session_model does, the
-    QA scorer and the RM1 model as qa_score and rm3_model do, and the
-    rerank's LogRatios table per mu. The rest runs every call.
+    QA scorer and the RM1 model as qa_score and rm3_model do. The rest runs
+    every call; every scorer reads its log ratios from the collection's
+    table for mu (lm.log_ratios), which outlives the memo.
     """
     q_n = session.current_query
     if not q_n.tokens:
@@ -186,8 +186,7 @@ def score_session_full(
         else:
             # Nothing retrievable to expand with; score with the bare query.
             result.model = query_mle(feedback_query)
-    ratios = stages.get(("log_ratios", mu), lambda: LogRatios(index.stats, mu))
-    result.ranking = rerank(candidates, result.model, index, mu, ratios)
+    result.ranking = rerank(candidates, result.model, index, mu)
     return result
 
 

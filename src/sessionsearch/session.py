@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze
-from .index import InvertedIndex
+from .index import InvertedIndex, valid_id
 from .lm import LogLikelihoodScorer, rank_documents
 
 
@@ -110,7 +110,9 @@ class Stages:
 
     Valid for one session and one index: start a fresh memo for another.
     Every lookup of a key returns the same object, so callers must not
-    mutate what they get.
+    mutate what they get. What depends only on the collection and mu, the
+    log-ratio table every scorer reads (lm.log_ratios), is kept on the
+    index's CollectionStats instead and outlives the memo.
     """
 
     __slots__ = ("_memo",)
@@ -210,9 +212,9 @@ def load_sessions(
     """Read sessions from a JSON file.
 
     Expected shape: {"sessions": [{"session_id", "topic_id", "steps":
-    [{"query", "impressions", "clicks": [{"doc", "dwell"?}]}], "current_query"}]}.
-    Violations, and a session id used twice, raise ValueError naming the
-    offending session.
+    [{"query", "impressions", "clicks": [{"doc", "dwell"?}]}], "current_query"}]},
+    each session id an index.valid_id with file_name=True. Violations, and
+    a session id used twice, raise ValueError naming the offending session.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict) or not isinstance(raw.get("sessions"), list):
@@ -238,6 +240,11 @@ def _parse_session(entry: dict, analyzer: Callable[[str], AnalyzedText]) -> Sess
     topic_id = entry["topic_id"]
     if not isinstance(session_id, str) or not isinstance(topic_id, str):
         raise ValueError("'session_id' and 'topic_id' must be strings")
+    if not valid_id(session_id, file_name=True):
+        raise ValueError(
+            f"session id {session_id!r} is empty, contains whitespace, '/' or '\\', "
+            "or is '.' or '..'"
+        )
     steps = []
     for step in entry.get("steps", []):
         if not isinstance(step["query"], str):

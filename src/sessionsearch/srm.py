@@ -20,7 +20,6 @@ from .analysis import AnalyzedText
 from .baselines import rm1_model
 from .index import InvertedIndex
 from .lm import (
-    LogRatios,
     RankedList,
     TermDistribution,
     ZERO,
@@ -343,16 +342,14 @@ def rerank(
     model: TermDistribution,
     index: InvertedIndex,
     mu: float,
-    ratios: Optional[LogRatios] = None,
 ) -> RankedList:
     """Re-rank query-likelihood candidates with a session model.
 
     Candidate scores must be the current query's log likelihoods; the final
     score adds the model's cross entropy against each document. Sorting is
     score descending with doc_id tie-break, so the output does not depend on
-    the input order. ratios, when given, is a LogRatios table over
-    index.stats and mu that reranks of the same candidates share.
+    the input order.
     """
-    score = cross_entropy_scorer(model, index.stats, mu, ratios)
+    score = cross_entropy_scorer(model, index.stats, mu)
     rescored = [(doc_id, ql + score(index.doc(doc_id))) for doc_id, ql in candidates]
     return rank_documents(rescored)

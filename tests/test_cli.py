@@ -141,6 +141,17 @@ class TestIndexCommand:
         assert rc == 2
         assert "d1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc_id", ["", "d 4", "d\t4", "d4\n", "d\u20034"])
+    def test_doc_id_a_run_file_cannot_hold_rejected(self, tmp_path, capsys, doc_id):
+        corpus = write_corpus(tmp_path, [CORPUS_DOCS[0], {"id": doc_id, "text": "jazz"}])
+        out = tmp_path / "x.idx"
+        rc = main(["index", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "corpus.jsonl: line 2" in err[0] and repr(doc_id) in err[0]
+        assert not out.exists()
+
     def test_empty_corpus_warns_but_succeeds(self, tmp_path, capsys, caplog):
         corpus = write_corpus(tmp_path, [])
         out = tmp_path / "empty.idx"
@@ -249,6 +260,43 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "snapshot.idx" in err[0] and "doc_id order" in err[0]
         assert not out.exists()
+
+    def test_snapshot_doc_id_with_whitespace_rejected(self, workspace, capsys):
+        snapshot = json.loads(workspace["index"].read_text(encoding="utf-8"))
+        snapshot["docs"] = {("d 1" if doc_id == "d1" else doc_id): entry
+                            for doc_id, entry in snapshot["docs"].items()}
+        workspace["index"].write_text(json.dumps(snapshot), encoding="utf-8")
+        out = workspace["dir"] / "run.txt"
+        rc = main([
+            "run", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]), "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "snapshot.idx" in err[0] and "'d 1'" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("session_id", ["", "s 1", "s1\t", "../escaped", "a/b", "a\\b",
+                                            ".", ".."])
+    def test_session_id_unfit_for_output_files_rejected(self, workspace, capsys, session_id):
+        payload = json.loads(json.dumps(SESSIONS))
+        payload["sessions"][0]["session_id"] = session_id
+        sessions = write_sessions(workspace["dir"], payload, name="bad_id.json")
+        before = sorted(workspace["dir"].rglob("*"))
+        rc = main([
+            "run", "--index", str(workspace["index"]), "--sessions", str(sessions),
+            "--qrels", str(workspace["qrels"]), "--method", "srm-qc",
+            "--out", str(workspace["dir"] / "run.txt"),
+            "--report", str(workspace["dir"] / "report.json"),
+            "--dump-model", str(workspace["dir"] / "models"),
+            "--dump-trace", str(workspace["dir"] / "traces"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "bad_id.json" in err[0] and f"session id {session_id!r}" in err[0]
+        assert sorted(workspace["dir"].rglob("*")) == before
 
     def test_missing_topic_writes_no_run_file(self, workspace, capsys):
         qrels = workspace["dir"] / "other_qrels.txt"
