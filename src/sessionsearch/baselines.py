@@ -1,8 +1,8 @@
 """Reference methods the session model is compared against.
 
-RM1/RM3 are classic relevance models over pseudo-feedback documents; the
-query-aggregation scorers fold session history into the ranking score
-directly, either as one concatenated query or as a recency-decayed sum.
+RM1/RM3 are classic relevance models over pseudo-feedback documents; query
+aggregation folds session history into the ranking score directly, as a
+recency-decayed sum of per-query log likelihoods.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .lm import (
     query_likelihood_doc_weights,
     query_mle,
 )
-from .session import Session, Stages, pseudo_info_need
+from .session import Session, Stages
 
 
 def rm1_model(
@@ -71,22 +71,21 @@ def qa_score(
     doc: DocumentRecord,
     index: InvertedIndex,
     mu: float,
-    decay: Optional[float] = None,
+    decay: float = 1.0,
     stages: Optional[Stages] = None,
 ) -> float:
     """Query-aggregation score of one document for a session.
 
-    decay=None scores the concatenation of all session queries as one long
-    query (uniform aggregation). With a decay in (0, 1], per-query log
-    likelihoods are summed with weight decay^(n-t), so older queries count
-    less; decay=1 weighs all queries equally. Tokens unseen in the collection
-    are dropped, the same convention the first-pass ranker uses.
+    Per-query log likelihoods are summed with weight decay^(n-t), decay in
+    (0, 1], so older queries count less; decay=1 weighs all queries equally.
+    Tokens unseen in the collection are dropped, the same convention the
+    first-pass ranker uses.
 
     The scorer depends only on the session, mu and decay, so it is built on
     the first lookup in stages (a fresh memo when None) under
     ("qa", mu, decay) and reused for every later document of the session.
     """
-    if decay is not None and not 0.0 < decay <= 1.0:
+    if not 0.0 < decay <= 1.0:
         raise ValueError(f"decay must be in (0, 1], got {decay}")
     if stages is None:
         stages = Stages()
@@ -95,16 +94,13 @@ def qa_score(
 
 
 def _qa_scorer(
-    session: Session, index: InvertedIndex, mu: float, decay: Optional[float]
+    session: Session, index: InvertedIndex, mu: float, decay: float
 ) -> LogLikelihoodScorer:
-    """The scorer qa_score applies: one query of the session's known terms,
-    concatenated (decay=None) or with decayed counts."""
-    queries = session.queries
-    if decay is None:
-        info_need = known_terms_only(pseudo_info_need(queries), index.stats)
-        return LogLikelihoodScorer(info_need.counts().items(), index.stats, mu)
+    """The scorer qa_score applies: one query of the session's known terms
+    with decayed counts."""
     # sum_t decay^(n-t) ln p(q_t|d) = sum_w (sum_t decay^(n-t) c_t(w)) ln p(w|d):
     # one scorer over the decayed term counts.
+    queries = session.queries
     n = len(queries)
     weights: dict[str, float] = {}
     for t, query in enumerate(queries, start=1):

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import evalkit, pipeline
-from .index import InvertedIndex, build_index, read_corpus_jsonl
+from .index import InvertedIndex, build_index, load_json, read_corpus_jsonl
 from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")
@@ -66,8 +66,7 @@ def _coerce(field_name: str, value):
 
 def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
     """Read a JSON config; returns (scalar values, grid lists)."""
-    with open(_require_file(path, "config"), "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = load_json(_require_file(path, "config"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     scalars: dict = {}

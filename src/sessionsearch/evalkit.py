@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .index import open_text
+
 RankedDocs = Sequence[str]
 
 # Highest qrels grade. Gains are 2^grade - 1: three docs at grade 1023
@@ -38,7 +40,7 @@ class Qrels:
         grades: dict[str, dict[str, int]] = {}
         # (grade as written, line) of each judgment, to name a conflict.
         judged: dict[tuple[str, str], tuple[int, int]] = {}
-        with open(path, "r", encoding="utf-8") as handle:
+        with open_text(path) as handle:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
@@ -126,7 +128,7 @@ def nerr_at_k(
         raise ValueError(f"k must be positive, got {k}")
     if g_max < max(grades.values(), default=0):
         raise ValueError(f"g_max {g_max} is below the highest grade in qrels")
-    observed = [grades.get(doc_id, 0) for doc_id in ranking]
+    observed = [grades.get(doc_id, 0) for doc_id in ranking[:k]]
     ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
     ideal_err = _err_at_k(ideal, k, g_max) if ideal else 0.0
     if ideal_err <= 0.0:
@@ -213,7 +215,7 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     duplicate docs under one key or malformed lines raise ValueError.
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

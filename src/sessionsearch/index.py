@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import ge, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from .analysis import AnalyzedText, analyze
 
@@ -32,6 +33,40 @@ def valid_id(text: str, file_name: bool = False) -> bool:
     if text.split() != [text]:
         return False
     return not file_name or ("/" not in text and "\\" not in text and text not in (".", ".."))
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """The UTF-8 text file at path, open for reading. A byte that is not
+    UTF-8, wherever the reader meets it, raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: not UTF-8 text: cannot decode byte {exc.object[exc.start]:#04x}"
+            ) from None
+
+
+def parse_json(text: str, path: str | Path, line: int = 0):
+    """json.loads(text), read from path (from its given line, when not 0).
+    Invalid or too deeply nested JSON raises ValueError naming the file and
+    the line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    except RecursionError:
+        reason = "nested too deeply"
+    where = f"{path}: line {line}" if line else path
+    raise ValueError(f"{where}: invalid JSON: {reason}")
+
+
+def load_json(path: str | Path):
+    """The JSON document in the UTF-8 file at path; ValueError naming the
+    file when it is not UTF-8 or not JSON."""
+    with open_text(path) as handle:
+        return parse_json(handle.read(), path)
 
 
 @dataclass(frozen=True)
@@ -96,7 +131,7 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = load_json(path)
         if not isinstance(raw, dict) or raw.get("magic") != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not an index snapshot (bad magic header)")
         if raw.get("version") != SNAPSHOT_VERSION:
@@ -144,13 +179,16 @@ def build_index(
 ) -> InvertedIndex:
     """Build an index from (doc_id, text) pairs.
 
-    Raises ValueError on a duplicate doc_id. Documents that analyze to no
-    tokens are kept (length 0) so ids remain resolvable.
+    Raises ValueError on a duplicate doc_id or one that is not a valid_id,
+    which a snapshot could not hold. Documents that analyze to no tokens are
+    kept (length 0) so ids remain resolvable.
     """
     doc_table: dict[str, DocumentRecord] = {}
     for doc_id, text in docs:
         if doc_id in doc_table:
             raise ValueError(f"duplicate doc_id: {doc_id!r}")
+        if not valid_id(doc_id):
+            raise ValueError(f"doc id {doc_id!r} is empty or contains whitespace")
         analyzed = analyzer(text)
         counts = dict(sorted(analyzed.counts().items()))
         doc_table[doc_id] = DocumentRecord(doc_id, counts, analyzed.length)
@@ -161,17 +199,15 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
     """Yield (doc_id, text) pairs from a JSON-lines corpus file.
 
     Each line must be an object with string fields "id" and "text", the id
-    a valid_id; blank lines are allowed. Malformed lines raise ValueError
-    naming the line.
+    a valid_id not used on an earlier line; blank lines are allowed.
+    Malformed lines raise ValueError naming the line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    first_line: dict[str, int] = {}
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+            obj = parse_json(line, path, lineno)
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise ValueError(
                     f"{path}: line {lineno}: expected an object with 'id' and 'text'"
@@ -182,5 +218,10 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
             if not valid_id(doc_id):
                 raise ValueError(
                     f"{path}: line {lineno}: doc id {doc_id!r} is empty or contains whitespace"
+                )
+            first = first_line.setdefault(doc_id, lineno)
+            if first != lineno:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate doc id {doc_id!r} (first on line {first})"
                 )
             yield doc_id, text

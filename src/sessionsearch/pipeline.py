@@ -155,8 +155,9 @@ def score_session_full(
 
     if method in (METHOD_QA_UNIFORM, METHOD_QA_DECAY):
         # qa_score covers the whole query pool, current query included, so it
-        # replaces the candidate score rather than adding to it.
-        decay = None if method == METHOD_QA_UNIFORM else config.decay
+        # replaces the candidate score rather than adding to it. qa-uniform
+        # is qa-decay at decay 1, which weighs every query the same.
+        decay = 1.0 if method == METHOD_QA_UNIFORM else config.decay
         result.ranking = rank_documents([
             (doc_id, qa_score(session, index.doc(doc_id), index, mu, decay, stages))
             for doc_id, _ in candidates

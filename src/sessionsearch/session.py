@@ -8,14 +8,13 @@ and stored but take no part in any computation.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze
-from .index import InvertedIndex, valid_id
+from .index import InvertedIndex, load_json, valid_id
 from .lm import LogLikelihoodScorer, rank_documents
 
 
@@ -216,7 +215,7 @@ def load_sessions(
     each session id an index.valid_id with file_name=True. Violations, and
     a session id used twice, raise ValueError naming the offending session.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = load_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("sessions"), list):
         raise ValueError(f"{path}: expected a top-level object with a 'sessions' list")
     sessions = []

@@ -112,7 +112,7 @@ class TestQueryAggregation:
         session = make_session([], ["a", "b"])
         doc = tiny_index.doc("d1")
         plain = query_log_likelihood(text("a", "b"), doc, tiny_index.stats, 2500.0)
-        assert qa_score(session, doc, tiny_index, 2500.0, decay=None) == plain
+        assert qa_score(session, doc, tiny_index, 2500.0) == plain
         assert qa_score(session, doc, tiny_index, 2500.0, decay=0.92) == plain
         assert qa_score(session, doc, tiny_index, 2500.0, decay=1.0) == plain
 
@@ -129,7 +129,7 @@ class TestQueryAggregation:
         session = make_session([(["a"], [], [])], ["a", "b"])
         doc = tiny_index.doc("d2")
         expected = query_log_likelihood(text("a", "a", "b"), doc, tiny_index.stats, 100.0)
-        assert qa_score(session, doc, tiny_index, 100.0, decay=None) == expected
+        assert qa_score(session, doc, tiny_index, 100.0, decay=1.0) == expected
 
     def test_decay_weights_older_queries_down(self, tiny_index):
         session = make_session([(["a"], [], []), (["b"], [], [])], ["b"])
@@ -149,7 +149,7 @@ class TestQueryAggregation:
         noisy = make_session([(["zzz"], [], [])], ["a", "zzz"])
         clean = make_session([], ["a"])
         doc = tiny_index.doc("d1")
-        for decay in (None, 0.5):
+        for decay in (1.0, 0.5):
             assert qa_score(noisy, doc, tiny_index, 100.0, decay) == qa_score(
                 clean, doc, tiny_index, 100.0, decay
             )
@@ -168,10 +168,10 @@ class TestQueryAggregation:
             qa_score(session, tiny_index.doc("d1"), tiny_index, 100.0, decay=decay)
 
     @pytest.mark.parametrize("mu", [10.0, 2500.0])
-    @pytest.mark.parametrize("decay", [None, 0.5, 0.92, 1.0])
+    @pytest.mark.parametrize("decay", [0.5, 0.92, 1.0])
     def test_shared_stages_score_bit_for_bit_like_fresh_ones(self, club_index, decay, mu):
         # A history with repeats and a term the collection lacks, so the
-        # concatenated and the decayed query both differ from the current one.
+        # decayed query differs from the current one.
         session = make_session(
             [(["jazz", "club"], [], []), (["rock", "zzz"], [], []), (["jazz"], [], [])],
             ["club", "music"],
@@ -193,7 +193,11 @@ class TestQueryAggregation:
         monkeypatch.setattr(baselines, "_qa_scorer", recording)
         session = make_session([(["jazz"], [], [])], ["jazz", "club"])
         scorer = StagedScorer()
-        points = [("qa-decay", 0.5), ("qa-decay", 0.92), ("qa-uniform", 0.5), ("qa-decay", 0.5)]
-        for method, decay in points:
-            assert len(scorer(session, club_index, RunConfig(method=method, decay=decay))) == 4
-        assert built == [(2500.0, 0.5), (2500.0, 0.92), (2500.0, None)]
+        points = [("qa-decay", 0.5), ("qa-decay", 0.92), ("qa-uniform", 0.5), ("qa-decay", 0.5),
+                  ("qa-decay", 1.0)]
+        rankings = [scorer(session, club_index, RunConfig(method=method, decay=decay))
+                    for method, decay in points]
+        assert all(len(ranking) == 4 for ranking in rankings)
+        # qa-uniform is qa-decay at decay 1: both points share one scorer.
+        assert rankings[2] == rankings[4]
+        assert built == [(2500.0, 0.5), (2500.0, 0.92), (2500.0, 1.0)]

@@ -721,6 +721,72 @@ class TestEvalCommand:
         assert "absent.txt" in capsys.readouterr().err
 
 
+class TestBadInputFiles:
+    """A malformed input file stops the command with exit 2 and one
+    `error:` line naming the file, before anything is written."""
+
+    DEEP = ("[" * 10000 + "]" * 10000).encode()
+    SYNTAX = b'{"sessions":\n}'
+    NOT_UTF8 = b"\xff\n"
+
+    def error_line(self, workspace, capsys, role, content):
+        """Run the command that reads role from a file holding content; check
+        it exits 2 and writes nothing, and return its one error line."""
+        d = workspace["dir"]
+        inputs = {
+            "corpus": write_corpus(d),
+            "snapshot": workspace["index"],
+            "sessions": workspace["sessions"],
+            "qrels": workspace["qrels"],
+            "config": d / "config.json",
+            "run": d / "given_run.txt",
+        }
+        inputs["config"].write_text("{}", encoding="utf-8")
+        inputs["run"].write_text("s1 Q0 d1 1 -1.0 t\n", encoding="utf-8")
+        bad = inputs[role] = d / f"bad_{role}"
+        bad.write_bytes(content)
+        before = sorted(d.rglob("*"))
+        if role == "corpus":
+            argv = ["index", "--corpus", str(bad), "--out", str(d / "new.idx")]
+        elif role == "run":
+            argv = ["eval", "--run", str(bad), "--qrels", str(inputs["qrels"]),
+                    "--sessions", str(inputs["sessions"]), "--report", str(d / "report.json")]
+        else:
+            argv = ["run", "--index", str(inputs["snapshot"]),
+                    "--sessions", str(inputs["sessions"]), "--qrels", str(inputs["qrels"]),
+                    "--config", str(inputs["config"]),
+                    "--out", str(d / "run.txt"), "--report", str(d / "report.json")]
+        assert main(argv) == 2
+        assert sorted(d.rglob("*")) == before
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        return err[0]
+
+    @pytest.mark.parametrize("role", ["sessions", "snapshot", "config", "corpus"])
+    def test_too_deeply_nested_json_names_file(self, workspace, capsys, role):
+        # The corpus is read line by line; its second line is the bad one.
+        content = b'{"id": "d1", "text": "jazz"}\n' + self.DEEP if role == "corpus" else self.DEEP
+        where = "bad_corpus: line 2" if role == "corpus" else f"bad_{role}"
+        err = self.error_line(workspace, capsys, role, content)
+        assert f"{where}: invalid JSON: nested too deeply" in err
+
+    @pytest.mark.parametrize("role", ["sessions", "snapshot", "config"])
+    def test_json_syntax_error_names_file(self, workspace, capsys, role):
+        err = self.error_line(workspace, capsys, role, self.SYNTAX)
+        assert f"bad_{role}: invalid JSON: Expecting value: line 2" in err
+
+    @pytest.mark.parametrize("role", ["sessions", "qrels", "run", "corpus", "snapshot", "config"])
+    def test_byte_that_is_not_utf8_names_file(self, workspace, capsys, role):
+        err = self.error_line(workspace, capsys, role, self.NOT_UTF8)
+        assert f"bad_{role}: not UTF-8 text: cannot decode byte 0xff" in err
+
+    def test_repeated_doc_id_names_file_and_both_lines(self, workspace, capsys):
+        docs = [CORPUS_DOCS[0], CORPUS_DOCS[1], {"id": "d1", "text": "other"}]
+        content = "".join(json.dumps(doc) + "\n" for doc in docs).encode()
+        err = self.error_line(workspace, capsys, "corpus", content)
+        assert "bad_corpus: line 3: duplicate doc id 'd1' (first on line 1)" in err
+
+
 class TestParameterFlags:
     """Every RunConfig parameter is reachable from run and tune, and eval
     scores with RunConfig's own k and depth unless told otherwise."""

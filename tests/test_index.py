@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 
 import pytest
 
@@ -46,6 +47,13 @@ def test_empty_corpus():
 def test_duplicate_doc_id_rejected():
     with pytest.raises(ValueError, match="d1"):
         build_index([("d1", "a"), ("d1", "b")], analyzer=whitespace_analyze)
+
+
+@pytest.mark.parametrize("doc_id", ["", "d 1", "d1\n", "d\u20031"])
+def test_doc_id_a_snapshot_cannot_hold_rejected(doc_id):
+    # InvertedIndex.load refuses such an id, so no index may hold one.
+    with pytest.raises(ValueError, match=re.escape(f"doc id {doc_id!r}")):
+        build_index([("d0", "jazz"), (doc_id, "jazz club")], analyzer=whitespace_analyze)
 
 
 def test_idf_values(tiny_index):

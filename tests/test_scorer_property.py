@@ -11,7 +11,9 @@ a length part and an fsum over the matched terms. These tests require:
   (the doc_id tie rule depends on it);
 - bit-equal scores from the term-at-a-time first pass and the scorer;
 - bit-equal scores from a stats object whose log-ratio tables earlier
-  scorers at other mu values filled and from a fresh copy of it.
+  scorers at other mu values filled and from a fresh copy of it;
+- bit-equal scores from query aggregation at decay 1 and a scorer over the
+  known terms of the concatenated session queries.
 """
 
 import math
@@ -22,7 +24,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import make_session  # noqa: E402
 from sessionsearch.analysis import AnalyzedText, whitespace_analyze  # noqa: E402
+from sessionsearch.baselines import qa_score  # noqa: E402
 from sessionsearch.index import CollectionStats, DocumentRecord, build_index  # noqa: E402
 from sessionsearch.lm import (  # noqa: E402
     NEG_INF,
@@ -31,6 +35,7 @@ from sessionsearch.lm import (  # noqa: E402
     smoothed_prob,
     top_k_by_query_likelihood,
 )
+from sessionsearch.session import pseudo_info_need  # noqa: E402
 
 VOCABULARY = ("a", "b", "c", "d", "e")
 # Model terms may also name words no document contains.
@@ -194,6 +199,32 @@ def test_warm_log_ratio_tables_score_as_cold_ones(token_lists, models):
             assert outcome(warm, doc) == outcome(cold, doc)
         # The tables take no part in equality.
         assert stats == fresh
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    token_lists=corpora(),
+    queries=st.lists(st.lists(st.sampled_from(MODEL_TERMS), max_size=6), min_size=1, max_size=4),
+    mu=mus,
+)
+def test_qa_at_decay_one_scores_as_the_concatenated_query(token_lists, queries, mu):
+    # qa-uniform is qa-decay at decay 1. The queries repeat tokens and name
+    # words no document contains; the uniform scorer is rebuilt here from
+    # the concatenation, the way qa_score once built it.
+    index = build_index(
+        [(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(token_lists)],
+        analyzer=whitespace_analyze,
+    )
+    session = make_session([(query, [], []) for query in queries[:-1]], queries[-1])
+    concatenated = known_terms_only(pseudo_info_need(session.queries), index.stats)
+    uniform = LogLikelihoodScorer(concatenated.counts().items(), index.stats, mu)
+
+    def bits(value):
+        return value.hex() if isinstance(value, float) else value
+
+    for doc in index.doc_table.values():
+        got = outcome(qa_score, session, doc, index, mu, 1.0)
+        assert bits(got) == bits(outcome(uniform, doc))
 
 
 def test_empty_document_with_zero_mu_rejected():
