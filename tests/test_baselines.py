@@ -168,19 +168,22 @@ class TestQueryAggregation:
             qa_score(session, tiny_index.doc("d1"), tiny_index, 100.0, decay=decay)
 
     @pytest.mark.parametrize("mu", [10.0, 2500.0])
-    @pytest.mark.parametrize("decay", [0.5, 0.92, 1.0])
+    @pytest.mark.parametrize("decay", [None, 0.5, 0.92, 1.0])
     def test_shared_stages_score_bit_for_bit_like_fresh_ones(self, club_index, decay, mu):
         # A history with repeats and a term the collection lacks, so the
-        # decayed query differs from the current one.
+        # decayed query differs from the current one. decay=None leaves the
+        # argument at its default, the uniform weighting qa-uniform uses.
         session = make_session(
             [(["jazz", "club"], [], []), (["rock", "zzz"], [], []), (["jazz"], [], [])],
             ["club", "music"],
         )
+        weighting = {} if decay is None else {"decay": decay}
         stages = Stages()
         for doc_id in sorted(club_index.doc_table):
             doc = club_index.doc(doc_id)
-            shared = qa_score(session, doc, club_index, mu, decay, stages)
-            assert shared.hex() == qa_score(session, doc, club_index, mu, decay).hex()
+            shared = qa_score(session, doc, club_index, mu, stages=stages, **weighting)
+            fresh = qa_score(session, doc, club_index, mu, **weighting)
+            assert shared.hex() == fresh.hex()
 
     def test_scorer_built_once_per_session_mu_and_decay(self, monkeypatch, club_index):
         built = []
