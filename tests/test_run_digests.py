@@ -1,11 +1,13 @@
-"""Byte-identity guard: the run file of every method, and the tune output of
-three grids, on one generated input.
+"""Byte-identity guard: the index snapshot, the run file of every method, and
+the tune output of three grids, on one generated input.
 
 The input comes from the benchmark's own generator (bench/gen.py, loaded
 read-only and without writing bytecode): seed 7, 400 documents, 36
-sessions. Each method's run file and each grid's best-params JSON is
-compared with the SHA-256 recorded for it, so a change that moves a ranking
-or the last digit of any score fails here, however it was meant. Two of
+sessions. The snapshot that the index command writes, each method's run
+file and each grid's best-params JSON are compared with the SHA-256
+recorded for each, so a change to analysis or to the snapshot layout fails
+here even when no ranking moves, and a change that moves a ranking or the
+last digit of any score fails here, however it was meant. Two of
 the grids vary mu, so a stage or table that one mu wrongly reuses at
 another shows here. A change that alters scores on purpose records
 the new digests and says in CHANGES.md which digits moved and why.
@@ -26,6 +28,8 @@ from sessionsearch.cli import main
 from sessionsearch.pipeline import METHODS
 
 GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+
+INDEX_SHA256 = "88781a0773b6c97a514df2da569ca8fe414bde349d46cfd8e197667426c7b8b1"
 
 RUN_SHA256 = {
     "none": "132b8cfd59020efb8d7d36473fb3f83bcf9d69f9cf1e4d9adc32b30a11f7e676",
@@ -67,6 +71,11 @@ def generated(tmp_path_factory):
     assert main(["index", "--corpus", str(root / "corpus.jsonl"),
                  "--out", str(root / "index.json")]) == 0
     return root
+
+
+def test_index_snapshot_is_byte_identical(generated):
+    digest = hashlib.sha256((generated / "index.json").read_bytes()).hexdigest()
+    assert digest == INDEX_SHA256
 
 
 def test_every_method_is_covered():
