@@ -19,7 +19,7 @@ from operator import ge, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
-from .analysis import AnalyzedText, analyze
+from .analysis import AnalyzedText, analyze, term_memo
 
 SNAPSHOT_MAGIC = "sessionsearch-index"
 SNAPSHOT_VERSION = 1
@@ -181,17 +181,19 @@ def build_index(
 
     Raises ValueError on a duplicate doc_id or one that is not a valid_id,
     which a snapshot could not hold. Documents that analyze to no tokens are
-    kept (length 0) so ids remain resolvable.
+    kept (length 0) so ids remain resolvable. The documents share one
+    analysis.term_memo scope, so analyze treats each distinct token once.
     """
     doc_table: dict[str, DocumentRecord] = {}
-    for doc_id, text in docs:
-        if doc_id in doc_table:
-            raise ValueError(f"duplicate doc_id: {doc_id!r}")
-        if not valid_id(doc_id):
-            raise ValueError(f"doc id {doc_id!r} is empty or contains whitespace")
-        analyzed = analyzer(text)
-        counts = dict(sorted(analyzed.counts().items()))
-        doc_table[doc_id] = DocumentRecord(doc_id, counts, analyzed.length)
+    with term_memo():
+        for doc_id, text in docs:
+            if doc_id in doc_table:
+                raise ValueError(f"duplicate doc_id: {doc_id!r}")
+            if not valid_id(doc_id):
+                raise ValueError(f"doc id {doc_id!r} is empty or contains whitespace")
+            analyzed = analyzer(text)
+            counts = dict(sorted(analyzed.counts().items()))
+            doc_table[doc_id] = DocumentRecord(doc_id, counts, analyzed.length)
     return InvertedIndex(dict(sorted(doc_table.items())))
 
 

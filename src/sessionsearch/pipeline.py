@@ -101,8 +101,15 @@ class RunConfig:
             variant=variant,
         )
 
+    @property
+    def applied_decay(self) -> float:
+        """The query decay the method applies: qa-uniform is qa-decay at
+        decay 1, which weighs every query the same."""
+        return 1.0 if self.method == METHOD_QA_UNIFORM else self.decay
+
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields, with decay as the method applies it."""
+        return {**dataclasses.asdict(self), "decay": self.applied_decay}
 
 
 @dataclass
@@ -155,9 +162,8 @@ def score_session_full(
 
     if method in (METHOD_QA_UNIFORM, METHOD_QA_DECAY):
         # qa_score covers the whole query pool, current query included, so it
-        # replaces the candidate score rather than adding to it. qa-uniform
-        # is qa-decay at decay 1, which weighs every query the same.
-        decay = 1.0 if method == METHOD_QA_UNIFORM else config.decay
+        # replaces the candidate score rather than adding to it.
+        decay = config.applied_decay
         result.ranking = rank_documents([
             (doc_id, qa_score(session, index.doc(doc_id), index, mu, decay, stages))
             for doc_id, _ in candidates

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .analysis import AnalyzedText, analyze
+from .analysis import AnalyzedText, analyze, term_memo
 from .index import InvertedIndex, load_json, valid_id
 from .lm import LogLikelihoodScorer, rank_documents
 
@@ -214,19 +214,21 @@ def load_sessions(
     [{"query", "impressions", "clicks": [{"doc", "dwell"?}]}], "current_query"}]},
     each session id an index.valid_id with file_name=True. Violations, and
     a session id used twice, raise ValueError naming the offending session.
+    All queries share one analysis.term_memo scope.
     """
     raw = load_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("sessions"), list):
         raise ValueError(f"{path}: expected a top-level object with a 'sessions' list")
     sessions = []
-    for pos, entry in enumerate(raw["sessions"]):
-        label = entry.get("session_id", f"#{pos}") if isinstance(entry, dict) else f"#{pos}"
-        try:
-            sessions.append(_parse_session(entry, analyzer))
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"{path}: session {label}: malformed entry: {exc}") from exc
-        except ValueError as exc:
-            raise ValueError(f"{path}: session {label}: {exc}") from exc
+    with term_memo():
+        for pos, entry in enumerate(raw["sessions"]):
+            label = entry.get("session_id", f"#{pos}") if isinstance(entry, dict) else f"#{pos}"
+            try:
+                sessions.append(_parse_session(entry, analyzer))
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{path}: session {label}: malformed entry: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}: session {label}: {exc}") from exc
     counts = Counter(session.session_id for session in sessions)
     repeated = sorted(session_id for session_id, count in counts.items() if count > 1)
     if repeated:

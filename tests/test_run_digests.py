@@ -19,6 +19,7 @@ bits of every score; another platform may differ in those bits.
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -100,3 +101,23 @@ def test_tune_output_is_byte_identical(generated, method):
                  "--qrels", str(generated / "qrels.txt"),
                  "--method", method, *flags, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_qa_uniform_reports_the_decay_it_applies(generated):
+    # qa-uniform weighs every query the same whatever --decay says, so its
+    # report and its tune output state decay 1.0, and its run file is the
+    # recorded one.
+    out, report, best = (generated / name for name in
+                         ("run.qa-uniform.decay.txt", "report.qa-uniform.json",
+                          "best.qa-uniform.json"))
+    assert main(["run", "--index", str(generated / "index.json"),
+                 "--sessions", str(generated / "sessions.json"),
+                 "--qrels", str(generated / "qrels.txt"), "--method", "qa-uniform",
+                 "--decay", "0.5", "--out", str(out), "--report", str(report)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256["qa-uniform"]
+    assert json.loads(report.read_text(encoding="utf-8"))["config"]["decay"] == 1.0
+    assert main(["tune", "--index", str(generated / "index.json"),
+                 "--sessions", str(generated / "sessions.json"),
+                 "--qrels", str(generated / "qrels.txt"), "--method", "qa-uniform",
+                 "--mu", "500,2500", "--out", str(best)]) == 0
+    assert json.loads(best.read_text(encoding="utf-8"))["best"]["decay"] == 1.0
