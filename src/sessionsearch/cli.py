@@ -3,13 +3,17 @@
 All outputs are deterministic for a given set of inputs and arguments, so
 repeating an invocation reproduces its files byte for byte. Parameter
 precedence is CLI flag over config file over built-in default, and the
-effective configuration is embedded in every report.
+effective configuration is embedded in every report. `run` and `tune` load
+the index snapshot with the cyclic collector paused and keep everything
+loaded by then frozen (gc.freeze) until the command ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import gc
 import json
 import logging
 import sys
@@ -195,6 +199,33 @@ def _load_qrels(path: str, sessions) -> evalkit.Qrels:
     return qrels
 
 
+@contextlib.contextmanager
+def _loaded_index(path: str):
+    """Load the snapshot at path with the cyclic collector paused, and keep
+    every object tracked by then (sessions, qrels, index) frozen until the
+    block exits, so the collector walks none of them while the command runs.
+
+    The caller's collector is left as found: a disabled one stays disabled,
+    and a caller that already holds frozen objects gets no freeze, so its
+    objects stay frozen.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        index = InvertedIndex.load(_require_file(path, "index"))
+        freeze = not gc.get_freeze_count()
+        if freeze:
+            gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
+    try:
+        yield index
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
 def _report(path, ordered, qrels, skipped, config: dict, metadata: dict) -> None:
     """Score (session_id, topic_id, doc ids in rank order) triples against
     qrels when given, print the mean when any session was scored, and write
@@ -220,29 +251,30 @@ def cmd_run(args) -> int:
     config = _effective_config(args, file_scalars)
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     qrels = _load_qrels(args.qrels, sessions) if args.qrels else None
-    index = InvertedIndex.load(_require_file(args.index, "index"))
+    with _loaded_index(args.index) as index:
+        results, skipped = pipeline.run_sessions(sessions, index, config)
+        rankings = {result.session_id: result.ranking for result in results}
+        evalkit.write_run_file(args.out, rankings, tag=config.method)
+        print(f"wrote {args.out} ({len(results)} sessions scored, {len(skipped)} skipped)")
 
-    results, skipped = pipeline.run_sessions(sessions, index, config)
-    rankings = {result.session_id: result.ranking for result in results}
-    evalkit.write_run_file(args.out, rankings, tag=config.method)
-    print(f"wrote {args.out} ({len(results)} sessions scored, {len(skipped)} skipped)")
+        if args.dump_model:
+            model_dir = Path(args.dump_model)
+            model_dir.mkdir(parents=True, exist_ok=True)
+            for result in results:
+                if result.model is not None:
+                    path = model_dir / f"{result.session_id}.model.json"
+                    _write_json(path, result.model.as_dict())
+        if args.dump_trace:
+            trace_dir = Path(args.dump_trace)
+            trace_dir.mkdir(parents=True, exist_ok=True)
+            for result in results:
+                if result.trace is not None:
+                    path = trace_dir / f"{result.session_id}.trace.json"
+                    _write_json(path, result.trace.to_dict())
 
-    if args.dump_model:
-        model_dir = Path(args.dump_model)
-        model_dir.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            if result.model is not None:
-                _write_json(model_dir / f"{result.session_id}.model.json", result.model.as_dict())
-    if args.dump_trace:
-        trace_dir = Path(args.dump_trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            if result.trace is not None:
-                _write_json(trace_dir / f"{result.session_id}.trace.json", result.trace.to_dict())
-
-    ordered = [(r.session_id, r.topic_id, [doc_id for doc_id, _ in r.ranking]) for r in results]
-    _report(args.report, ordered, qrels, skipped, config.to_dict(), {"run_tag": config.method})
-    return 0
+        ordered = [(r.session_id, r.topic_id, [doc_id for doc_id, _ in r.ranking]) for r in results]
+        _report(args.report, ordered, qrels, skipped, config.to_dict(), {"run_tag": config.method})
+        return 0
 
 
 def cmd_tune(args) -> int:
@@ -268,22 +300,21 @@ def cmd_tune(args) -> int:
     if not sessions:
         raise ValueError(f"{args.sessions}: no sessions to tune on")
     qrels = _load_qrels(args.qrels, sessions)
-    index = InvertedIndex.load(_require_file(args.index, "index"))
-
-    best, table = evalkit.grid_tune(
-        sessions, qrels, index, base, grids, score_fn=pipeline.StagedScorer()
-    )
-    payload = {
-        "best": best.to_dict(),
-        "best_map": max(row["map"] for row in table),
-        "grid": sorted(grids),
-        "table": table,
-    }
-    print(json.dumps(payload["best"], sort_keys=True))
-    if args.out:
-        _write_json(Path(args.out), payload)
-        print(f"wrote {args.out}")
-    return 0
+    with _loaded_index(args.index) as index:
+        best, table = evalkit.grid_tune(
+            sessions, qrels, index, base, grids, score_fn=pipeline.StagedScorer()
+        )
+        payload = {
+            "best": best.to_dict(),
+            "best_map": max(row["map"] for row in table),
+            "grid": sorted(grids),
+            "table": table,
+        }
+        print(json.dumps(payload["best"], sort_keys=True))
+        if args.out:
+            _write_json(Path(args.out), payload)
+            print(f"wrote {args.out}")
+        return 0
 
 
 def cmd_eval(args) -> int:

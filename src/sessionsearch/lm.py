@@ -152,22 +152,24 @@ class LogRatios(dict):
 
     The ratio depends on neither the weights nor the document, so every
     scorer over the same stats and mu reads the one table that log_ratios
-    keeps on the stats.
+    keeps on the stats. The table holds the counts it reads, not the stats,
+    so the two form no reference cycle and reference counting frees them.
     """
 
-    __slots__ = ("stats", "mu")
+    __slots__ = ("collection_tf", "total_tokens", "mu")
 
     def __init__(self, stats: CollectionStats, mu: float):
         super().__init__()
-        self.stats = stats
+        self.collection_tf = stats.collection_tf
+        self.total_tokens = stats.total_tokens
         self.mu = mu
 
     def __missing__(self, key: tuple[str, int]) -> float:
         term, tf = key
-        cf = self.stats.collection_tf.get(term, 0)
+        cf = self.collection_tf.get(term, 0)
         if self.mu > 0 and cf:
             # mu * P(term|C), with smoothed_prob's expression.
-            value = math.log1p(tf / (self.mu * cf / self.stats.total_tokens))
+            value = math.log1p(tf / (self.mu * cf / self.total_tokens))
         else:
             value = math.log(tf)
         self[key] = value

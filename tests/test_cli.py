@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sessionsearch import pipeline
+from sessionsearch import evalkit, pipeline
 from sessionsearch.analysis import analyze
 from sessionsearch.cli import _build_parser, main
 from sessionsearch.evalkit import parse_run_file
@@ -785,6 +786,101 @@ class TestBadInputFiles:
         content = "".join(json.dumps(doc) + "\n" for doc in docs).encode()
         err = self.error_line(workspace, capsys, "corpus", content)
         assert "bad_corpus: line 3: duplicate doc id 'd1' (first on line 1)" in err
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The caller's cyclic-collector setting at entry. Afterwards the
+    setting is restored, and a freeze a failing test left behind undone."""
+    was_enabled, was_frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    if gc.get_freeze_count() and not was_frozen:
+        gc.unfreeze()
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+class TestCollectorScope:
+    """run and tune load the snapshot with the collector paused and keep
+    what they loaded frozen while they score. The caller's collector comes
+    back as it was found, however the command ends."""
+
+    SCORING = {"run": (pipeline, "run_sessions"), "tune": (evalkit, "grid_tune")}
+
+    def argv(self, workspace, command, out):
+        argv = [
+            command, "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(workspace["qrels"]),
+            "--method", "srm-qc", "--out", str(out),
+        ]
+        return argv + (["--lambda", "0.3,0.5"] if command == "tune" else [])
+
+    def wrap_scoring(self, monkeypatch, command, replacement):
+        owner, name = self.SCORING[command]
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: replacement(real, *args, **kw))
+
+    def test_scoring_runs_frozen_and_success_restores(
+        self, workspace, monkeypatch, collector, command
+    ):
+        seen = []
+
+        def scoring(real, *args, **kw):
+            seen.append((gc.isenabled(), gc.get_freeze_count()))
+            return real(*args, **kw)
+
+        self.wrap_scoring(monkeypatch, command, scoring)
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert main(self.argv(workspace, command, workspace["dir"] / "out")) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        ((enabled, frozen),) = seen
+        assert enabled is collector
+        if collector:
+            assert frozen > 0
+
+    def test_error_exit_after_the_load_restores(self, workspace, capsys, collector, command):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        out = workspace["dir"] / "missing" / "out"
+        assert main(self.argv(workspace, command, out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_exception_escaping_main_restores(self, workspace, monkeypatch, collector, command):
+        def scoring(real, *args, **kw):
+            raise RuntimeError("stop at the first unit")
+
+        self.wrap_scoring(monkeypatch, command, scoring)
+        before = (gc.isenabled(), gc.get_freeze_count())
+        with pytest.raises(RuntimeError, match="first unit"):
+            main(self.argv(workspace, command, workspace["dir"] / "out"))
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_callers_freeze_is_kept(self, workspace, monkeypatch, collector, command):
+        # The command takes no freeze of its own and undoes none of the
+        # caller's: the frozen count never rises above the caller's (a few
+        # frozen objects may die meanwhile), and the caller's sentinel stays
+        # outside every generation the collector walks.
+        seen = []
+
+        def scoring(real, *args, **kw):
+            seen.append(gc.get_freeze_count())
+            return real(*args, **kw)
+
+        self.wrap_scoring(monkeypatch, command, scoring)
+        argv = self.argv(workspace, command, workspace["dir"] / "out")
+        sentinel = []
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(argv) == 0
+            assert gc.isenabled() is collector
+            assert 0 < seen[0] <= frozen
+            assert 0 < gc.get_freeze_count() <= frozen
+            assert not any(obj is sentinel for obj in gc.get_objects())
+        finally:
+            gc.unfreeze()
 
 
 class TestParameterFlags:

@@ -4,12 +4,13 @@ import gc
 import json
 import math
 import re
+import weakref
 
 import pytest
 
 from sessionsearch.analysis import AnalyzedText, analyze, whitespace_analyze
 from sessionsearch.index import InvertedIndex, build_index, read_corpus_jsonl
-from sessionsearch.lm import query_log_likelihood
+from sessionsearch.lm import query_log_likelihood, top_k_by_query_likelihood
 
 
 def test_hand_counted_two_doc_fixture(tiny_index):
@@ -148,6 +149,18 @@ def test_load_and_build_keep_the_callers_collector_setting(tmp_path, tiny_index,
     with pytest.raises(ValueError, match="is not the sum of its counts"):
         InvertedIndex.load(path)
     assert gc.isenabled() is collector
+
+
+def test_a_dropped_index_is_freed_without_the_collector(collector):
+    # The first pass fills a log-ratio table on the stats. Table and stats
+    # must form no cycle, so reference counting alone frees them once the
+    # index is dropped, also with the collector off.
+    index = build_index([("d1", "jazz club jazz"), ("d2", "rock club")])
+    assert top_k_by_query_likelihood(analyze("jazz club"), index, 10.0, 5)
+    assert index.stats.log_ratio_tables
+    stats = weakref.ref(index.stats)
+    del index
+    assert stats() is None
 
 
 @pytest.mark.parametrize(
