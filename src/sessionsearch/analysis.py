@@ -43,61 +43,66 @@ hasn haven isn ma mightn mustn needn shan shouldn wasn weren won wouldn
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-_VOWELS = frozenset("aeiou")
+class _ConsonantUnlessListed(dict):
+    """A str.translate table that marks every character it does not list as
+    a consonant, where a plain table would leave that character unchanged.
+    Uppercase letters, digits and non-ASCII letters are consonants."""
+
+    def __missing__(self, code: int) -> str:
+        return "c"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # "y" counts as a vowel when it follows a consonant (e.g. "happy").
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+# Letter -> "v" (vowel), "c" (consonant) or "y", which _cv_form resolves.
+# Every ASCII code is listed, so str.translate's ASCII fast path never calls
+# __missing__.
+_CV_TABLE = _ConsonantUnlessListed(
+    {code: "v" if chr(code) in "aeiou" else "y" if chr(code) == "y" else "c"
+     for code in range(128)})
+
+
+def _cv_form(word: str) -> str:
+    """word with each character marked consonant ("c") or vowel ("v")."""
+    form = word.translate(_CV_TABLE)
+    if "y" in form:
+        # A "y" is a consonant at the start or after a vowel and a vowel
+        # after a consonant (e.g. "happy"). Each round settles the first
+        # unsettled "y" of every run.
+        if form[0] == "y":
+            form = "c" + form[1:]
+        while "y" in form:
+            form = form.replace("cy", "cv").replace("vy", "vc")
+    return form
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-consonant sequences: the m in [C](VC)^m[V]."""
-    m = 0
-    i = 0
-    n = len(stem)
-    while i < n and _is_consonant(stem, i):
-        i += 1
-    while i < n:
-        while i < n and not _is_consonant(stem, i):
-            i += 1
-        if i == n:
-            break
-        m += 1
-        while i < n and _is_consonant(stem, i):
-            i += 1
-    return m
+    return _cv_form(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _cv_form(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return len(word) >= 2 and word[-1] == word[-2] and _is_consonant(word, len(word) - 1)
+    return len(word) >= 2 and word[-1] == word[-2] and _cv_form(word)[-1] == "c"
 
 
 def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return _cv_form(word)[-3:] == "cvc" and word[-1] not in "wxy"
 
 
-def _longest_first(rules):
-    return tuple(sorted(rules, key=lambda rule: -len(rule[0])))
+def _by_last_two(rules):
+    """(suffix, replacement) rules keyed by the last two letters of the
+    suffix, each key's rules longest first: a word can only end with the
+    suffixes filed under its own last two letters, so the first of those it
+    ends with is the longest match of the whole step."""
+    table = {}
+    for suffix, replacement in sorted(rules, key=lambda rule: -len(rule[0])):
+        table.setdefault(suffix[-2:], []).append((suffix, replacement))
+    return {key: tuple(candidates) for key, candidates in table.items()}
 
 
-_STEP2 = _longest_first([
+_STEP2 = _by_last_two([
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
     ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
@@ -105,15 +110,15 @@ _STEP2 = _longest_first([
     ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
 ])
 
-_STEP3 = _longest_first([
+_STEP3 = _by_last_two([
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 ])
 
-_STEP4 = tuple(sorted([
+_STEP4 = _by_last_two((suffix, "") for suffix in [
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-], key=len, reverse=True))
+])
 
 
 def _porter_pass(w: str) -> str:
@@ -151,19 +156,19 @@ def _porter_pass(w: str) -> str:
         w = w[:-1] + "i"
 
     # Steps 2-4: suffix tables, longest match wins, one rule per step.
-    for suffix, replacement in _STEP2:
+    for suffix, replacement in _STEP2.get(w[-2:], ()):
         if w.endswith(suffix):
             stem = w[: -len(suffix)]
             if _measure(stem) > 0:
                 w = stem + replacement
             break
-    for suffix, replacement in _STEP3:
+    for suffix, replacement in _STEP3.get(w[-2:], ()):
         if w.endswith(suffix):
             stem = w[: -len(suffix)]
             if _measure(stem) > 0:
                 w = stem + replacement
             break
-    for suffix in _STEP4:
+    for suffix, _ in _STEP4.get(w[-2:], ()):
         if w.endswith(suffix):
             stem = w[: -len(suffix)]
             if _measure(stem) > 1 and (suffix != "ion" or (stem and stem[-1] in "st")):

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import stem_reference
 from sessionsearch import analysis
 from sessionsearch.analysis import (
     STOPWORDS,
@@ -18,6 +19,7 @@ from sessionsearch.analysis import (
 )
 from sessionsearch.index import build_index
 from sessionsearch.session import load_sessions
+from test_run_digests import load_generator
 
 # The stemmer's exact outputs are part of the package contract; every index
 # and every session replay depends on them being stable. Values were frozen
@@ -202,6 +204,63 @@ def test_analyzed_text_counts_are_read_only_and_tallied_once(monkeypatch):
     assert hash(text) == hash(AnalyzedText(("b", "a", "b")))
 
 
+# --- the table-driven stemmer against the frozen linear one -----------------
+#
+# tests/stem_reference.py keeps the stemmer as it was before its suffix steps
+# became table lookups; analysis.stem must agree with it on every word.
+
+# Every suffix that a rule of steps 1-5 tests for or writes back.
+RULE_SUFFIXES = sorted(
+    {"sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll"}
+    | {part for rules in (stem_reference._STEP2, stem_reference._STEP3)
+       for rule in rules for part in rule if part}
+    | set(stem_reference._STEP4)
+)
+STEM_LETTERS = "aeiouybcdfglmnrstvzx0123"
+
+
+def suffix_heavy_words(count, seed):
+    """Short random stems, each followed by 0-4 rule suffixes."""
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice(STEM_LETTERS) for _ in range(rng.randint(1, 4)))
+        + "".join(rng.choice(RULE_SUFFIXES) for _ in range(rng.randint(0, 4)))
+        for _ in range(count)
+    ]
+
+
+def reference_mismatches(words):
+    return [(word, stem(word), stem_reference.stem(word)) for word in words
+            if stem(word) != stem_reference.stem(word)]
+
+
+def test_stem_matches_the_reference_on_every_bench_corpus_token(tmp_path):
+    # The seed-7 corpus that tests/test_run_digests.py indexes.
+    load_generator().generate(7, 400, 36, tmp_path)
+    with open(tmp_path / "corpus.jsonl", encoding="utf-8") as handle:
+        tokens = {token for line in handle for token in tokenize(json.loads(line)["text"])}
+    assert len(tokens) > 2000
+    assert reference_mismatches(sorted(tokens)) == []
+
+
+def test_stem_matches_the_reference_on_suffix_heavy_words():
+    words = suffix_heavy_words(50_000, "stem-reference")
+    assert len(set(words)) > 40_000
+    assert reference_mismatches(words) == []
+
+
+def test_consonant_vowel_form_marks_every_character():
+    # A y after a consonant is a vowel; at the start or after a vowel it is
+    # a consonant. Anything that is not a lowercase vowel or y is a consonant.
+    assert analysis._cv_form("happy") == "cvccv"
+    assert analysis._cv_form("yyyy") == "cvcv"
+    assert analysis._cv_form("ayyy") == "vcvc"
+    assert analysis._cv_form("Ay9é\x00vcy") == "cvcccccv"
+    assert analysis._measure("crEEp") == 0
+    assert analysis._measure("ture") == 1
+    assert not analysis._has_vowel("b2Y")
+
+
 # --- the per-call token memo (analysis.term_memo) ---------------------------
 
 DOCS = [
@@ -298,7 +357,7 @@ def test_analyze_outside_a_scope_keeps_no_memo(stem_calls):
 
 
 try:
-    from hypothesis import given, strategies as st
+    from hypothesis import given, settings, strategies as st
 except ImportError:  # the golden tests above run without hypothesis
     pass
 else:
@@ -323,3 +382,18 @@ else:
             again = [analyze(item).tokens for item in reversed(batch)]
         assert shared == alone
         assert again == alone[::-1]
+
+    # Any text, text over letters where the consonant/vowel rules differ
+    # (y runs, uppercase, digits, non-ASCII), and stems with rule suffixes.
+    stem_input = st.one_of(
+        st.text(),
+        st.text(alphabet="aeiouyYAbcdlmnrstwxz09é\u0131", max_size=16),
+        st.builds(lambda head, tail: head + "".join(tail),
+                  st.text(alphabet=STEM_LETTERS + "Yé", max_size=5),
+                  st.lists(st.sampled_from(RULE_SUFFIXES), max_size=5)),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(stem_input)
+    def test_stem_matches_the_reference_on_any_text(word):
+        assert stem(word) == stem_reference.stem(word)
