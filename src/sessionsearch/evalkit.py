@@ -211,10 +211,13 @@ def write_run_file(
 def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Read a 6-column TREC run file back into per-key rankings.
 
-    Lines are grouped by the first column and ordered by the rank column;
-    duplicate docs under one key or malformed lines raise ValueError.
+    Lines are grouped by the first column and ordered by the rank column.
+    A rank or a doc that repeats under one key, or a malformed line, raises
+    ValueError naming the line (and, for a repeat, the first line).
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
+    rank_lines: dict[tuple[str, int], int] = {}
+    doc_lines: dict[tuple[str, str], int] = {}
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -230,18 +233,19 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                 score = float(score_str)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad rank or score") from exc
+            first = rank_lines.setdefault((key, rank), lineno)
+            if first != lineno:
+                raise ValueError(f"{path}: line {lineno}: repeated rank {rank} under key "
+                                 f"{key!r} (first on line {first})")
+            first = doc_lines.setdefault((key, doc_id), lineno)
+            if first != lineno:
+                raise ValueError(f"{path}: line {lineno}: duplicate doc {doc_id!r} under key "
+                                 f"{key!r} (first on line {first})")
             rows.setdefault(key, []).append((rank, doc_id, score))
     rankings: dict[str, list[tuple[str, float]]] = {}
     for key, entries in rows.items():
         entries.sort(key=lambda row: row[0])
-        seen = set()
-        ranking = []
-        for _, doc_id, score in entries:
-            if doc_id in seen:
-                raise ValueError(f"{path}: duplicate doc {doc_id!r} under key {key!r}")
-            seen.add(doc_id)
-            ranking.append((doc_id, score))
-        rankings[key] = ranking
+        rankings[key] = [(doc_id, score) for _, doc_id, score in entries]
     return rankings
 
 

@@ -787,6 +787,11 @@ class TestBadInputFiles:
         err = self.error_line(workspace, capsys, "corpus", content)
         assert "bad_corpus: line 3: duplicate doc id 'd1' (first on line 1)" in err
 
+    def test_repeated_rank_in_run_file_names_key_and_both_lines(self, workspace, capsys):
+        content = b"s1 Q0 d1 1 -1.0 t\ns1 Q0 d2 1 -2.0 t\n"
+        err = self.error_line(workspace, capsys, "run", content)
+        assert "bad_run: line 2: repeated rank 1 under key 's1' (first on line 1)" in err
+
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
 def collector(request):

@@ -245,6 +245,38 @@ class TestRunFiles:
         with pytest.raises(ValueError, match="duplicate doc"):
             parse_run_file(path)
 
+    def test_duplicate_doc_names_key_and_both_lines(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text(
+            "s1 Q0 d1 1 -1.0 t\ns2 Q0 d1 1 -1.0 t\ns1 Q0 d1 3 -2.0 t\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            parse_run_file(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 3: duplicate doc 'd1' under key 's1' (first on line 1)"
+        )
+
+    def test_repeated_rank_rejected_naming_key_and_both_lines(self, tmp_path):
+        # Two docs at rank 1 leave their order undefined; file order must
+        # not decide it.
+        path = tmp_path / "run.txt"
+        path.write_text(
+            "s1 Q0 d1 1 -1.0 t\ns2 Q0 d9 1 -1.0 t\ns1 Q0 d2 1 -1.0 t\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            parse_run_file(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 3: repeated rank 1 under key 's1' (first on line 1)"
+        )
+
+    def test_same_rank_under_different_keys_accepted(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text(
+            "s1 Q0 d1 1 -1.0 t\ns2 Q0 d1 1 -3.0 t\ns1 Q0 d2 2 -2.0 t\n", encoding="utf-8"
+        )
+        assert parse_run_file(path) == {"s1": [("d1", -1.0), ("d2", -2.0)],
+                                        "s2": [("d1", -3.0)]}
+
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("s1 Q0 d1 1 -1.0\n", encoding="utf-8")
