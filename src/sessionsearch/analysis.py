@@ -1,8 +1,15 @@
 """Text analysis: tokenization, stopword removal, and stemming.
 
 Queries and documents share this one chain so that term statistics line up.
-The stemmer is a self-contained Porter-family suffix stripper; its exact
-outputs are pinned by golden tests, so treat any change here as breaking.
+The stemmer is a self-contained Porter-family suffix stripper whose pass
+repeats until it changes nothing. Its exact outputs are pinned by golden
+tests and by a frozen copy of the earlier, linear-scan stemmer
+(tests/stem_reference.py), so treat any change to them as breaking. Steps
+2-4 file their rules by the last two letters of the suffix, longest first,
+so a step does one dict lookup and tests only the few suffixes that end as
+the word does. The measure m and the vowel test read a form of the stem in
+which each character is marked consonant or vowel, made with one
+str.translate.
 
 Inside a term_memo() scope, analyze maps each distinct raw token to its
 term (or to "dropped") once and looks it up after that: a token's analysis
@@ -42,6 +49,7 @@ hasn haven isn ma mightn mustn needn shan shouldn wasn weren won wouldn
 """.split())
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
 
 class _ConsonantUnlessListed(dict):
     """A str.translate table that marks every character it does not list as
