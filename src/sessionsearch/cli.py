@@ -296,9 +296,14 @@ def cmd_tune(args) -> int:
     for field_name, values in grids.items():
         for value in values:
             dataclasses.replace(base, **{field_name: value})
+    for field_name in sorted(grids.keys() - pipeline.METHOD_FIELDS[base.method]):
+        logger.warning("method %s does not read %s: every value of its grid scores alike",
+                       base.method, field_name)
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
-    if not sessions:
-        raise ValueError(f"{args.sessions}: no sessions to tune on")
+    if not any(session.current_query.tokens for session in sessions):
+        raise ValueError(
+            f"{args.sessions}: no sessions with an analyzable current query to tune on"
+        )
     qrels = _load_qrels(args.qrels, sessions)
     with _loaded_index(args.index) as index:
         best, table = evalkit.grid_tune(
@@ -322,17 +327,22 @@ def cmd_eval(args) -> int:
     pipeline.RunConfig(k=args.k, depth=args.depth)
     rankings = evalkit.parse_run_file(_require_file(args.run, "run"))
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
-    topic_of = {session.session_id: session.topic_id for session in sessions}
-    unknown = [key for key in rankings if key not in topic_of]
+    # run scores every session whose current query has terms, one that
+    # matches no document as an empty ranking without a run-file line.
+    scored = [s for s in sessions if s.current_query.tokens]
+    unknown = sorted(set(rankings) - {s.session_id for s in scored})
     if unknown:
-        raise ValueError(f"{args.run}: session ids not in {args.sessions}: {sorted(unknown)}")
-    qrels = _load_qrels(args.qrels, [s for s in sessions if s.session_id in rankings])
+        raise ValueError(
+            f"{args.run}: session ids not in {args.sessions} "
+            f"or without an analyzable current query: {unknown}"
+        )
+    qrels = _load_qrels(args.qrels, scored)
 
     ordered = [
-        (session_id, topic_of[session_id], [doc_id for doc_id, _ in ranking])
-        for session_id, ranking in rankings.items()
+        (s.session_id, s.topic_id, [doc_id for doc_id, _ in rankings.get(s.session_id, ())])
+        for s in scored
     ]
-    skipped = [s.session_id for s in sessions if s.session_id not in rankings]
+    skipped = [s.session_id for s in sessions if not s.current_query.tokens]
     _report(args.report, ordered, qrels, skipped, {"k": args.k, "depth": args.depth}, {})
     return 0
 

@@ -14,7 +14,7 @@ import json
 import math
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import ge, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
@@ -84,9 +84,6 @@ class CollectionStats:
     collection_tf: Mapping[str, int]
     doc_freq: Mapping[str, int]
     num_docs: int
-    # lm.log_ratios keeps one lm.LogRatios table per mu here. It is derived
-    # from the fields above, so it takes no part in equality or repr.
-    log_ratio_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class InvertedIndex:

@@ -145,46 +145,6 @@ def smoothed_prob(
     return tf / denom
 
 
-class LogRatios(dict):
-    """ln(1 + tf / (mu P(term|C))) of each (term, tf) over one collection and
-    mu, or ln tf for a term without background mass, computed on its first
-    lookup and kept.
-
-    The ratio depends on neither the weights nor the document, so every
-    scorer over the same stats and mu reads the one table that log_ratios
-    keeps on the stats. The table holds the counts it reads, not the stats,
-    so the two form no reference cycle and reference counting frees them.
-    """
-
-    __slots__ = ("collection_tf", "total_tokens", "mu")
-
-    def __init__(self, stats: CollectionStats, mu: float):
-        super().__init__()
-        self.collection_tf = stats.collection_tf
-        self.total_tokens = stats.total_tokens
-        self.mu = mu
-
-    def __missing__(self, key: tuple[str, int]) -> float:
-        term, tf = key
-        cf = self.collection_tf.get(term, 0)
-        if self.mu > 0 and cf:
-            # mu * P(term|C), with smoothed_prob's expression.
-            value = math.log1p(tf / (self.mu * cf / self.total_tokens))
-        else:
-            value = math.log(tf)
-        self[key] = value
-        return value
-
-
-def log_ratios(stats: CollectionStats, mu: float) -> LogRatios:
-    """The LogRatios table of stats and mu, created on first use and kept on
-    stats for as long as stats lives."""
-    table = stats.log_ratio_tables.get(mu)
-    if table is None:
-        table = stats.log_ratio_tables[mu] = LogRatios(stats, mu)
-    return table
-
-
 class LogLikelihoodScorer:
     """Per-document scorer of sum weight * ln p_mu(term|doc) over fixed
     (term, weight) pairs with distinct terms.
@@ -197,37 +157,48 @@ class LogLikelihoodScorer:
 
     The constant and the weight total are fixed here, each document pays one
     ln(|d| + mu), and each matched term costs one summand: its weight times
-    its log ratio from the collection's LogRatios table for mu. A term
-    without background mass (cf = 0, or any term when mu = 0) is required:
-    a document without it scores -inf, and one with it gets p_w ln tf, so
-    mu = 0 is the unsmoothed estimate. The summands are added with
-    math.fsum, which is correctly rounded and so independent of their order:
-    documents equal in exact arithmetic (same length, same multiset of
-    summands) score bit-equal. Like smoothed_prob, an empty document with
-    mu = 0 raises ValueError, unless there are no terms (the empty sum, 0).
+    ln(1 + tf / (mu P(w|C))), computed on the first lookup of (term, tf) and
+    kept by this scorer, so a first pass or the rerank of a candidate list
+    computes each distinct summand once. A term without background mass
+    (cf = 0, or any term when mu = 0) is required: a document without it
+    scores -inf, and one with it gets p_w ln tf, so mu = 0 is the
+    unsmoothed estimate. The summands are added with math.fsum, which is
+    correctly rounded and so independent of their order: documents equal in
+    exact arithmetic (same length, same multiset of summands) score
+    bit-equal. Like smoothed_prob, an empty document with mu = 0 raises
+    ValueError, unless there are no terms (the empty sum, 0).
     """
 
-    __slots__ = ("weights", "_ratios", "_required", "_mu", "_constant", "_weight_total")
+    __slots__ = ("weights", "_background", "_summands", "_required", "_mu", "_constant",
+                 "_weight_total")
 
     def __init__(self, weights: Iterable[tuple[str, float]], stats: CollectionStats, mu: float):
         self.weights: dict[str, float] = dict(weights)
         self._mu = mu
-        self._ratios = log_ratios(stats, mu)
+        # mu * P(term|C) of each term with background mass, with
+        # smoothed_prob's expression.
+        self._background: dict[str, float] = {}
+        self._summands: dict[tuple[str, int], float] = {}
         self._required: list[str] = []
-        collection_tf = stats.collection_tf
-        logs = []
-        for term, weight in self.weights.items():
-            cf = collection_tf.get(term, 0)
+        for term in self.weights:
+            cf = stats.collection_tf.get(term, 0)
             if mu > 0 and cf:
-                logs.append(weight * math.log(mu * cf / stats.total_tokens))
+                self._background[term] = mu * cf / stats.total_tokens
             else:
                 self._required.append(term)
-        self._constant = math.fsum(logs)
+        self._constant = math.fsum(self.weights[term] * math.log(background)
+                                   for term, background in self._background.items())
         self._weight_total = math.fsum(self.weights.values())
 
     def summand(self, term: str, tf: int) -> float:
         """What tf >= 1 occurrences of the scored term add to the matched sum."""
-        return self.weights[term] * self._ratios[term, tf]
+        try:
+            return self._summands[term, tf]
+        except KeyError:
+            background = self._background.get(term)
+            ratio = math.log(tf) if background is None else math.log1p(tf / background)
+            value = self._summands[term, tf] = self.weights[term] * ratio
+            return value
 
     def total(self, doc: DocumentRecord, summands: Iterable[float]) -> float:
         """The score of doc, given the summands of the scored terms it holds."""

@@ -47,15 +47,19 @@ METHOD_RM3_QPRIME = "rm3-qprime"
 METHOD_QA_UNIFORM = "qa-uniform"
 METHOD_QA_DECAY = "qa-decay"
 
-METHODS = (
-    METHOD_NONE,
-    METHOD_SRM_QC,
-    METHOD_SRM_RM1,
-    METHOD_RM3_QN,
-    METHOD_RM3_QPRIME,
-    METHOD_QA_UNIFORM,
-    METHOD_QA_DECAY,
-)
+# The tunable RunConfig fields each method reads; a grid over any other
+# field scores alike at every value.
+_RM3_FIELDS = frozenset({"m", "lam", "mu", "clip_terms"})
+METHOD_FIELDS = {
+    METHOD_NONE: frozenset({"mu"}),
+    METHOD_SRM_QC: _RM3_FIELDS | {"gamma"},
+    METHOD_SRM_RM1: _RM3_FIELDS | {"gamma"},
+    METHOD_RM3_QN: _RM3_FIELDS,
+    METHOD_RM3_QPRIME: _RM3_FIELDS,
+    METHOD_QA_UNIFORM: frozenset({"mu"}),
+    METHOD_QA_DECAY: frozenset({"mu", "decay"}),
+}
+METHODS = tuple(METHOD_FIELDS)
 
 
 @dataclass
@@ -140,8 +144,7 @@ def score_session_full(
     pass by (mu, depth), the RM3 feedback first pass by (feedback query, mu,
     m), the session model's feedback stages as build_session_model does, the
     QA scorer and the RM1 model as qa_score and rm3_model do. The rest runs
-    every call; every scorer reads its log ratios from the collection's
-    table for mu (lm.log_ratios), which outlives the memo.
+    every call, and each scorer it builds computes its own log ratios.
     """
     q_n = session.current_query
     if not q_n.tokens:

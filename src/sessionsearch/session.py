@@ -109,9 +109,8 @@ class Stages:
 
     Valid for one session and one index: start a fresh memo for another.
     Every lookup of a key returns the same object, so callers must not
-    mutate what they get. What depends only on the collection and mu, the
-    log-ratio table every scorer reads (lm.log_ratios), is kept on the
-    index's CollectionStats instead and outlives the memo.
+    mutate what they get. A stored scorer keeps the log ratios it has
+    computed (lm.LogLikelihoodScorer), so they live as long as the memo.
     """
 
     __slots__ = ("_memo",)

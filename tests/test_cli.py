@@ -621,6 +621,32 @@ class TestTuneCommand:
         assert rc == 2
         assert "duplicate session ids: ['s1']" in capsys.readouterr().err
 
+    def test_no_servable_session_rejected_before_qrels_and_index(self, workspace, capsys):
+        stopwords = write_sessions(
+            workspace["dir"], {"sessions": [SESSIONS["sessions"][1]]}, name="stopwords.json"
+        )
+        absent = workspace["dir"] / "absent"
+        rc = main([
+            "tune", "--index", str(absent / "x.idx"), "--sessions", str(stopwords),
+            "--qrels", str(absent / "q.txt"), "--lambda", "0.5",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {stopwords}: no sessions with an analyzable current query "
+                       "to tune on\n")
+
+    def test_grid_over_a_field_the_method_ignores_warns(self, workspace, caplog):
+        rc = main([
+            "tune", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(workspace["qrels"]),
+            "--method", "qa-uniform", "--decay", "0.5,0.9", "--mu", "100,500",
+        ])
+        assert rc == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["method qa-uniform does not read decay: "
+                            "every value of its grid scores alike"]
+
     def test_no_sessions_rejected(self, workspace, capsys):
         empty = write_sessions(workspace["dir"], {"sessions": []}, name="empty.json")
         rc = main([
@@ -656,10 +682,17 @@ class TestEvalCommand:
         )
 
     def test_eval_of_emitted_run_reproduces_metrics_exactly(self, workspace):
-        run_payload, eval_payload = self.run_and_eval(workspace)
-        assert eval_payload["per_session"] == run_payload["per_session"]
-        assert eval_payload["mean"] == run_payload["mean"]
-        assert eval_payload["skipped"] == run_payload["skipped"]
+        # s3's current query has terms, but no document holds them: run
+        # scores it as an empty ranking and writes no line for it.
+        no_match = {"session_id": "s3", "topic_id": "t1", "steps": [], "current_query": "zebra"}
+        with_no_match = write_sessions(
+            workspace["dir"], {"sessions": [*SESSIONS["sessions"], no_match]}, name="zebra.json"
+        )
+        for sessions in (workspace["sessions"], with_no_match):
+            run_payload, eval_payload = self.run_and_eval({**workspace, "sessions": sessions})
+            assert eval_payload["per_session"] == run_payload["per_session"]
+            assert eval_payload["mean"] == run_payload["mean"]
+            assert eval_payload["skipped"] == run_payload["skipped"]
 
     def test_unknown_session_id_rejected(self, workspace, capsys):
         run_path = workspace["dir"] / "run.txt"

@@ -152,12 +152,11 @@ def test_load_and_build_keep_the_callers_collector_setting(tmp_path, tiny_index,
 
 
 def test_a_dropped_index_is_freed_without_the_collector(collector):
-    # The first pass fills a log-ratio table on the stats. Table and stats
-    # must form no cycle, so reference counting alone frees them once the
-    # index is dropped, also with the collector off.
+    # Nothing the first pass leaves behind may form a cycle with the stats,
+    # so reference counting alone frees them once the index is dropped,
+    # also with the collector off.
     index = build_index([("d1", "jazz club jazz"), ("d2", "rock club")])
     assert top_k_by_query_likelihood(analyze("jazz club"), index, 10.0, 5)
-    assert index.stats.log_ratio_tables
     stats = weakref.ref(index.stats)
     del index
     assert stats() is None

@@ -10,8 +10,9 @@ a length part and an fsum over the matched terms. These tests require:
 - bit-equal scores for documents that swap terms of equal cf and equal tf
   (the doc_id tie rule depends on it);
 - bit-equal scores from the term-at-a-time first pass and the scorer;
-- bit-equal scores from a stats object whose log-ratio tables earlier
-  scorers at other mu values filled and from a fresh copy of it;
+- bit-equal scores from a scorer whose memo of summands earlier documents
+  filled, in any order and between scorers at other mu values, and from a
+  fresh scorer;
 - bit-equal scores from query aggregation at decay 1 and a scorer over the
   known terms of the concatenated session queries.
 """
@@ -186,19 +187,19 @@ def test_first_pass_equals_scorer_bit_for_bit(token_lists, query, mu):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(token_lists=corpora(), models=st.lists(st.tuples(weights, mus), min_size=2, max_size=6))
-def test_warm_log_ratio_tables_score_as_cold_ones(token_lists, models):
-    # Scorers at interleaved mu values fill the tables of one stats object;
-    # each must score exactly as a scorer over a fresh copy of the stats,
-    # whose tables start empty.
+def test_a_reused_scorer_scores_as_fresh_ones_in_any_order(token_lists, models):
+    # Each scorer scores the corpus forward and then reversed, so its memo
+    # meets every (term, tf) both cold and warm, and the scorers take turns
+    # at each document, so their mu values interleave. A fresh scorer would
+    # share a memo kept outside the scorer, so the reference checks that too.
     docs, stats = build_corpus(token_lists)
-    for pairs, mu in models:
-        warm = LogLikelihoodScorer(pairs, stats, mu)
-        _, fresh = build_corpus(token_lists)
-        cold = LogLikelihoodScorer(pairs, fresh, mu)
-        for doc in docs:
-            assert outcome(warm, doc) == outcome(cold, doc)
-        # The tables take no part in equality.
-        assert stats == fresh
+    reused = [LogLikelihoodScorer(pairs, stats, mu) for pairs, mu in models]
+    for doc in docs + docs[::-1]:
+        for score, (pairs, mu) in zip(reused, models):
+            got = outcome(score, doc)
+            fresh = outcome(LogLikelihoodScorer(pairs, stats, mu), doc)
+            assert repr(got) == repr(fresh)
+            assert agrees(got, outcome(reference, pairs, doc, stats, mu))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
