@@ -1,11 +1,12 @@
-"""Byte-identity guard: the index snapshot, the run file of every method, and
-the tune output of three grids, on one generated input.
+"""Byte-identity guard: the index snapshot, the run file of every method, the
+model and trace dumps of two methods, and the tune output of three grids, on
+one generated input.
 
 The input comes from the benchmark's own generator (bench/gen.py, loaded
 read-only and without writing bytecode): seed 7, 400 documents, 36
 sessions. The snapshot that the index command writes, each method's run
-file and each grid's best-params JSON are compared with the SHA-256
-recorded for each, so a change to analysis or to the snapshot layout fails
+file, the --dump-model and --dump-trace directories and each grid's
+best-params JSON are compared with the SHA-256 recorded for each, so a change to analysis or to the snapshot layout fails
 here even when no ranking moves, and a change that moves a ranking or the
 last digit of any score fails here, however it was meant. Two of
 the grids vary mu, so a stage or table that one mu wrongly reuses at
@@ -42,6 +43,18 @@ RUN_SHA256 = {
     "qa-decay": "e2e3bad669ce3ca5d8033770967e714c20716dc6143f2b82e225a19be557a038",
 }
 
+# run --dump-model / --dump-trace directories: one SHA-256 per directory over
+# its files, see directory_digest. rm3-qprime keeps no trace.
+DUMP_SHA256 = {
+    "srm-qc": {
+        "--dump-model": "67b5870b20374e2f69aa441bbb0376ef643c873628589e7d8a8302805b294c78",
+        "--dump-trace": "bda0e60d2d5ecdec56d506b3fd2540dd4c6583025f9b9e6fb4ad5d3978563dc9",
+    },
+    "rm3-qprime": {
+        "--dump-model": "62f182bddd8bab51327290dadf5bfccd397c6e7fa4ab69a28e8ce4ecd78c81f6",
+    },
+}
+
 # tune grids, each with the best.json SHA-256 it writes.
 TUNE_GRIDS = {
     "srm-qc": (["--lambda", "0.2,0.5,0.8", "--gamma", "0.3,0.7"],
@@ -63,6 +76,17 @@ def load_generator():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def directory_digest(path):
+    """SHA-256 over the (file name, bytes) pairs of a directory, sorted by
+    name, each written as the UTF-8 name, a NUL, the byte count (8 bytes,
+    big-endian) and the bytes."""
+    digest = hashlib.sha256()
+    for name, data in sorted((entry.name, entry.read_bytes()) for entry in path.iterdir()):
+        digest.update(name.encode("utf-8") + b"\0" + len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +114,18 @@ def test_run_file_is_byte_identical(generated, method):
                  "--sessions", str(generated / "sessions.json"),
                  "--method", method, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[method]
+
+
+@pytest.mark.parametrize("method", sorted(DUMP_SHA256))
+def test_model_and_trace_dumps_are_byte_identical(generated, method):
+    out = generated / f"run.{method}.dumped.txt"
+    dirs = {flag: generated / f"{method}{flag}" for flag in DUMP_SHA256[method]}
+    flags = [arg for flag, path in dirs.items() for arg in (flag, str(path))]
+    assert main(["run", "--index", str(generated / "index.json"),
+                 "--sessions", str(generated / "sessions.json"),
+                 "--method", method, "--out", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[method]
+    assert {flag: directory_digest(path) for flag, path in dirs.items()} == DUMP_SHA256[method]
 
 
 @pytest.mark.parametrize("method", sorted(TUNE_GRIDS))
