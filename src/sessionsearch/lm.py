@@ -8,8 +8,9 @@ floored so callers can rank or fail loudly as they see fit.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analysis import AnalyzedText
 from .index import DocumentRecord, CollectionStats, InvertedIndex
@@ -107,7 +108,7 @@ def clip_distribution(dist: TermDistribution, max_terms: int) -> TermDistributio
         raise ValueError(f"max_terms must be positive, got {max_terms}")
     if len(dist) <= max_terms:
         return dist
-    kept = sorted(dist.items(), key=lambda item: (-item[1], item[0]))[:max_terms]
+    kept = rank_documents(dist.items())[:max_terms]
     return TermDistribution.from_weights(dict(kept))
 
 
@@ -155,22 +156,25 @@ class LogLikelihoodScorer:
         sum_w p_w ln(mu P(w|C)) - (sum_w p_w) ln(|d| + mu)
             + sum_{w in d} p_w ln(1 + tf / (mu P(w|C)))
 
-    The constant and the weight total are fixed here, each document pays one
-    ln(|d| + mu), and each matched term costs one summand: its weight times
-    ln(1 + tf / (mu P(w|C))), computed on the first lookup of (term, tf) and
-    kept by this scorer, so a first pass or the rerank of a candidate list
-    computes each distinct summand once. A term without background mass
+    scores() is the one loop that applies it: to the first pass, the rerank,
+    pseudo-click selection, RM1 weights and, one document per call, query
+    aggregation. It computes the base (the first two parts) on the first
+    document of each length, and each matched term's summand, p_w ln(1 + tf
+    / (mu P(w|C))), on the first lookup of its (term, tf). The scorer keeps
+    both: a kept value is the same expression evaluated in the same order,
+    so the float a fresh one would be. A term without background mass
     (cf = 0, or any term when mu = 0) is required: a document without it
     scores -inf, and one with it gets p_w ln tf, so mu = 0 is the
     unsmoothed estimate. The summands are added with math.fsum, which is
     correctly rounded and so independent of their order: documents equal in
     exact arithmetic (same length, same multiset of summands) score
-    bit-equal. Like smoothed_prob, an empty document with mu = 0 raises
-    ValueError, unless there are no terms (the empty sum, 0).
+    bit-equal. A single summand is added as it is, which is its fsum. Like
+    smoothed_prob, an empty document with mu = 0 raises ValueError naming
+    it, unless there are no terms (the empty sum, 0).
     """
 
-    __slots__ = ("weights", "_background", "_summands", "_required", "_mu", "_constant",
-                 "_weight_total")
+    __slots__ = ("weights", "_background", "_summands", "_bases", "_required", "_mu",
+                 "_constant", "_weight_total")
 
     def __init__(self, weights: Iterable[tuple[str, float]], stats: CollectionStats, mu: float):
         self.weights: dict[str, float] = dict(weights)
@@ -179,6 +183,7 @@ class LogLikelihoodScorer:
         # smoothed_prob's expression.
         self._background: dict[str, float] = {}
         self._summands: dict[tuple[str, int], float] = {}
+        self._bases: dict[int, float] = {}
         self._required: list[str] = []
         for term in self.weights:
             cf = stats.collection_tf.get(term, 0)
@@ -200,27 +205,41 @@ class LogLikelihoodScorer:
             value = self._summands[term, tf] = self.weights[term] * ratio
             return value
 
-    def total(self, doc: DocumentRecord, summands: Iterable[float]) -> float:
-        """The score of doc, given the summands of the scored terms it holds."""
-        if not self.weights:
-            return 0.0
-        denom = doc.length + self._mu
-        if denom <= 0:
-            raise ValueError(
-                f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={self._mu}"
-            )
-        for term in self._required:
-            if not doc.term_counts.get(term):
-                return NEG_INF
-        return self._constant - self._weight_total * math.log(denom) + math.fsum(summands)
+    def scores(
+        self, docs: Iterable[DocumentRecord], matched: Optional[Iterable[list[float]]] = None
+    ) -> list[float]:
+        """The score of each document, in order. matched, when given, holds
+        each document's summands, in the same order (the first pass gathers
+        them term at a time)."""
+        weights = self.weights
+        if not weights:
+            return [0.0 for _ in docs]
+        bases, summands, required, mu = self._bases, self._summands, self._required, self._mu
+        out = []
+        for doc, values in zip(docs, repeat(None) if matched is None else matched):
+            base = bases.get(doc.length)
+            if base is None:
+                if doc.length + mu <= 0:
+                    raise ValueError(
+                        f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={mu}")
+                base = bases[doc.length] = (self._constant
+                                            - self._weight_total * math.log(doc.length + mu))
+            counts = doc.term_counts
+            if required and not all(map(counts.get, required)):
+                out.append(NEG_INF)
+                continue
+            if values is None:
+                values = []
+                # Intersecting two key views walks the smaller one: the
+                # document's terms or the scored terms, whichever are fewer.
+                for term in counts.keys() & weights.keys():
+                    value = summands.get((term, counts[term]))
+                    values.append(self.summand(term, counts[term]) if value is None else value)
+            out.append(base + (values[0] if len(values) == 1 else math.fsum(values)))
+        return out
 
     def __call__(self, doc: DocumentRecord) -> float:
-        # Intersecting two key views walks the smaller one: the document's
-        # terms or the scored terms, whichever are fewer.
-        counts = doc.term_counts
-        summand = self.summand
-        return self.total(doc, [summand(term, counts[term])
-                                for term in counts.keys() & self.weights.keys()])
+        return self.scores((doc,))[0]
 
 
 def query_log_likelihood(
@@ -330,11 +349,9 @@ def top_k_by_query_likelihood(
         per_tf = {tf: score.summand(term, tf) for tf in set(map(itemgetter(1), postings))}
         for doc_id, tf in postings:
             summands.setdefault(doc_id, []).append(per_tf[tf])
-    # The scorer's own total gives each document exactly the score the
-    # scorer would give it.
     docs = index.doc_table
-    scores = [(doc_id, score.total(docs[doc_id], values)) for doc_id, values in summands.items()]
-    return rank_documents(scores)[:k]
+    return rank_documents(zip(summands, score.scores(map(docs.__getitem__, summands),
+                                                     summands.values())))[:k]
 
 
 def query_likelihood_doc_weights(
@@ -352,7 +369,7 @@ def query_likelihood_doc_weights(
     if not doc_ids:
         raise ValueError("cannot weight an empty document set")
     score = LogLikelihoodScorer(query.counts().items(), index.stats, mu)
-    lls = [score(index.doc(doc_id)) for doc_id in doc_ids]
+    lls = score.scores(map(index.doc_table.__getitem__, doc_ids))
     peak = max(lls)
     if peak == NEG_INF:
         uniform = 1.0 / len(doc_ids)
@@ -363,7 +380,8 @@ def query_likelihood_doc_weights(
 
 
 def rank_documents(scores: Iterable[tuple[str, float]]) -> RankedList:
-    """Sort (doc_id, score) pairs by score descending, then doc_id ascending."""
+    """Sort (doc_id, score) pairs, or a distribution's (term, probability)
+    pairs, by score descending, then doc_id (term) ascending."""
     # Two stable sorts on C-level keys beat one on a tuple key built per
     # pair; reverse=True keeps equal scores in doc_id order.
     ranked = sorted(scores, key=itemgetter(0))

@@ -109,8 +109,8 @@ class Stages:
 
     Valid for one session and one index: start a fresh memo for another.
     Every lookup of a key returns the same object, so callers must not
-    mutate what they get. A stored scorer keeps the log ratios it has
-    computed (lm.LogLikelihoodScorer), so they live as long as the memo.
+    mutate what they get. A stored scorer keeps the summands and length
+    bases it has computed (lm.LogLikelihoodScorer) as long as the memo.
     """
 
     __slots__ = ("_memo",)
@@ -200,7 +200,7 @@ def select_feedback_docs(
 
     info_need = pseudo_info_need(session.queries_up_to(t))
     score = LogLikelihoodScorer(info_need.counts().items(), index.stats, mu)
-    scored = rank_documents((doc_id, score(index.doc(doc_id))) for doc_id in pool)
+    scored = rank_documents(zip(pool, score.scores(map(index.doc_table.__getitem__, pool))))
     return FeedbackSet(tuple(doc_id for doc_id, _ in scored[:m]), FeedbackSource.PSEUDO)
 
 

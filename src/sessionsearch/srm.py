@@ -319,7 +319,7 @@ def build_session_model(
         kl = math.inf if model.is_zero else kl_divergence(anchored, model)
         gamma_t = self_clarity_gamma(anchored, model, params.gamma)
         model = srm_update(model, anchored, gamma_t)
-        top = sorted(anchored.items(), key=lambda item: (-item[1], item[0]))[:10]
+        top = rank_documents(anchored.items())[:10]
         trace.records.append(
             StepTrace(
                 step=t,
@@ -350,6 +350,8 @@ def rerank(
     score descending with doc_id tie-break, so the output does not depend on
     the input order.
     """
-    score = cross_entropy_scorer(model, index.stats, mu)
-    rescored = [(doc_id, ql + score(index.doc(doc_id))) for doc_id, ql in candidates]
-    return rank_documents(rescored)
+    docs = index.doc_table
+    scores = cross_entropy_scorer(model, index.stats, mu).scores(
+        docs[doc_id] for doc_id, _ in candidates)
+    return rank_documents([(doc_id, ql + score)
+                           for (doc_id, ql), score in zip(candidates, scores)])

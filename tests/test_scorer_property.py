@@ -9,6 +9,8 @@ a length part and an fsum over the matched terms. These tests require:
   gives them;
 - bit-equal scores for documents that swap terms of equal cf and equal tf
   (the doc_id tie rule depends on it);
+- bit-equal scores from the batch method, in any order and over repeated
+  calls of one scorer, and the split sum computed afresh for each document;
 - bit-equal scores from the term-at-a-time first pass and the scorer;
 - bit-equal scores from a scorer whose memo of summands earlier documents
   filled, in any order and between scorers at other mu values, and from a
@@ -102,6 +104,52 @@ def corpora(draw):
     return token_lists
 
 
+def split_reference(pairs, doc, stats, mu):
+    """The split sum of one document, from scratch: constant minus weight
+    total times ln(|d| + mu), plus the fsum of the matched summands, with
+    the scorer's -inf, error and empty-sum rules."""
+    if not pairs:
+        return 0.0
+    denom = doc.length + mu
+    if denom <= 0:
+        raise ValueError(f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={mu}")
+    constant_terms = []
+    summands = []
+    for term, weight in pairs:
+        cf = stats.collection_tf.get(term, 0)
+        tf = doc.term_counts.get(term, 0)
+        if mu > 0 and cf:
+            background = mu * cf / stats.total_tokens
+            constant_terms.append(weight * math.log(background))
+            if tf:
+                summands.append(weight * math.log1p(tf / background))
+        elif not tf:
+            return NEG_INF
+        else:
+            summands.append(weight * math.log(tf))
+    base = math.fsum(constant_terms) - math.fsum(weight for _, weight in pairs) * math.log(denom)
+    return base + math.fsum(summands)
+
+
+@st.composite
+def long_and_short_documents(draw):
+    # Long documents of 50-1000 tokens, whose lengths rarely repeat, some
+    # with a neighbour one token longer, mixed with short ones whose lengths
+    # do repeat; each long one splits its length among the vocabulary at
+    # four cut points.
+    lengths = []
+    for _ in range(draw(st.integers(0, 5))):
+        length = draw(st.integers(50, 999))
+        lengths += [length, length + 1] if draw(st.booleans()) else [length]
+    token_lists = []
+    for length in lengths:
+        cuts = sorted(draw(st.lists(st.integers(0, length), min_size=4, max_size=4)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [length])]
+        token_lists.append([term for term, size in zip(VOCABULARY, sizes) for _ in range(size)])
+    token_lists += draw(corpora())
+    return draw(st.permutations(token_lists))
+
+
 weights = st.lists(
     st.tuples(
         st.sampled_from(MODEL_TERMS),
@@ -127,6 +175,32 @@ def test_scorer_equals_term_by_term_reference(token_lists, pairs, mu):
         # A scorer reused over many documents gives exactly what a fresh one
         # gives.
         assert got == outcome(LogLikelihoodScorer(pairs, stats, mu), doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(token_lists=long_and_short_documents(), pairs=weights, mu=mus, data=st.data())
+def test_batch_scores_equal_the_split_sum_bit_for_bit(token_lists, pairs, mu, data):
+    # The scorer keeps a base per length and skips fsum for one summand;
+    # neither may move a bit. With mu = 0 an empty document raises naming
+    # it, a cf = 0 term scores -inf and no weights score all 0.0. One scorer
+    # scores the documents in two orders and then one at a time.
+    docs, stats = build_corpus(token_lists)
+    score = LogLikelihoodScorer(pairs, stats, mu)
+    for order in (docs, data.draw(st.permutations(docs))):
+        expected = [outcome(split_reference, pairs, doc, stats, mu) for doc in order]
+        errors = [result for result in expected if isinstance(result, tuple)]
+        got = outcome(score.scores, order)
+        if errors:
+            assert got == errors[0]
+            assert repr(order[expected.index(errors[0])].doc_id) in got[1]
+            continue
+        assert [result.hex() for result in got] == [result.hex() for result in expected]
+        if not pairs:
+            assert got == [0.0] * len(order)
+    for doc in docs:
+        got = outcome(score, doc)
+        assert repr(got) == repr(outcome(split_reference, pairs, doc, stats, mu))
+        assert agrees(got, outcome(reference, pairs, doc, stats, mu))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
