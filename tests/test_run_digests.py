@@ -6,8 +6,10 @@ The input comes from the benchmark's own generator (bench/gen.py, loaded
 read-only and without writing bytecode): seed 7, 400 documents, 36
 sessions. The snapshot that the index command writes, each method's run
 file, the --dump-model and --dump-trace directories and each grid's
-best-params JSON are compared with the SHA-256 recorded for each, so a change to analysis or to the snapshot layout fails
-here even when no ranking moves, and a change that moves a ranking or the
+best-params JSON are compared with the SHA-256 recorded for each, so a
+change to analysis or to the snapshot layout fails here even when no
+ranking moves, a change to a model or to a trace's top terms fails here
+even when the run file holds, and a change that moves a ranking or the
 last digit of any score fails here, however it was meant. Two of
 the grids vary mu, so a stage or table that one mu wrongly reuses at
 another shows here. A change that alters scores on purpose records
