@@ -1,5 +1,5 @@
 """Byte-identity guard: the index snapshot, the run file of every method, the
-model and trace dumps of two methods, and the tune output of three grids, on
+model and trace dumps of two methods, and the tune output of five grids, on
 one generated input.
 
 The input comes from the benchmark's own generator (bench/gen.py, loaded
@@ -12,7 +12,8 @@ ranking moves, a change to a model or to a trace's top terms fails here
 even when the run file holds, and a change that moves a ranking or the
 last digit of any score fails here, however it was meant. Two of
 the grids vary mu, so a stage or table that one mu wrongly reuses at
-another shows here. A change that alters scores on purpose records
+another shows here; the others vary lambda with gamma or clip, so a
+rerank shared across those points that keeps a stale model shows here. A change that alters scores on purpose records
 the new digests and says in CHANGES.md which digits moved and why.
 
 The digests are tied to this interpreter (CPython 3.11, whose float repr
@@ -61,6 +62,10 @@ DUMP_SHA256 = {
 TUNE_GRIDS = {
     "srm-qc": (["--lambda", "0.2,0.5,0.8", "--gamma", "0.3,0.7"],
                "116f67376b54808b12f45a66cbbd556a54ba2460d8ec2a1ee84f0abf40c15f48"),
+    "srm-rm1": (["--lambda", "0.2,0.5,0.8", "--gamma", "0.3,0.7"],
+                "1550ca03e9d07456a66f287356fef3e32fd44a0527496c18d1372f81beec7da6"),
+    "rm3-qprime": (["--lambda", "0.3,0.6,0.9", "--clip", "5,100"],
+                   "b5844dcd011f794b535ddf1beb682ae21dfc622d3f9742d847089a12f9e31b0a"),
     "rm3-qn": (["--lambda", "0.3,0.6", "--mu", "500,2500"],
                "ce681bc732e78085db943e9e697ece2c9ac7b59e02ee186699268dddfb8710a7"),
     "qa-decay": (["--decay", "0.5,0.92", "--mu", "500,2500"],
