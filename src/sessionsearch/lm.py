@@ -392,11 +392,19 @@ def rank_documents(scores: Iterable[tuple[str, float]]) -> RankedList:
 def mix_doc_models(
     doc_weights: Mapping[str, float], index: InvertedIndex
 ) -> TermDistribution:
-    """Weighted mixture of unsmoothed document models."""
+    """Weighted mixture of unsmoothed document models.
+
+    Each document's model is read as count / length, the float doc_mle
+    holds: the fsum of a document's integer counts is exactly its length.
+    """
     weights: dict[str, float] = {}
     for doc_id, doc_weight in doc_weights.items():
         if doc_weight <= 0.0:
             continue
-        for term, p in doc_mle(index.doc(doc_id)).items():
-            weights[term] = weights.get(term, 0.0) + doc_weight * p
+        doc = index.doc(doc_id)
+        length = doc.length
+        if length == 0:
+            raise ValueError(f"document {doc.doc_id!r} has no analyzed tokens")
+        for term, count in doc.term_counts.items():
+            weights[term] = weights.get(term, 0.0) + doc_weight * (count / length)
     return TermDistribution.from_weights(weights)

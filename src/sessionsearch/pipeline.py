@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .baselines import qa_score, rm3_model
+from .baselines import qa_score, rm3_model, rm3_model_terms
 from .index import InvertedIndex
 from .lm import (
     RankedList,
@@ -33,8 +33,10 @@ from .srm import (
     SrmTrace,
     VARIANT_QUERY_CHANGE,
     VARIANT_RM1,
+    CandidateMatching,
     build_session_model,
     rerank,
+    session_model_terms,
 )
 
 logger = logging.getLogger(__name__)
@@ -145,12 +147,19 @@ def score_session_full(
     m), the session model's feedback stages as build_session_model does, the
     QA scorer and the RM1 model as qa_score and rm3_model do. The rest runs
     every call, and each scorer it builds computes its own log ratios.
+
+    A caller that passes stages scores the session again (tune), so the
+    rerank gets the candidates' srm.CandidateMatching, keyed by (mu, depth)
+    and the parameters that fix the terms any model can hold: (m, variant)
+    for SRM, (feedback query, m) for RM3. Without stages (run) the rerank
+    scores once, directly, which is cheaper than matching for one model.
     """
     q_n = session.current_query
     if not q_n.tokens:
         raise ValueError(
             f"session {session.session_id!r}: current query has no analyzable terms"
         )
+    scored_again = stages is not None
     if stages is None:
         stages = Stages()
     mu = config.mu
@@ -174,29 +183,31 @@ def score_session_full(
         return result
 
     if method in (METHOD_SRM_QC, METHOD_SRM_RM1):
-        result.model, result.trace = build_session_model(
-            session, config.srm_params(), index, stages
-        )
+        params = config.srm_params()
+        result.model, result.trace = build_session_model(session, params, index, stages)
+        family = ("srm", params.m, params.variant)
+        terms = lambda: session_model_terms(session, params, index, stages)
     else:
         feedback_query = q_n if method == METHOD_RM3_QN else pseudo_info_need(session.queries)
         feedback = stages.get(
             ("rm3_feedback", feedback_query.tokens, mu, config.m),
             lambda: top_k_by_query_likelihood(feedback_query, index, mu, config.m),
         )
+        feedback_ids = [doc_id for doc_id, _ in feedback]
         if feedback:
             result.model = rm3_model(
-                feedback_query,
-                [doc_id for doc_id, _ in feedback],
-                index,
-                mu,
-                config.lam,
-                config.clip_terms,
-                stages,
+                feedback_query, feedback_ids, index, mu, config.lam, config.clip_terms, stages
             )
         else:
             # Nothing retrievable to expand with; score with the bare query.
             result.model = query_mle(feedback_query)
-    result.ranking = rerank(candidates, result.model, index, mu)
+        family = ("rm3", feedback_query.tokens, config.m)
+        terms = lambda: rm3_model_terms(feedback_query, feedback_ids, index, mu, stages)
+    matching = None
+    if scored_again:
+        matching = stages.get(("matching", mu, config.depth, family),
+                              lambda: CandidateMatching(candidates, terms(), index))
+    result.ranking = rerank(candidates, result.model, index, mu, matching)
     return result
 
 

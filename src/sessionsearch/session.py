@@ -110,7 +110,9 @@ class Stages:
     Valid for one session and one index: start a fresh memo for another.
     Every lookup of a key returns the same object, so callers must not
     mutate what they get. A stored scorer keeps the summands and length
-    bases it has computed (lm.LogLikelihoodScorer) as long as the memo.
+    bases it has computed (lm.LogLikelihoodScorer) as long as the memo, and
+    a stored candidate matching (srm.CandidateMatching) the rankings it has
+    made, one per distinct model.
     """
 
     __slots__ = ("_memo",)

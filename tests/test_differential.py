@@ -22,10 +22,18 @@ such a near-tie at a cut are skipped.
 A second test tunes each method over random grids twice, scoring with
 plain score_session and with pipeline.StagedScorer, which reuses a
 session's stages across grid points; the two must agree bit for bit.
+
+A third scores one session at random lambda, gamma, clip and m points
+under one shared Stages, as tune does, so the rerank reuses the
+candidates' term matching and its rankings; each ranking must equal the
+direct srm.rerank of the same candidates and model bit for bit, a model
+with a word the corpus lacks must leave every candidate at -inf, and a
+model holding a term outside the matched universe must raise.
 """
 
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -35,8 +43,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import oracle  # noqa: E402
 from conftest import instance_index, instance_session  # noqa: E402
 
+from sessionsearch import pipeline  # noqa: E402
 from sessionsearch.evalkit import Qrels, grid_tune  # noqa: E402
-from sessionsearch.lm import top_k_by_query_likelihood  # noqa: E402
+from sessionsearch.lm import TermDistribution, top_k_by_query_likelihood  # noqa: E402
 from sessionsearch.pipeline import (  # noqa: E402
     METHODS,
     RunConfig,
@@ -44,7 +53,8 @@ from sessionsearch.pipeline import (  # noqa: E402
     score_session,
     score_session_full,
 )
-from sessionsearch.session import select_feedback_docs  # noqa: E402
+from sessionsearch.session import Stages, select_feedback_docs  # noqa: E402
+from sessionsearch.srm import rerank  # noqa: E402
 
 TOLERANCE = 1e-9
 NEG_INF = float("-inf")
@@ -372,3 +382,65 @@ def test_staged_tune_keys_feedback_selection_by_mu(method):
     args = ([session], Qrels({"t1": {"dA": 1}}), index, RunConfig(method=method),
             {"m": [1, 2], "mu": [1.0, 2500.0]})
     assert tune_rankings(StagedScorer(), *args) == tune_rankings(score_session, *args)
+
+
+RERANKED = ("srm-qc", "srm-rm1", "rm3-qn", "rm3-qprime")
+FOREIGN = "foreign"  # in no document and no query
+
+
+def grid_points():
+    return st.fixed_dictionaries({
+        "lam": st.sampled_from(GRID_VALUES["lam"]),
+        "gamma": st.sampled_from(GRID_VALUES["gamma"]),
+        "clip_terms": st.sampled_from(GRID_VALUES["clip_terms"]),
+        "m": st.sampled_from(GRID_VALUES["m"]),
+    })
+
+
+def hexed(ranking):
+    return [(doc_id, score.hex()) for doc_id, score in ranking]
+
+
+# The current query holds a word no document contains, so every model keeps
+# a required term and every candidate scores -inf.
+UNSEEN_EXAMPLE = {
+    "docs": {"d0": {"w0": 2, "w1": 1}, "d1": {"w1": 1, "w2": 1}, "d2": {"w2": 3, "w0": 1}},
+    "steps": [{"query": ["w1"], "impressions": ["d0", "d1"], "clicks": ["d0"]},
+              {"query": ["w2", UNSEEN], "impressions": ["d1", "d2"], "clicks": []}],
+    "current": ["w1", UNSEEN],
+    "params": {"gamma": 0.3, "lam": 0.5, "m": 2, "mu": 100.0},
+    "clip_terms": 100,
+    "decay": 0.92,
+    "depth": 2000,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instance=instances(), method=st.sampled_from(RERANKED),
+       points=st.lists(grid_points(), min_size=2, max_size=5))
+@hypothesis.example(instance=UNSEEN_EXAMPLE, method="srm-qc",
+                    points=[{"lam": 0.5, "gamma": 0.3, "clip_terms": 100, "m": 2},
+                            {"lam": 1.0, "gamma": 0.0, "clip_terms": 2, "m": 2}])
+@hypothesis.example(instance=UNSEEN_EXAMPLE, method="rm3-qn",
+                    points=[{"lam": 0.5, "gamma": 0.3, "clip_terms": 100, "m": 1},
+                            {"lam": 0.0, "gamma": 0.3, "clip_terms": 3, "m": 1}])
+def test_staged_rerank_equals_direct_rerank_bit_for_bit(instance, method, points):
+    index = instance_index(instance)
+    session = instance_session(instance)
+    stages = Stages()
+    for point in points:
+        config = RunConfig(method=method, mu=instance["params"]["mu"],
+                           depth=instance["depth"], **point)
+        with mock.patch.object(pipeline, "rerank", wraps=rerank) as spy:
+            result = score_session_full(session, index, config, stages)
+        if not spy.called:
+            assert result.ranking == []
+            continue
+        candidates, model, _, mu, matching = spy.call_args.args
+        assert matching is not None
+        assert hexed(result.ranking) == hexed(rerank(candidates, model, index, mu))
+        if any(not index.stats.collection_tf.get(term) for term in model.support()):
+            assert all(score == NEG_INF for _, score in result.ranking)
+        foreign = TermDistribution.from_weights({**model.as_dict(), FOREIGN: 0.5})
+        with pytest.raises(ValueError, match="outside the matched universe"):
+            rerank(candidates, foreign, index, mu, matching)
