@@ -180,10 +180,9 @@ def cmd_index(args) -> int:
         logger.warning("corpus %s is empty; writing an empty index", args.corpus)
     index = build_index(docs)
     index.save(args.out)
-    print(
-        f"indexed {index.stats.num_docs} documents, "
-        f"{len(index.postings)} distinct terms -> {args.out}"
-    )
+    # Counted from the document table, so the postings are never derived.
+    terms = set().union(*(rec.term_counts for rec in index.doc_table.values()))
+    print(f"indexed {len(index.doc_table)} documents, {len(terms)} distinct terms -> {args.out}")
     return 0
 
 

@@ -285,7 +285,10 @@ def grid_tune(
     Sessions are scored session-major: score_fn(session, index, config)
     sees every point of one session before the next session, so a scorer
     may reuse the session's stages across points (pipeline.StagedScorer).
-    Each point's MAP still adds its sessions' APs in session order.
+    Each point's MAP still adds its sessions' APs in session order. When
+    score_fn returns the very list it returned at an earlier point of the
+    same session (a ranking the scorer kept), that list is taken as
+    unchanged and its AP is reused.
     """
     if not grids or any(len(values) == 0 for values in grids.values()):
         raise ValueError("grid search needs at least one value for every grid")
@@ -303,9 +306,16 @@ def grid_tune(
         if not session.current_query.tokens:
             continue
         grades = qrels.for_topic(session.topic_id)
+        # (ranking, AP) per distinct list score_fn returned for this session,
+        # held until the next session.
+        scored: list[tuple[object, float]] = []
         for values, config in zip(aps, configs):
-            ranking = [doc_id for doc_id, _ in score_fn(session, index, config)]
-            values.append(average_precision(ranking, grades))
+            ranked = score_fn(session, index, config)
+            ap = next((ap for seen, ap in scored if seen is ranked), None)
+            if ap is None:
+                ap = average_precision([doc_id for doc_id, _ in ranked], grades)
+                scored.append((ranked, ap))
+            values.append(ap)
 
     best_config = None
     best_map = -1.0

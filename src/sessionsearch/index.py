@@ -2,10 +2,12 @@
 
 The document table is the one stored form: records in doc_id order, each
 count map in term order. Postings and collection statistics are derived
-from it in one pass, so a built index and its loaded snapshot are equal down
-to iteration order. The snapshot (JSON, magic header + format version) holds
-the table as written; `load` rejects one out of order instead of re-sorting
-it. An index is immutable once built.
+from it in one pass, on first use, so a built index and its loaded snapshot
+are equal down to iteration order, whichever is read first. `load` derives
+them before it returns; an index that is only built and saved (the `index`
+command) never does. The snapshot (JSON, magic header + format version)
+holds the table as written; `load` rejects one out of order instead of
+re-sorting it. An index is immutable once built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from operator import ge, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
@@ -87,21 +90,32 @@ class CollectionStats:
 
 
 class InvertedIndex:
-    """Postings, document table, and collection statistics for one corpus."""
+    """Document table of one corpus, with its postings and collection
+    statistics. Both are derived from the table on first use and then kept;
+    `load` derives them before it returns."""
 
     def __init__(self, doc_table: dict[str, DocumentRecord]):
         """Index a document table given in doc_id order, counts in term order."""
+        self.doc_table = doc_table
+
+    @cached_property
+    def postings(self) -> dict[str, tuple[tuple[str, int], ...]]:
+        """Per term in term order, its (doc_id, count) pairs in doc_id order."""
         gathered: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
-        for doc_id, rec in doc_table.items():
+        for doc_id, rec in self.doc_table.items():
             for term, count in rec.term_counts.items():
                 gathered[term].append((doc_id, count))
-        self.doc_table = doc_table
-        self.postings = {term: tuple(gathered[term]) for term in sorted(gathered)}
-        self.stats = CollectionStats(
-            total_tokens=sum(rec.length for rec in doc_table.values()),
-            collection_tf={t: sum(map(itemgetter(1), p)) for t, p in self.postings.items()},
-            doc_freq={t: len(p) for t, p in self.postings.items()},
-            num_docs=len(doc_table),
+        return {term: tuple(gathered[term]) for term in sorted(gathered)}
+
+    @cached_property
+    def stats(self) -> CollectionStats:
+        """Collection statistics, read off the postings (derived first if needed)."""
+        postings = self.postings
+        return CollectionStats(
+            total_tokens=sum(rec.length for rec in self.doc_table.values()),
+            collection_tf={t: sum(map(itemgetter(1), p)) for t, p in postings.items()},
+            doc_freq={t: len(p) for t, p in postings.items()},
+            num_docs=len(self.doc_table),
         )
 
     def doc(self, doc_id: str) -> DocumentRecord:
@@ -167,7 +181,9 @@ class InvertedIndex:
             if any(map(ge, terms, terms[1:])):
                 raise ValueError(f"{path}: doc {doc_id!r}: counts are not in term order")
             doc_table[doc_id] = DocumentRecord(doc_id, counts, length)
-        return cls(doc_table)
+        index = cls(doc_table)
+        index.stats  # derives the postings too: both are part of the load
+        return index
 
 
 def build_index(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sessionsearch import evalkit, pipeline
+from sessionsearch import cli, evalkit, pipeline
 from sessionsearch.analysis import analyze
 from sessionsearch.cli import _build_parser, main
 from sessionsearch.evalkit import parse_run_file
@@ -117,7 +117,7 @@ class TestIndexCommand:
         out = tmp_path / "snapshot.idx"
         assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
-        assert "indexed 3 documents" in stdout
+        assert stdout == f"indexed 3 documents, 9 distinct terms -> {out}\n"
         assert out.is_file()
         index = InvertedIndex.load(out)
         assert index.stats.num_docs == 3
@@ -160,8 +160,30 @@ class TestIndexCommand:
             rc = main(["index", "--corpus", str(corpus), "--out", str(out)])
         assert rc == 0
         assert "empty" in caplog.text
-        assert "indexed 0 documents" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"indexed 0 documents, 0 distinct terms -> {out}\n"
         assert out.is_file()
+
+    def test_derives_no_postings_or_stats(self, tmp_path, monkeypatch):
+        # The counts come from the document table; the snapshot holds only it.
+        built = []
+
+        def build_index(docs):
+            built.append(real_build(docs))
+            return built[-1]
+
+        real_build = cli.build_index
+        monkeypatch.setattr(cli, "build_index", build_index)
+        corpus = write_corpus(tmp_path)
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "x.idx")]) == 0
+        (index,) = built
+        assert not {"postings", "stats"} & vars(index).keys()
+
+
+def test_loaded_index_is_derived_before_the_block(workspace):
+    # Derived inside the collector pause and before the freeze, not at the
+    # first read while sessions are scored.
+    with cli._loaded_index(str(workspace["index"])) as index:
+        assert {"postings", "stats"} <= vars(index).keys()
 
 
 class TestRunCommand:

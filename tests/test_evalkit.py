@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_session
 
+from sessionsearch import evalkit
 from sessionsearch.evalkit import (
     MAX_GRADE,
     Qrels,
@@ -397,6 +398,39 @@ class TestGridTune:
             grid_tune(
                 self.sessions(), self.QRELS, None, RunConfig(), {"depth": [10]}, ranking_fn
             )
+
+    def test_a_list_returned_again_is_scored_once_per_session(self, monkeypatch):
+        # One list is returned at lam 0.3 and 0.7 in both sessions, whose
+        # grades differ; lam 0.5 returns a fresh list equal to it, lam 0.6
+        # a fresh reversed one.
+        scored = []
+
+        def spy(ranking, grades):
+            scored.append(ranking)
+            return real_ap(ranking, grades)
+
+        real_ap = evalkit.average_precision
+        monkeypatch.setattr(evalkit, "average_precision", spy)
+        kept = ranking_fn(True)
+
+        def score(session, index, config):
+            if config.lam == 0.5:
+                return ranking_fn(True)
+            if config.lam == 0.6:
+                return ranking_fn(False)
+            return kept
+
+        sessions = [
+            make_session([], ["q"], session_id="s1", topic_id="t1"),
+            make_session([], ["q"], session_id="s2", topic_id="t2"),
+        ]
+        # AP of ["rel", "junk"]: 1.0 for t1, 0.25 for t2; reversed: 0.5 and 0.5.
+        qrels = Qrels({"t1": {"rel": 1}, "t2": {"junk": 1, "other": 1}})
+        _, table = grid_tune(
+            sessions, qrels, None, RunConfig(), {"lam": [0.3, 0.5, 0.6, 0.7]}, score
+        )
+        assert [row["map"] for row in table] == [0.625, 0.625, 0.5, 0.625]
+        assert scored == [["rel", "junk"], ["rel", "junk"], ["junk", "rel"]] * 2
 
     @pytest.mark.parametrize("grids, named", [
         ({"lam": [0.3, 0.3]}, "'lam' grid: duplicate grid value 0.3"),

@@ -102,6 +102,19 @@ def test_save_load_round_trip(tmp_path, club_docs):
         assert before == after
 
 
+@pytest.mark.parametrize("first", ["postings", "stats"])
+def test_derived_on_first_read_as_loaded(tmp_path, club_docs, first):
+    built = build_index(club_docs, analyzer=whitespace_analyze)
+    assert not {"postings", "stats"} & vars(built).keys()
+    getattr(built, first)
+    assert first in vars(built)
+    path = tmp_path / "index.json"
+    built.save(path)
+    loaded = InvertedIndex.load(path)
+    assert iteration_order(built) == iteration_order(loaded)
+    assert built.stats == loaded.stats
+
+
 def test_save_is_deterministic(tmp_path, club_index):
     path_a = tmp_path / "a.json"
     path_b = tmp_path / "b.json"
