@@ -55,44 +55,15 @@ def rm3_model(
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    qm = query_mle(query)
-    fm = _staged_rm1_model(query, feedback_doc_ids, index, mu, stages)
-    return clip_distribution(interpolate(1.0 - lam, qm, lam, fm), clip_terms)
-
-
-def rm3_model_terms(
-    query: AnalyzedText,
-    feedback_doc_ids: Sequence[str],
-    index: InvertedIndex,
-    mu: float,
-    stages: Optional[Stages] = None,
-) -> frozenset[str]:
-    """Every term rm3_model(query, feedback_doc_ids, index, mu, lam, clip,
-    stages) can hold at any lam and clip: the query's terms and the RM1
-    model's support (just the query's terms without feedback documents,
-    the bare query model a caller scores with then)."""
-    terms = frozenset(query.tokens)
-    if not feedback_doc_ids:
-        return terms
-    return terms.union(_staged_rm1_model(query, feedback_doc_ids, index, mu, stages).support())
-
-
-def _staged_rm1_model(
-    query: AnalyzedText,
-    feedback_doc_ids: Sequence[str],
-    index: InvertedIndex,
-    mu: float,
-    stages: Optional[Stages],
-) -> TermDistribution:
-    """rm1_model, looked up in stages (a fresh memo when None) under
-    (query tokens, feedback doc ids, mu)."""
     if stages is None:
         stages = Stages()
+    qm = query_mle(query)
     feedback_doc_ids = tuple(feedback_doc_ids)
-    return stages.get(
+    fm = stages.get(
         ("rm1", query.tokens, feedback_doc_ids, mu),
         lambda: rm1_model(query, feedback_doc_ids, index, mu),
     )
+    return clip_distribution(interpolate(1.0 - lam, qm, lam, fm), clip_terms)
 
 
 def qa_score(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -21,6 +22,10 @@ RankedDocs = Sequence[str]
 # overflow the ideal DCG and make nDCG NaN; at 64 no topic size can.
 MAX_GRADE = 64
 
+# int() would also read "1_0" as 10 and non-ASCII digits such as a
+# fullwidth "1"; grades are plain ASCII integers.
+_GRADE = re.compile(r"[+-]?[0-9]+")
+
 
 @dataclass(frozen=True)
 class Qrels:
@@ -32,10 +37,10 @@ class Qrels:
     def from_trec_file(cls, path: str | Path) -> "Qrels":
         """Parse whitespace-separated "topic_id 0 doc_id grade" lines.
 
-        Negative grades (spam judgments) are clamped to 0. Malformed lines,
-        grades above MAX_GRADE and a second, different grade for the same
-        (topic, doc) raise ValueError naming the line; a repeated identical
-        judgment is accepted.
+        Grades are ASCII integers; negative ones (spam judgments) are
+        clamped to 0. Malformed lines, grades above MAX_GRADE and a second,
+        different grade for the same (topic, doc) raise ValueError naming
+        the line; a repeated identical judgment is accepted.
         """
         grades: dict[str, dict[str, int]] = {}
         # (grade as written, line) of each judgment, to name a conflict.
@@ -50,12 +55,11 @@ class Qrels:
                         f"{path}: line {lineno}: expected 4 columns, got {len(parts)}"
                     )
                 topic_id, _, doc_id, grade_str = parts
-                try:
-                    grade = int(grade_str)
-                except ValueError as exc:
+                if not _GRADE.fullmatch(grade_str):
                     raise ValueError(
                         f"{path}: line {lineno}: grade {grade_str!r} is not an integer"
-                    ) from exc
+                    )
+                grade = int(grade_str)
                 if grade > MAX_GRADE:
                     raise ValueError(f"{path}: line {lineno}: grade {grade} is above {MAX_GRADE}")
                 first_grade, first_line = judged.setdefault((topic_id, doc_id), (grade, lineno))
@@ -211,9 +215,10 @@ def write_run_file(
 def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Read a 6-column TREC run file back into per-key rankings.
 
-    Lines are grouped by the first column and ordered by the rank column.
-    A rank or a doc that repeats under one key, or a malformed line, raises
-    ValueError naming the line (and, for a repeat, the first line).
+    Lines are grouped by the first column and ordered by the rank column,
+    a positive ASCII integer. A rank or a doc that repeats under one key,
+    or a malformed line, raises ValueError naming the line (and, for a
+    repeat, the first line).
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
     rank_lines: dict[tuple[str, int], int] = {}
@@ -228,11 +233,16 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                     f"{path}: line {lineno}: expected 6 columns, got {len(parts)}"
                 )
             key, _, doc_id, rank_str, score_str, _ = parts
+            # ASCII digits only, as for grades.
+            rank = int(rank_str) if rank_str.isascii() and rank_str.isdigit() else 0
+            if rank < 1:
+                raise ValueError(
+                    f"{path}: line {lineno}: rank {rank_str!r} is not a positive integer"
+                )
             try:
-                rank = int(rank_str)
                 score = float(score_str)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad rank or score") from exc
+                raise ValueError(f"{path}: line {lineno}: bad score {score_str!r}") from exc
             first = rank_lines.setdefault((key, rank), lineno)
             if first != lineno:
                 raise ValueError(f"{path}: line {lineno}: repeated rank {rank} under key "

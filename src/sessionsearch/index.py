@@ -145,10 +145,11 @@ class InvertedIndex:
         raw = load_json(path)
         if not isinstance(raw, dict) or raw.get("magic") != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not an index snapshot (bad magic header)")
-        if raw.get("version") != SNAPSHOT_VERSION:
+        version = raw.get("version")
+        # type() too: true and 1.0 compare equal to 1.
+        if type(version) is not int or version != SNAPSHOT_VERSION:
             raise ValueError(
-                f"{path}: unsupported snapshot version {raw.get('version')!r} "
-                f"(expected {SNAPSHOT_VERSION})"
+                f"{path}: unsupported snapshot version {version!r} (expected {SNAPSHOT_VERSION})"
             )
         docs = raw.get("docs")
         if not isinstance(docs, dict):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .baselines import qa_score, rm3_model, rm3_model_terms
+from .baselines import qa_score, rm3_model
 from .index import InvertedIndex
 from .lm import (
     RankedList,
@@ -36,7 +36,6 @@ from .srm import (
     CandidateMatching,
     build_session_model,
     rerank,
-    session_model_terms,
 )
 
 logger = logging.getLogger(__name__)
@@ -149,10 +148,11 @@ def score_session_full(
     every call, and each scorer it builds computes its own log ratios.
 
     A caller that passes stages scores the session again (tune), so the
-    rerank gets the candidates' srm.CandidateMatching, keyed by (mu, depth)
-    and the parameters that fix the terms any model can hold: (m, variant)
-    for SRM, (feedback query, m) for RM3. Without stages (run) the rerank
-    scores once, directly, which is cheaper than matching for one model.
+    rerank gets the candidates' srm.CandidateMatching, keyed by (mu, depth,
+    m): one matching per first pass, and per feedback depth m, which holds
+    each matching's terms to the models of one m. Without stages (run) the
+    rerank scores once, directly, which is cheaper than matching for one
+    model.
     """
     q_n = session.current_query
     if not q_n.tokens:
@@ -183,10 +183,9 @@ def score_session_full(
         return result
 
     if method in (METHOD_SRM_QC, METHOD_SRM_RM1):
-        params = config.srm_params()
-        result.model, result.trace = build_session_model(session, params, index, stages)
-        family = ("srm", params.m, params.variant)
-        terms = lambda: session_model_terms(session, params, index, stages)
+        result.model, result.trace = build_session_model(
+            session, config.srm_params(), index, stages
+        )
     else:
         feedback_query = q_n if method == METHOD_RM3_QN else pseudo_info_need(session.queries)
         feedback = stages.get(
@@ -201,12 +200,10 @@ def score_session_full(
         else:
             # Nothing retrievable to expand with; score with the bare query.
             result.model = query_mle(feedback_query)
-        family = ("rm3", feedback_query.tokens, config.m)
-        terms = lambda: rm3_model_terms(feedback_query, feedback_ids, index, mu, stages)
     matching = None
     if scored_again:
-        matching = stages.get(("matching", mu, config.depth, family),
-                              lambda: CandidateMatching(candidates, terms(), index))
+        matching = stages.get(("matching", mu, config.depth, config.m),
+                              lambda: CandidateMatching(candidates, index))
     result.ranking = rerank(candidates, result.model, index, mu, matching)
     return result
 

@@ -111,8 +111,9 @@ class Stages:
     Every lookup of a key returns the same object, so callers must not
     mutate what they get. A stored scorer keeps the summands and length
     bases it has computed (lm.LogLikelihoodScorer) as long as the memo, and
-    a stored candidate matching (srm.CandidateMatching) the rankings it has
-    made, one per distinct model.
+    a stored candidate matching (srm.CandidateMatching) the (term, tf)
+    pairs of every model scored through it and the rankings it has made,
+    one per distinct model.
     """
 
     __slots__ = ("_memo",)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator, Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .analysis import AnalyzedText
 from .baselines import rm1_model
@@ -266,33 +266,6 @@ def srm_update(
     return interpolate(gamma_t, prior, 1.0 - gamma_t, anchored)
 
 
-def _feedback_steps(
-    session: Session, params: SrmParams, index: InvertedIndex, stages: Stages
-) -> Iterator[tuple[int, AnalyzedText, QueryChange, FeedbackSet, Optional[TermDistribution]]]:
-    """The walk's steps with query terms, in order: (t, q_t, change, feedback
-    set, feedback model, or None when the set is empty). The set and the
-    model come from stages under build_session_model's keys."""
-    m, mu, variant = params.m, params.mu, params.variant
-    previous: Optional[AnalyzedText] = None
-    for t, q_t in enumerate(session.queries, start=1):
-        if not q_t.tokens:
-            continue
-        change = classify_change(previous, q_t)
-        feedback = stages.get(
-            ("feedback", t, m, mu), lambda: select_feedback_docs(session, t, m, mu, index)
-        )
-        fm = None
-        if feedback.doc_ids:
-            fm = stages.get(
-                ("feedback_model", t, m, mu, variant),
-                lambda: feedback_model(change, feedback, default_change_priors(), index, mu)
-                if variant == VARIANT_QUERY_CHANGE
-                else rm1_style_feedback_model(q_t, feedback, index, mu),
-            )
-        yield t, q_t, change, feedback, fm
-        previous = q_t
-
-
 def build_session_model(
     session: Session,
     params: SrmParams,
@@ -318,12 +291,26 @@ def build_session_model(
         )
     if stages is None:
         stages = Stages()
+    m, mu, variant = params.m, params.mu, params.variant
     model = ZERO
     trace = SrmTrace(session_id=session.session_id)
-    for t, q_t, change, feedback, fm in _feedback_steps(session, params, index, stages):
+    previous: Optional[AnalyzedText] = None
+    for t, q_t in enumerate(session.queries, start=1):
+        if not q_t.tokens:
+            continue
+        change = classify_change(previous, q_t)
+        feedback = stages.get(
+            ("feedback", t, m, mu), lambda: select_feedback_docs(session, t, m, mu, index)
+        )
         lambda_t = 0.0
-        if fm is not None:
+        if feedback.doc_ids:
             lambda_t = params.lam * generalized_jaccard_sim(q_t, q_n, index)
+            fm = stages.get(
+                ("feedback_model", t, m, mu, variant),
+                lambda: feedback_model(change, feedback, default_change_priors(), index, mu)
+                if variant == VARIANT_QUERY_CHANGE
+                else rm1_style_feedback_model(q_t, feedback, index, mu),
+            )
             anchored = anchor_feedback(fm, q_t, q_n, params.lam, index)
         else:
             # No usable feedback: the anchored model degenerates to the
@@ -345,45 +332,30 @@ def build_session_model(
                 top_terms=tuple(top),
             )
         )
+        previous = q_t
     final = clip_distribution(model, params.clip_terms)
     return final, trace
 
 
-def session_model_terms(
-    session: Session, params: SrmParams, index: InvertedIndex, stages: Stages
-) -> frozenset[str]:
-    """Every term that build_session_model(session, p, index, stages) can
-    put in a model, for any p that differs from params only in lam, gamma
-    and clip_terms: the terms of q_1..q_n and the support of each step's
-    feedback model, which stages holds (or gains) under (m, mu, variant)."""
-    terms = {term for query in session.queries for term in query.tokens}
-    for *_, fm in _feedback_steps(session, params, index, stages):
-        if fm is not None:
-            terms.update(fm.support())
-    return frozenset(terms)
-
-
 class CandidateMatching:
-    """One first pass's candidates matched against a term universe U, so
-    that rerank can score them under many models whose support lies in U
-    (tune's grid points) without intersecting each document's terms with
-    each model's.
+    """One first pass's candidates matched against the terms of the models
+    scored on them, so that rerank can score them under many models (tune's
+    grid points) without intersecting each document's terms with each
+    model's.
 
     Holds, per candidate, the (term, tf) pairs its document shares with
-    the part of U that models have held so far (a model with new terms
-    adds theirs in one pass over the candidates, so a U much larger than
-    the models, as long documents give, is never matched whole), and each
-    ranking made, keyed by mu and the model's exact items. rerank returns
-    a kept ranking itself, so callers must not mutate it.
+    the terms models have held so far (a model with new terms adds theirs
+    in one pass over the candidates), and each ranking made, keyed by mu
+    and the model's exact items. rerank returns a kept ranking itself, so
+    callers must not mutate it.
     """
 
-    __slots__ = ("candidates", "index", "universe", "_docs", "_matched_terms", "_positions",
+    __slots__ = ("candidates", "index", "_docs", "_matched_terms", "_positions",
                  "_pairs", "_matched", "_rankings")
 
-    def __init__(self, candidates: RankedList, universe: AbstractSet[str], index: InvertedIndex):
+    def __init__(self, candidates: RankedList, index: InvertedIndex):
         self.candidates = candidates
         self.index = index
-        self.universe = frozenset(universe)
         self._docs = [index.doc_table[doc_id] for doc_id, _ in candidates]
         self._matched_terms: set[str] = set()
         # The distinct (term, tf) pairs, each with its position in _pairs,
@@ -409,14 +381,10 @@ class CandidateMatching:
 
     def rerank(self, model: TermDistribution, mu: float) -> RankedList:
         """rerank(self.candidates, model, self.index, mu), bit for bit."""
-        support = model.support()
-        outside = support - self.universe
-        if outside:
-            raise ValueError(f"model terms outside the matched universe: {sorted(outside)}")
         key = (mu, tuple(model.items()))
         ranking = self._rankings.get(key)
         if ranking is None:
-            self._match(support)
+            self._match(model.support())
             score = cross_entropy_scorer(model, self.index.stats, mu)
             weights = score.weights
             # A matched term outside the model adds 0.0, which leaves
@@ -447,8 +415,7 @@ def rerank(
     matching, when given, is a CandidateMatching of these candidates that
     the caller keeps across models (pipeline.score_session_full does under
     tune): it scores from the kept term matching and returns a kept
-    ranking for a model with the same items, with the same floats. It
-    raises ValueError for a model with a term outside its universe. Without
+    ranking for a model with the same items, with the same floats. Without
     it each document's terms are intersected with the model's here, which
     is cheaper for a model scored once.
     """

@@ -26,9 +26,11 @@ session's stages across grid points; the two must agree bit for bit.
 A third scores one session at random lambda, gamma, clip and m points
 under one shared Stages, as tune does, so the rerank reuses the
 candidates' term matching and its rankings; each ranking must equal the
-direct srm.rerank of the same candidates and model bit for bit, a model
-with a word the corpus lacks must leave every candidate at -inf, and a
-model holding a term outside the matched universe must raise.
+direct srm.rerank of the same candidates and model bit for bit, and a
+model with a word the corpus lacks must leave every candidate at -inf. A
+model that adds a word no earlier model held (FOREIGN, and a corpus term,
+from a non-candidate document when there is one) must also rerank through
+the kept matching bit for bit as directly.
 """
 
 import math
@@ -401,6 +403,16 @@ def hexed(ranking):
     return [(doc_id, score.hex()) for doc_id, score in ranking]
 
 
+def unheld_corpus_term(index, candidates, held):
+    """A corpus term outside held, from a non-candidate document if one
+    has such a term; None when every corpus term is held."""
+    candidate_ids = {doc_id for doc_id, _ in candidates}
+    for _, doc in sorted(index.doc_table.items(), key=lambda item: item[0] in candidate_ids):
+        for term in sorted(doc.term_counts.keys() - held):
+            return term
+    return None
+
+
 # The current query holds a word no document contains, so every model keeps
 # a required term and every candidate scores -inf.
 UNSEEN_EXAMPLE = {
@@ -428,6 +440,7 @@ def test_staged_rerank_equals_direct_rerank_bit_for_bit(instance, method, points
     index = instance_index(instance)
     session = instance_session(instance)
     stages = Stages()
+    held = {}  # per kept matching, the terms of the models reranked through it
     for point in points:
         config = RunConfig(method=method, mu=instance["params"]["mu"],
                            depth=instance["depth"], **point)
@@ -441,6 +454,12 @@ def test_staged_rerank_equals_direct_rerank_bit_for_bit(instance, method, points
         assert hexed(result.ranking) == hexed(rerank(candidates, model, index, mu))
         if any(not index.stats.collection_tf.get(term) for term in model.support()):
             assert all(score == NEG_INF for _, score in result.ranking)
-        foreign = TermDistribution.from_weights({**model.as_dict(), FOREIGN: 0.5})
-        with pytest.raises(ValueError, match="outside the matched universe"):
-            rerank(candidates, foreign, index, mu, matching)
+        terms = held.setdefault(matching, set())
+        terms.update(model.support())
+        for word in (FOREIGN, unheld_corpus_term(index, candidates, terms)):
+            if word is None or word in terms:
+                continue
+            widened = TermDistribution.from_weights({**model.as_dict(), word: 0.5})
+            assert hexed(rerank(candidates, widened, index, mu, matching)) == hexed(
+                rerank(candidates, widened, index, mu))
+            terms.add(word)

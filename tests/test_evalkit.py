@@ -184,6 +184,20 @@ class TestQrels:
         with pytest.raises(ValueError, match="line 1"):
             Qrels.from_trec_file(path)
 
+    @pytest.mark.parametrize("grade", ["1_0", "\uff11", "1.0", "2e1", "0x1"])
+    def test_grade_not_an_ascii_integer_rejected_naming_line(self, tmp_path, grade):
+        # int() reads "1_0" as 10 and the fullwidth digit as 1.
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"t1 0 d1 1\nt1 0 d2 {grade}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            Qrels.from_trec_file(path)
+        assert str(raised.value) == f"{path}: line 2: grade {grade!r} is not an integer"
+
+    def test_signed_ascii_grades_accepted(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("t1 0 d1 +2\nt1 0 d2 -1\nt1 0 d3 01\n", encoding="utf-8")
+        assert Qrels.from_trec_file(path).for_topic("t1") == {"d1": 2, "d2": 0, "d3": 1}
+
     def test_grade_above_bound_rejected(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text(f"t1 0 d1 {MAX_GRADE}\nt1 0 d2 {MAX_GRADE + 1}\n", encoding="utf-8")
@@ -289,6 +303,20 @@ class TestRunFiles:
         path.write_text("s1 Q0 d1 one -1.0 t\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             parse_run_file(path)
+
+    @pytest.mark.parametrize("rank", ["0", "-3", "+1", "1_0", "\uff11", "1.0"])
+    def test_rank_not_a_positive_ascii_integer_rejected_naming_line(self, tmp_path, rank):
+        path = tmp_path / "run.txt"
+        path.write_text(f"s1 Q0 d1 1 -1.0 t\ns1 Q0 d2 {rank} -2.0 t\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            parse_run_file(path)
+        assert str(excinfo.value) == f"{path}: line 2: rank {rank!r} is not a positive integer"
+
+    def test_infinite_score_accepted(self, tmp_path):
+        # run writes -inf for a candidate a model term rules out.
+        path = tmp_path / "run.txt"
+        path.write_text("s1 Q0 d1 1 -1.0 t\ns1 Q0 d2 2 -inf t\n", encoding="utf-8")
+        assert parse_run_file(path) == {"s1": [("d1", -1.0), ("d2", float("-inf"))]}
 
     def test_empty_rankings_write_empty_file(self, tmp_path):
         path = tmp_path / "run.txt"

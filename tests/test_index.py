@@ -140,6 +140,17 @@ def test_load_rejects_wrong_version(tmp_path, tiny_index):
         InvertedIndex.load(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_load_rejects_version_equal_to_1_but_not_an_int(tmp_path, tiny_index, version):
+    path = tmp_path / "index.json"
+    tiny_index.save(path)
+    snapshot = json.loads(path.read_text())
+    snapshot["version"] = version
+    path.write_text(json.dumps(snapshot))
+    with pytest.raises(ValueError, match=rf"unsupported snapshot version {version!r} \(expected 1\)"):
+        InvertedIndex.load(path)
+
+
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
 def collector(request):
     """The caller's cyclic-collector setting, restored after the test."""
