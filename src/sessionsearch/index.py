@@ -1,13 +1,14 @@
 """Inverted index over a document corpus, with collection statistics.
 
 The document table is the one stored form: records in doc_id order, each
-count map in term order. Postings and collection statistics are derived
-from it in one pass, on first use, so a built index and its loaded snapshot
-are equal down to iteration order, whichever is read first. `load` derives
-them before it returns; an index that is only built and saved (the `index`
-command) never does. The snapshot (JSON, magic header + format version)
-holds the table as written; `load` rejects one out of order instead of
-re-sorting it. An index is immutable once built.
+count map in term order. Postings (per term, a {doc_id: count} map) and
+collection statistics are derived from it in one pass, on first use, so a
+built index and its loaded snapshot are equal down to iteration order,
+whichever is read first. `load` derives them before it returns; an index
+that is only built and saved (the `index` command) never does. The snapshot
+(JSON, magic header + format version) holds the table as written; `load`
+rejects one out of order instead of re-sorting it. An index is immutable
+once built.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from operator import ge, itemgetter
+from operator import ge
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, ItemsView, Iterable, Iterator, Mapping, TextIO
 
 from .analysis import AnalyzedText, analyze, term_memo
 
@@ -99,21 +100,23 @@ class InvertedIndex:
         self.doc_table = doc_table
 
     @cached_property
-    def postings(self) -> dict[str, tuple[tuple[str, int], ...]]:
-        """Per term in term order, its (doc_id, count) pairs in doc_id order."""
-        gathered: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
+    def postings(self) -> dict[str, ItemsView[str, int]]:
+        """Per term in term order, the items view of its {doc_id: count} map,
+        docs in doc_id order: it yields (doc_id, count) pairs, and its
+        .mapping is a read-only proxy of the map."""
+        gathered: defaultdict[str, dict[str, int]] = defaultdict(dict)
         for doc_id, rec in self.doc_table.items():
             for term, count in rec.term_counts.items():
-                gathered[term].append((doc_id, count))
-        return {term: tuple(gathered[term]) for term in sorted(gathered)}
+                gathered[term][doc_id] = count
+        return {term: gathered[term].items() for term in sorted(gathered)}
 
     @cached_property
     def stats(self) -> CollectionStats:
-        """Collection statistics, read off the postings (derived first if needed)."""
+        """Collection statistics; a term's cf sums its postings' counts, its df counts them."""
         postings = self.postings
         return CollectionStats(
             total_tokens=sum(rec.length for rec in self.doc_table.values()),
-            collection_tf={t: sum(map(itemgetter(1), p)) for t, p in postings.items()},
+            collection_tf={t: sum(p.mapping.values()) for t, p in postings.items()},
             doc_freq={t: len(p) for t, p in postings.items()},
             num_docs=len(self.doc_table),
         )

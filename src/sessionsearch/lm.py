@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analysis import AnalyzedText
@@ -156,24 +156,24 @@ class LogLikelihoodScorer:
         sum_w p_w ln(mu P(w|C)) - (sum_w p_w) ln(|d| + mu)
             + sum_{w in d} p_w ln(1 + tf / (mu P(w|C)))
 
-    scores() is the one loop that applies it: to the first pass, the rerank,
-    pseudo-click selection, RM1 weights and, one document per call, query
-    aggregation. It computes the base (the first two parts) on the first
-    document of each length, and each matched term's summand, p_w ln(1 + tf
-    / (mu P(w|C))), on the first lookup of its (term, tf). The scorer keeps
-    both: a kept value is the same expression evaluated in the same order,
-    so the float a fresh one would be. A term without background mass
-    (cf = 0, or any term when mu = 0) is required: a document without it
-    scores -inf, and one with it gets p_w ln tf, so mu = 0 is the
-    unsmoothed estimate. The summands are added with math.fsum, which is
-    correctly rounded and so independent of their order: documents equal in
-    exact arithmetic (same length, same multiset of summands) score
-    bit-equal. A single summand is added as it is, which is its fsum. Like
-    smoothed_prob, an empty document with mu = 0 raises ValueError naming
-    it, unless there are no terms (the empty sum, 0).
+    scores() is the one loop that applies it: to the rerank, pseudo-click
+    selection, RM1 weights, first-pass documents several terms match and,
+    one document per call, query aggregation. The scorer computes
+    base(length), the first two parts, once per length and summand(term,
+    tf), p_w ln(1 + tf / (mu P(w|C))), once per (term, tf), and keeps both:
+    a kept value is the same expression evaluated in the same order, so the
+    float a fresh one would be. A term without background mass (cf = 0, or
+    any term when mu = 0) is in .required: a document without it scores
+    -inf, and one with it gets p_w ln tf, so mu = 0 is the unsmoothed
+    estimate. The summands are added with math.fsum, which is correctly
+    rounded and so independent of their order: documents equal in exact
+    arithmetic (same length, same multiset of summands) score bit-equal. A
+    single summand, its own fsum, is added as it is. Like smoothed_prob, an
+    empty document with mu = 0 raises ValueError naming it, unless no terms
+    are scored (an empty sum, 0).
     """
 
-    __slots__ = ("weights", "_background", "_summands", "_bases", "_required", "_mu",
+    __slots__ = ("weights", "required", "_background", "_summands", "_bases", "_mu",
                  "_constant", "_weight_total")
 
     def __init__(self, weights: Iterable[tuple[str, float]], stats: CollectionStats, mu: float):
@@ -184,13 +184,13 @@ class LogLikelihoodScorer:
         self._background: dict[str, float] = {}
         self._summands: dict[tuple[str, int], float] = {}
         self._bases: dict[int, float] = {}
-        self._required: list[str] = []
+        self.required: list[str] = []
         for term in self.weights:
             cf = stats.collection_tf.get(term, 0)
             if mu > 0 and cf:
                 self._background[term] = mu * cf / stats.total_tokens
             else:
-                self._required.append(term)
+                self.required.append(term)
         self._constant = math.fsum(self.weights[term] * math.log(background)
                                    for term, background in self._background.items())
         self._weight_total = math.fsum(self.weights.values())
@@ -205,6 +205,12 @@ class LogLikelihoodScorer:
             value = self._summands[term, tf] = self.weights[term] * ratio
             return value
 
+    def base(self, length: int) -> float:
+        """The first two parts of a score, constant - W ln(length + mu)."""
+        if length not in self._bases:
+            self._bases[length] = self._constant - self._weight_total * math.log(length + self._mu)
+        return self._bases[length]
+
     def scores(
         self, docs: Iterable[DocumentRecord], matched: Optional[Iterable[list[float]]] = None
     ) -> list[float]:
@@ -214,7 +220,7 @@ class LogLikelihoodScorer:
         weights = self.weights
         if not weights:
             return [0.0 for _ in docs]
-        bases, summands, required, mu = self._bases, self._summands, self._required, self._mu
+        bases, summands, required, mu = self._bases, self._summands, self.required, self._mu
         out = []
         for doc, values in zip(docs, repeat(None) if matched is None else matched):
             base = bases.get(doc.length)
@@ -222,8 +228,7 @@ class LogLikelihoodScorer:
                 if doc.length + mu <= 0:
                     raise ValueError(
                         f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={mu}")
-                base = bases[doc.length] = (self._constant
-                                            - self._weight_total * math.log(doc.length + mu))
+                base = self.base(doc.length)
             counts = doc.term_counts
             if required and not all(map(counts.get, required)):
                 out.append(NEG_INF)
@@ -341,17 +346,29 @@ def top_k_by_query_likelihood(
     if not scorable.tokens:
         return []
     score = LogLikelihoodScorer(scorable.counts().items(), index.stats, mu)
-    # Term at a time: each posting hands its document the term's summand,
-    # computed once per distinct tf.
-    summands: dict[str, list[float]] = {}
+    # Term at a time, in C-level loops: a term maps its documents to its
+    # summand, computed once per distinct tf. A document one term matches
+    # scores base + summand; one several share keeps its summands for fsum.
+    alone: dict[str, float] = {}
+    shared: dict[str, list[float]] = {}
     for term in score.weights:
-        postings = index.postings[term]
-        per_tf = {tf: score.summand(term, tf) for tf in set(map(itemgetter(1), postings))}
-        for doc_id, tf in postings:
-            summands.setdefault(doc_id, []).append(per_tf[tf])
+        counts = index.postings[term].mapping
+        per_tf = {tf: score.summand(term, tf) for tf in set(counts.values())}
+        summands = dict(zip(counts, map(per_tf.__getitem__, counts.values())))
+        for doc_id in summands.keys() & shared.keys():
+            shared[doc_id].append(summands.pop(doc_id))
+        for doc_id in summands.keys() & alone.keys():
+            shared[doc_id] = [alone.pop(doc_id), summands.pop(doc_id)]
+        alone.update(summands)
+    # A document without a required term (any term, at mu = 0) scores -inf.
+    for term in score.required:
+        alone.update(dict.fromkeys(alone.keys() - index.postings[term].mapping.keys(), NEG_INF))
     docs = index.doc_table
-    return rank_documents(zip(summands, score.scores(map(docs.__getitem__, summands),
-                                                     summands.values())))[:k]
+    lengths = list(map(attrgetter("length"), map(docs.__getitem__, alone)))
+    bases = {length: score.base(length) for length in set(lengths)}
+    ranked = list(zip(alone, map(add, map(bases.__getitem__, lengths), alone.values())))
+    ranked += zip(shared, score.scores(map(docs.__getitem__, shared), shared.values()))
+    return rank_documents(ranked)[:k]
 
 
 def query_likelihood_doc_weights(

@@ -8,6 +8,7 @@ and stored but take no part in any computation.
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,8 +215,10 @@ def load_sessions(
 
     Expected shape: {"sessions": [{"session_id", "topic_id", "steps":
     [{"query", "impressions", "clicks": [{"doc", "dwell"?}]}], "current_query"}]},
-    each session id an index.valid_id with file_name=True. Violations, and
-    a session id used twice, raise ValueError naming the offending session.
+    each session id an index.valid_id with file_name=True, "steps" and
+    "clicks" lists, and each dwell absent, null or a finite number >= 0.
+    Violations, and a session id used twice, raise ValueError naming the
+    offending session.
     All queries share one analysis.term_memo scope.
     """
     raw = load_json(path)
@@ -249,17 +252,25 @@ def _parse_session(entry: dict, analyzer: Callable[[str], AnalyzedText]) -> Sess
             "or is '.' or '..'"
         )
     steps = []
-    for step in entry.get("steps", []):
+    raw_steps = entry.get("steps", [])
+    if not isinstance(raw_steps, list):
+        raise ValueError("'steps' must be a list")
+    for step in raw_steps:
         if not isinstance(step["query"], str):
             raise ValueError("'query' must be a string")
         impressions = step.get("impressions", [])
         if not isinstance(impressions, list) or not all(isinstance(d, str) for d in impressions):
             raise ValueError("'impressions' must be a list of strings")
-        clicks = tuple(
-            Click(doc_id=c["doc"], dwell=c.get("dwell")) for c in step.get("clicks", [])
-        )
+        raw_clicks = step.get("clicks", [])
+        if not isinstance(raw_clicks, list):
+            raise ValueError("'clicks' must be a list")
+        clicks = tuple(Click(doc_id=c["doc"], dwell=c.get("dwell")) for c in raw_clicks)
         if not all(isinstance(click.doc_id, str) for click in clicks):
             raise ValueError("a click's 'doc' must be a string")
+        # type(), not isinstance(): JSON true and false load as bool.
+        if not all(c.dwell is None or type(c.dwell) in (int, float) and 0 <= c.dwell < math.inf
+                   for c in clicks):
+            raise ValueError("a click's 'dwell' must be a finite number >= 0, or null")
         steps.append(
             SessionStep(
                 query_raw=step["query"],

@@ -362,6 +362,22 @@ class TestRunCommand:
         assert "bad.json" in err and "'query' must be a string" in err
         assert "absent.idx" not in err
 
+    def test_nan_dwell_rejected(self, workspace, capsys):
+        # Python's json reads NaN; it was once kept as the click's dwell.
+        payload = json.loads(json.dumps(SESSIONS))
+        payload["sessions"][0]["steps"][0]["clicks"][0]["dwell"] = float("nan")
+        bad = write_sessions(workspace["dir"], payload, name="bad.json")
+        out = workspace["dir"] / "run.txt"
+        rc = main([
+            "run", "--index", str(workspace["index"]), "--sessions", str(bad),
+            "--qrels", str(workspace["qrels"]), "--out", str(out), "--method", "srm-qc",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: session s1: a click's 'dwell' must be a finite number"
+                       " >= 0, or null"], err
+        assert not out.exists()
+
     def test_dump_model_and_trace(self, workspace):
         models = workspace["dir"] / "models"
         traces = workspace["dir"] / "traces"

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -25,12 +26,45 @@ def test_hand_counted_two_doc_fixture(tiny_index):
 
 
 def test_postings_consistent_and_sorted(tiny_index):
-    assert tiny_index.postings["b"] == (("d1", 1), ("d2", 1))
+    assert tuple(tiny_index.postings["b"]) == (("d1", 1), ("d2", 1))
     for term, postings in tiny_index.postings.items():
         doc_ids = [doc_id for doc_id, _ in postings]
         assert doc_ids == sorted(doc_ids)
         for doc_id, tf in postings:
             assert tiny_index.doc(doc_id).term_counts[term] == tf
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_postings_serve_the_benchmarks_reads(tmp_path, club_docs, loaded):
+    # Exactly the reads bench/run.py and bench/probe.py make of the
+    # postings, against counts taken from the document table here, so a
+    # layout that would break the benchmark fails here first.
+    index = build_index(club_docs, analyzer=whitespace_analyze)
+    if loaded:
+        index.save(tmp_path / "index.json")
+        index = InvertedIndex.load(tmp_path / "index.json")
+    cf, df, docs = Counter(), Counter(), {}
+    for doc_id, rec in index.doc_table.items():
+        cf.update(rec.term_counts)
+        df.update(rec.term_counts.keys())
+        for term in rec.term_counts:
+            docs.setdefault(term, []).append(doc_id)
+    postings = index.postings
+    assert len(postings) == len(cf) == 16
+    assert sum(len(p) for p in postings.values()) == sum(df.values())
+    for term in cf:
+        assert len(postings[term]) == df[term]
+        assert sum(c for _, c in postings[term]) == cf[term]
+        assert [doc_id for doc_id, _ in postings.get(term, ())] == docs[term]
+    assert [doc_id for doc_id, _ in postings.get("never-indexed", ())] == []
+    mapping = postings["jazz"].mapping
+    assert dict(mapping) == {"d1": 2, "d3": 1}
+    with pytest.raises(TypeError):
+        mapping["d2"] = 1
+    with pytest.raises(TypeError):
+        del mapping["d1"]
+    assert not hasattr(mapping, "clear")
+    assert dict(postings["jazz"]) == {"d1": 2, "d3": 1}
 
 
 def test_collection_tf_matches_postings(tiny_index):
@@ -76,7 +110,7 @@ def iteration_order(index):
     table = index.doc_table.items()
     return (
         [(doc_id, list(rec.term_counts.items()), rec.length) for doc_id, rec in table],
-        list(index.postings.items()),
+        [(term, list(postings)) for term, postings in index.postings.items()],
         list(index.stats.collection_tf.items()),
         list(index.stats.doc_freq.items()),
     )

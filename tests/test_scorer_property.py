@@ -11,7 +11,9 @@ a length part and an fsum over the matched terms. These tests require:
   (the doc_id tie rule depends on it);
 - bit-equal scores from the batch method, in any order and over repeated
   calls of one scorer, and the split sum computed afresh for each document;
-- bit-equal scores from the term-at-a-time first pass and the scorer;
+- bit-equal scores from the term-at-a-time first pass and the scorer, and
+  its top k in the order of a brute-force ranking by fresh scorers, ties
+  at the cutoff included;
 - bit-equal scores from a scorer whose memo of summands earlier documents
   filled, in any order and between scorers at other mu values, and from a
   fresh scorer;
@@ -257,6 +259,41 @@ def test_first_pass_equals_scorer_bit_for_bit(token_lists, query, mu):
     assert {doc_id for doc_id, _ in ranked} == matching
     for doc_id, got in ranked:
         assert got == score(index.doc(doc_id))
+
+
+@st.composite
+def corpora_with_ties(draw):
+    # Some documents repeated, so equal scores meet at any cutoff.
+    token_lists = draw(corpora())
+    token_lists += draw(st.lists(st.sampled_from(token_lists), max_size=6))
+    return draw(st.permutations(token_lists))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    token_lists=corpora_with_ties(),
+    query=st.lists(st.sampled_from(MODEL_TERMS), min_size=1, max_size=8),
+    mu=mus,
+    k=st.sampled_from(["1", "2", "all"]),
+)
+def test_first_pass_top_k_equals_brute_force_ranking(token_lists, query, mu, k):
+    # The query repeats terms and names words no document contains. Every
+    # document holding a known query term is scored by a fresh scorer,
+    # sorted by (-score, doc_id) and cut at k.
+    index = build_index(
+        [(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(token_lists)],
+        analyzer=whitespace_analyze,
+    )
+    k = len(token_lists) if k == "all" else int(k)
+    query_text = AnalyzedText(tuple(query))
+    pairs = known_terms_only(query_text, index.stats).counts().items()
+    brute = sorted(
+        ((doc_id, LogLikelihoodScorer(pairs, index.stats, mu)(doc))
+         for doc_id, doc in index.doc_table.items()
+         if any(term in doc.term_counts for term, _ in pairs)),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    assert repr(top_k_by_query_likelihood(query_text, index, mu, k)) == repr(brute[:k])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

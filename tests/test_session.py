@@ -2,6 +2,8 @@
 and session file parsing."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -267,6 +269,50 @@ class TestLoadSessions:
         )
         with pytest.raises(ValueError, match=message):
             load_sessions(path)
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"query": "q", "impressions": ["d1"], "clicks": {}}, "'clicks' must be a list"),
+            ({"query": "q", "impressions": ["d1"], "clicks": "d1"}, "'clicks' must be a list"),
+        ]
+        + [
+            ({"query": "q", "impressions": ["d1"], "clicks": [{"doc": "d1", "dwell": dwell}]},
+             "a click's 'dwell' must be a finite number >= 0, or null")
+            for dwell in ["fast", "12", math.nan, math.inf, -math.inf, -3, -0.5, [1], {}, True,
+                          False]
+        ],
+    )
+    def test_malformed_clicks_and_dwell_rejected(self, tmp_path, step, message):
+        path = self.write(
+            tmp_path,
+            {"sessions": [{"session_id": "s1", "topic_id": "t1", "steps": [step],
+                           "current_query": "q"}]},
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: session s1: {message}")):
+            load_sessions(path)
+
+    @pytest.mark.parametrize("steps", ["", "q", {}, {"query": "q"}, 0, True])
+    def test_steps_must_be_a_list(self, tmp_path, steps):
+        path = self.write(
+            tmp_path,
+            {"sessions": [{"session_id": "s1", "topic_id": "t1", "steps": steps,
+                           "current_query": "q"}]},
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: session s1: 'steps' must be a list")):
+            load_sessions(path)
+
+    @pytest.mark.parametrize("click", [{"doc": "d1"}, {"doc": "d1", "dwell": None},
+                                       {"doc": "d1", "dwell": 0}, {"doc": "d1", "dwell": 3},
+                                       {"doc": "d1", "dwell": 0.0}, {"doc": "d1", "dwell": 12.5},
+                                       {"doc": "d1", "dwell": 10**400}])
+    def test_valid_dwell_accepted(self, tmp_path, click):
+        path = self.write(
+            tmp_path,
+            {"sessions": [{"session_id": "s1", "topic_id": "t1", "current_query": "q",
+                           "steps": [{"query": "q", "impressions": ["d1"], "clicks": [click]}]}]},
+        )
+        assert load_sessions(path)[0].history[0].clicks == (Click("d1", click.get("dwell")),)
 
     def test_top_level_shape_enforced(self, tmp_path):
         path = tmp_path / "sessions.json"
