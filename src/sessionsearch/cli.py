@@ -53,19 +53,22 @@ def _require_file(path: str, role: str) -> Path:
     return resolved
 
 
-def _coerce(field_name: str, value):
+def _coerce(where: str, field_name: str, value):
     kind = _TYPES[field_name]
     if kind is str:
         if not isinstance(value, str):
-            raise ValueError(f"config field {field_name!r} must be a string, got {value!r}")
+            raise ValueError(f"{where} must be a string, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config field {field_name!r} must be a number, got {value!r}")
+        raise ValueError(f"{where} must be a number, got {value!r}")
     if kind is int:
         if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"config field {field_name!r} must be an integer, got {value!r}")
+            raise ValueError(f"{where} must be an integer, got {value!r}")
         return int(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{where} is out of float range") from None
 
 
 def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
@@ -77,18 +80,18 @@ def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
     grids: dict = {}
     for key, value in raw.items():
         field_name = _CONFIG_KEYS.get(key)
+        where = f"{path}: field {key!r}"
         if field_name is None:
             raise ValueError(f"{path}: unknown config field {key!r}")
         if isinstance(value, list):
             if not allow_grids:
-                raise ValueError(f"{path}: field {key!r} is a list; grids are for tune only")
+                raise ValueError(f"{where} is a list; grids are for tune only")
             if field_name not in evalkit.TUNABLE_FIELDS:
-                raise ValueError(f"{path}: field {key!r} cannot be tuned over")
-            grids[field_name] = evalkit.distinct_grid_values(
-                f"{path}: field {key!r}", [_coerce(field_name, item) for item in value]
-            )
+                raise ValueError(f"{where} cannot be tuned over")
+            values = [_coerce(where, field_name, item) for item in value]
+            grids[field_name] = evalkit.distinct_grid_values(where, values)
         else:
-            scalars[field_name] = _coerce(field_name, value)
+            scalars[field_name] = _coerce(where, field_name, value)
     return scalars, grids
 
 

@@ -55,11 +55,14 @@ class Qrels:
                         f"{path}: line {lineno}: expected 4 columns, got {len(parts)}"
                     )
                 topic_id, _, doc_id, grade_str = parts
-                if not _GRADE.fullmatch(grade_str):
+                try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+                    grade = int(grade_str) if _GRADE.fullmatch(grade_str) else None
+                except ValueError:
+                    grade = None
+                if grade is None:
                     raise ValueError(
                         f"{path}: line {lineno}: grade {grade_str!r} is not an integer"
                     )
-                grade = int(grade_str)
                 if grade > MAX_GRADE:
                     raise ValueError(f"{path}: line {lineno}: grade {grade} is above {MAX_GRADE}")
                 first_grade, first_line = judged.setdefault((topic_id, doc_id), (grade, lineno))
@@ -233,8 +236,10 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                     f"{path}: line {lineno}: expected 6 columns, got {len(parts)}"
                 )
             key, _, doc_id, rank_str, score_str, _ = parts
-            # ASCII digits only, as for grades.
-            rank = int(rank_str) if rank_str.isascii() and rank_str.isdigit() else 0
+            try:  # ASCII digits only, as for grades, and no more than int() reads
+                rank = int(rank_str) if rank_str.isascii() and rank_str.isdigit() else 0
+            except ValueError:
+                rank = 0
             if rank < 1:
                 raise ValueError(
                     f"{path}: line {lineno}: rank {rank_str!r} is not a positive integer"

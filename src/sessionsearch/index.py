@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from operator import ge
 from pathlib import Path
 from typing import Callable, ItemsView, Iterable, Iterator, Mapping, TextIO
 
@@ -54,16 +54,40 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
 
 def parse_json(text: str, path: str | Path, line: int = 0):
     """json.loads(text), read from path (from its given line, when not 0).
-    Invalid or too deeply nested JSON raises ValueError naming the file and
-    the line."""
+    Invalid JSON, JSON nested too deeply, or an integer with more digits than
+    int() reads raises ValueError naming the file and the line."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         reason = str(exc)
+    except ValueError:  # int() refused the digits of a JSON integer
+        reason = f"an integer has more than {sys.get_int_max_str_digits()} digits"
     except RecursionError:
         reason = "nested too deeply"
     where = f"{path}: line {line}" if line else path
     raise ValueError(f"{where}: invalid JSON: {reason}")
+
+
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def json_field(obj, name: str, kind: type, default=None, items: type | None = None):
+    """obj[name], of kind str, int, list or dict, and when items is given a
+    list of items of that type only; default when missing, an error if
+    default is None. ValueError names the field, or says obj is `not a JSON object`."""
+    if type(obj) is not dict:
+        raise ValueError("not a JSON object")
+    if name not in obj:
+        if default is None:
+            raise ValueError(f"missing {name!r}")
+        return default
+    value = obj[name]
+    # type(), not isinstance(): JSON true and false load as bool, not int.
+    if type(value) is not kind:
+        raise ValueError(f"{name!r} must be {_KIND_NAMES[kind]}")
+    if items is not None and any(type(item) is not items for item in value):
+        raise ValueError(f"each item of {name!r} must be {_KIND_NAMES[items]}")
+    return value
 
 
 def load_json(path: str | Path):
@@ -145,6 +169,7 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
+        """The index saved at path; ValueError names the file, and a bad entry's doc and field."""
         raw = load_json(path)
         if not isinstance(raw, dict) or raw.get("magic") != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not an index snapshot (bad magic header)")
@@ -162,28 +187,24 @@ class InvertedIndex:
         for doc_id, entry in docs.items():
             if not valid_id(doc_id):
                 raise ValueError(f"{path}: doc id {doc_id!r} is empty or contains whitespace")
-            if previous is not None and doc_id <= previous:
-                raise ValueError(
-                    f"{path}: doc {doc_id!r}: not in doc_id order (it follows {previous!r})"
-                )
-            previous = doc_id
             try:
-                counts = entry["counts"]
-                length = entry["length"]
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: malformed entry for doc {doc_id!r}: {exc!r}") from exc
-            if not isinstance(counts, dict):
-                raise ValueError(f"{path}: doc {doc_id!r}: counts must be a JSON object")
-            # type() rather than isinstance(): JSON true/false load as bool.
-            if counts and (set(map(type, counts.values())) != {int} or min(counts.values()) < 1):
-                raise ValueError(f"{path}: doc {doc_id!r}: counts must be positive integers")
-            if type(length) is not int or length != sum(counts.values()):
-                raise ValueError(
-                    f"{path}: doc {doc_id!r}: length {length!r} is not the sum of its counts"
-                )
-            terms = list(counts)
-            if any(map(ge, terms, terms[1:])):
-                raise ValueError(f"{path}: doc {doc_id!r}: counts are not in term order")
+                if previous is not None and doc_id <= previous:
+                    raise ValueError(f"not in doc_id order (it follows {previous!r})")
+                counts = json_field(entry, "counts", dict)
+                length = json_field(entry, "length", int)
+                values = counts.values()
+                # type() rather than isinstance(): JSON true/false load as bool.
+                if counts and (set(map(type, values)) != {int} or min(values) < 1):
+                    raise ValueError("counts must be positive integers")
+                if length != sum(values):
+                    raise ValueError(f"length {length!r} is not the sum of its counts")
+                if length > 2**53:  # so each count, and the length, is an exact float
+                    raise ValueError("counts sum to more than 2**53")
+                if list(counts) != sorted(counts):  # keys are distinct: in strict order
+                    raise ValueError("counts are not in term order")
+            except ValueError as exc:
+                raise ValueError(f"{path}: doc {doc_id!r}: {exc}") from None
+            previous = doc_id
             doc_table[doc_id] = DocumentRecord(doc_id, counts, length)
         index = cls(doc_table)
         index.stats  # derives the postings too: both are part of the load

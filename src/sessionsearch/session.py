@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze, term_memo
-from .index import InvertedIndex, load_json, valid_id
+from .index import InvertedIndex, json_field, load_json, valid_id
 from .lm import LogLikelihoodScorer, rank_documents
 
 
@@ -213,13 +213,13 @@ def load_sessions(
 ) -> list[Session]:
     """Read sessions from a JSON file.
 
-    Expected shape: {"sessions": [{"session_id", "topic_id", "steps":
-    [{"query", "impressions", "clicks": [{"doc", "dwell"?}]}], "current_query"}]},
-    each session id an index.valid_id with file_name=True, "steps" and
-    "clicks" lists, and each dwell absent, null or a finite number >= 0.
-    Violations, and a session id used twice, raise ValueError naming the
-    offending session.
-    All queries share one analysis.term_memo scope.
+    Expected shape: {"sessions": [{"session_id", "topic_id", "steps"?:
+    [{"query", "impressions"?, "clicks"?: [{"doc", "dwell"?}]}], "current_query"}]},
+    ids, queries, impressions and clicked docs strings, each session id an
+    index.valid_id with file_name=True, and each dwell absent, null or a
+    finite number >= 0. Violations, and a session id used twice, raise
+    ValueError naming the file, the session and the field. All queries
+    share one analysis.term_memo scope.
     """
     raw = load_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("sessions"), list):
@@ -230,8 +230,6 @@ def load_sessions(
             label = entry.get("session_id", f"#{pos}") if isinstance(entry, dict) else f"#{pos}"
             try:
                 sessions.append(_parse_session(entry, analyzer))
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(f"{path}: session {label}: malformed entry: {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}: session {label}: {exc}") from exc
     counts = Counter(session.session_id for session in sessions)
@@ -242,50 +240,23 @@ def load_sessions(
 
 
 def _parse_session(entry: dict, analyzer: Callable[[str], AnalyzedText]) -> Session:
-    session_id = entry["session_id"]
-    topic_id = entry["topic_id"]
-    if not isinstance(session_id, str) or not isinstance(topic_id, str):
-        raise ValueError("'session_id' and 'topic_id' must be strings")
+    session_id = json_field(entry, "session_id", str)
+    topic_id = json_field(entry, "topic_id", str)
     if not valid_id(session_id, file_name=True):
         raise ValueError(
             f"session id {session_id!r} is empty, contains whitespace, '/' or '\\', "
             "or is '.' or '..'"
         )
     steps = []
-    raw_steps = entry.get("steps", [])
-    if not isinstance(raw_steps, list):
-        raise ValueError("'steps' must be a list")
-    for step in raw_steps:
-        if not isinstance(step["query"], str):
-            raise ValueError("'query' must be a string")
-        impressions = step.get("impressions", [])
-        if not isinstance(impressions, list) or not all(isinstance(d, str) for d in impressions):
-            raise ValueError("'impressions' must be a list of strings")
-        raw_clicks = step.get("clicks", [])
-        if not isinstance(raw_clicks, list):
-            raise ValueError("'clicks' must be a list")
-        clicks = tuple(Click(doc_id=c["doc"], dwell=c.get("dwell")) for c in raw_clicks)
-        if not all(isinstance(click.doc_id, str) for click in clicks):
-            raise ValueError("a click's 'doc' must be a string")
+    for step in json_field(entry, "steps", list, (), items=dict):
+        query = json_field(step, "query", str)
+        impressions = json_field(step, "impressions", list, (), items=str)
+        clicks = tuple(Click(doc_id=json_field(c, "doc", str), dwell=c.get("dwell"))
+                       for c in json_field(step, "clicks", list, (), items=dict))
         # type(), not isinstance(): JSON true and false load as bool.
         if not all(c.dwell is None or type(c.dwell) in (int, float) and 0 <= c.dwell < math.inf
                    for c in clicks):
             raise ValueError("a click's 'dwell' must be a finite number >= 0, or null")
-        steps.append(
-            SessionStep(
-                query_raw=step["query"],
-                query=analyzer(step["query"]),
-                impressions=tuple(impressions),
-                clicks=clicks,
-            )
-        )
-    current_raw = entry["current_query"]
-    if not isinstance(current_raw, str):
-        raise ValueError("'current_query' must be a string")
-    return Session(
-        session_id=session_id,
-        topic_id=topic_id,
-        history=tuple(steps),
-        current_raw=current_raw,
-        current_query=analyzer(current_raw),
-    )
+        steps.append(SessionStep(query, analyzer(query), tuple(impressions), clicks))
+    current_raw = json_field(entry, "current_query", str)
+    return Session(session_id, topic_id, tuple(steps), current_raw, analyzer(current_raw))

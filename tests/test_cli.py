@@ -801,8 +801,9 @@ class TestBadInputFiles:
     SYNTAX = b'{"sessions":\n}'
     NOT_UTF8 = b"\xff\n"
 
-    def error_line(self, workspace, capsys, role, content):
-        """Run the command that reads role from a file holding content; check
+    def error_line(self, workspace, capsys, role, content, command="run"):
+        """Run the command that reads role from a file holding content (for
+        the sessions, snapshot, qrels and config, command: run or tune); check
         it exits 2 and writes nothing, and return its one error line."""
         d = workspace["dir"]
         inputs = {
@@ -824,10 +825,11 @@ class TestBadInputFiles:
             argv = ["eval", "--run", str(bad), "--qrels", str(inputs["qrels"]),
                     "--sessions", str(inputs["sessions"]), "--report", str(d / "report.json")]
         else:
-            argv = ["run", "--index", str(inputs["snapshot"]),
+            argv = [command, "--index", str(inputs["snapshot"]),
                     "--sessions", str(inputs["sessions"]), "--qrels", str(inputs["qrels"]),
-                    "--config", str(inputs["config"]),
-                    "--out", str(d / "run.txt"), "--report", str(d / "report.json")]
+                    "--config", str(inputs["config"]), "--out", str(d / "run.txt")]
+            if command == "run":
+                argv += ["--report", str(d / "report.json")]
         assert main(argv) == 2
         assert sorted(d.rglob("*")) == before
         err = capsys.readouterr().err.splitlines()
@@ -851,6 +853,73 @@ class TestBadInputFiles:
     def test_byte_that_is_not_utf8_names_file(self, workspace, capsys, role):
         err = self.error_line(workspace, capsys, role, self.NOT_UTF8)
         assert f"bad_{role}: not UTF-8 text: cannot decode byte 0xff" in err
+
+    # Past int()'s 4,300-digit limit, and past the float range.
+    LONG, HUGE = "1" + "0" * 5000, "1" + "0" * 400
+    STEPS = '[{"query": "jazz", "impressions": ["d1"], "clicks": [{"doc": "d1"}]}]'
+
+    @staticmethod
+    def session_file(steps=STEPS, rest=', "current_query": "jazz club"'):
+        session = '{"session_id": "s1", "topic_id": "t1", "steps": ' + steps + rest + "}"
+        return '{"sessions": [' + session + "]}"
+
+    @staticmethod
+    def snapshot_file(entry):
+        return '{"magic": "sessionsearch-index", "version": 1, "docs": {"d1": ' + entry + "}}"
+
+    # (id, role, command, content, what the line names besides the file)
+    FIELD_CASES = [
+        ("step-not-an-object", "sessions", "run", session_file('[["q"]]'),
+         ["session s1: each item of 'steps' must be an object"]),
+        ("click-without-doc", "sessions", "run",
+         session_file('[{"query": "jazz", "impressions": ["d1"], "clicks": [{"dwell": 1}]}]'),
+         ["session s1: missing 'doc'"]),
+        ("session-not-an-object", "sessions", "run", '{"sessions": [["s1"]]}',
+         ["session #0: not a JSON object"]),
+        ("doc-not-an-object", "snapshot", "run", snapshot_file("[1]"),
+         ["doc 'd1': not a JSON object"]),
+        ("step-without-query", "sessions", "run", session_file('[{"impressions": ["d1"]}]'),
+         ["session s1: missing 'query'"]),
+        ("session-without-current-query", "sessions", "run", session_file(rest=""),
+         ["session s1: missing 'current_query'"]),
+        ("doc-without-counts", "snapshot", "run", snapshot_file('{"length": 1}'),
+         ["doc 'd1': missing 'counts'"]),
+        ("long-dwell", "sessions", "run", session_file(
+            '[{"query": "jazz", "impressions": ["d1"], "clicks": [{"doc": "d1", "dwell": '
+            + LONG + "}]}]"), ["invalid JSON: an integer has more than 4300 digits"]),
+        ("long-length", "snapshot", "run", snapshot_file('{"counts": {}, "length": ' + LONG + "}"),
+         ["invalid JSON: an integer has more than 4300 digits"]),
+        ("long-config-value", "config", "run", '{"mu": ' + LONG + "}",
+         ["invalid JSON: an integer has more than 4300 digits"]),
+        ("long-corpus-value", "corpus", "index", '{"id": "d1", "text": "a"}\n{"n": ' + LONG + "}",
+         ["line 2: invalid JSON: an integer has more than 4300 digits"]),
+        ("long-grade", "qrels", "run", "t1 0 d1 " + LONG + "\n",
+         [f"line 1: grade '{LONG}' is not an integer"]),
+        ("long-rank", "run", "eval", "s1 Q0 d1 " + LONG + " -1.0 t\n",
+         [f"line 1: rank '{LONG}' is not a positive integer"]),
+        ("huge-config-value", "config", "run", '{"mu": ' + HUGE + "}",
+         ["field 'mu' is out of float range"]),
+        ("huge-config-value-tune", "config", "tune", '{"mu": ' + HUGE + ', "lam": [0.5]}',
+         ["field 'mu' is out of float range"]),
+        ("huge-grid-value", "config", "tune", '{"lam": [0.5, ' + HUGE + "]}",
+         ["field 'lam' is out of float range"]),
+        ("huge-count", "snapshot", "run",
+         snapshot_file('{"counts": {"a": ' + HUGE + '}, "length": ' + HUGE + "}"),
+         ["doc 'd1': counts sum to more than 2**53"]),
+    ]
+
+    @pytest.mark.parametrize("role, command, content, names",
+                             [pytest.param(*case[1:], id=case[0]) for case in FIELD_CASES])
+    def test_bad_field_named_in_one_line_without_python_text(
+        self, workspace, capsys, role, command, content, names
+    ):
+        err = self.error_line(workspace, capsys, role, content.encode(), command)
+        assert f"bad_{role}: " in err, err
+        for name in names:
+            assert name in err, err
+        for python_text in ("KeyError(", "TypeError(", "indices must be",
+                            "object has no attribute", "Exceeds the limit", "Traceback"):
+            assert python_text not in err, err
 
     def test_repeated_doc_id_names_file_and_both_lines(self, workspace, capsys):
         docs = [CORPUS_DOCS[0], CORPUS_DOCS[1], {"id": "d1", "text": "other"}]

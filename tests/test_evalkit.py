@@ -184,9 +184,11 @@ class TestQrels:
         with pytest.raises(ValueError, match="line 1"):
             Qrels.from_trec_file(path)
 
-    @pytest.mark.parametrize("grade", ["1_0", "\uff11", "1.0", "2e1", "0x1"])
+    @pytest.mark.parametrize("grade", ["1_0", "\uff11", "1.0", "2e1", "0x1",
+                                       pytest.param("1" + "0" * 5000, id="5001-digits")])
     def test_grade_not_an_ascii_integer_rejected_naming_line(self, tmp_path, grade):
-        # int() reads "1_0" as 10 and the fullwidth digit as 1.
+        # int() reads "1_0" as 10 and the fullwidth digit as 1, and refuses
+        # more than 4,300 digits.
         path = tmp_path / "qrels.txt"
         path.write_text(f"t1 0 d1 1\nt1 0 d2 {grade}\n", encoding="utf-8")
         with pytest.raises(ValueError) as raised:
@@ -304,7 +306,8 @@ class TestRunFiles:
         with pytest.raises(ValueError, match="line 1"):
             parse_run_file(path)
 
-    @pytest.mark.parametrize("rank", ["0", "-3", "+1", "1_0", "\uff11", "1.0"])
+    @pytest.mark.parametrize("rank", ["0", "-3", "+1", "1_0", "\uff11", "1.0",
+                                      pytest.param("1" + "0" * 5000, id="5001-digits")])
     def test_rank_not_a_positive_ascii_integer_rejected_naming_line(self, tmp_path, rank):
         path = tmp_path / "run.txt"
         path.write_text(f"s1 Q0 d1 1 -1.0 t\ns1 Q0 d2 {rank} -2.0 t\n", encoding="utf-8")

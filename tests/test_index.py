@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from sessionsearch.analysis import AnalyzedText, analyze, whitespace_analyze
-from sessionsearch.index import InvertedIndex, build_index, read_corpus_jsonl
+from sessionsearch.index import InvertedIndex, build_index, json_field, read_corpus_jsonl
 from sessionsearch.lm import query_log_likelihood, top_k_by_query_likelihood
 
 
@@ -256,10 +256,13 @@ def test_load_rejects_malformed_docs_table(tmp_path, tiny_index, docs):
         {"length": 99, "counts": {"a": 2, "b": 1}},
         {"length": 3.0, "counts": {"a": 2, "b": 1}},
         {"length": 3, "counts": {"b": 1, "a": 2}},
+        {"length": 2**53 + 1, "counts": {"a": 2**53, "b": 1}},
+        {"length": 2**53 + 2, "counts": {"a": 2**53 + 1, "b": 1}},
+        {"length": 10**400 + 1, "counts": {"a": 10**400, "b": 1}},
     ],
     ids=[
         "float", "negative", "bool", "string", "zero", "length-sum", "float-length",
-        "unsorted-terms",
+        "unsorted-terms", "sum-past-2**53", "count-past-2**53", "past-float-range",
     ],
 )
 def test_load_rejects_counts_it_would_change(tmp_path, tiny_index, entry):
@@ -270,6 +273,50 @@ def test_load_rejects_counts_it_would_change(tmp_path, tiny_index, entry):
     path.write_text(json.dumps(snapshot))
     with pytest.raises(ValueError, match=r"index\.json: doc 'd1'"):
         InvertedIndex.load(path)
+
+
+def test_load_accepts_counts_summing_to_2_53(tmp_path, tiny_index):
+    path = tmp_path / "index.json"
+    tiny_index.save(path)
+    snapshot = json.loads(path.read_text())
+    snapshot["docs"]["d1"] = {"length": 2**53, "counts": {"a": 2**53 - 1, "b": 1}}
+    path.write_text(json.dumps(snapshot))
+    assert InvertedIndex.load(path).stats.collection_tf["a"] >= 2**53 - 1
+
+
+@pytest.mark.parametrize(
+    "obj, args, value",
+    [
+        ({"q": "x"}, ("q", str), "x"),
+        ({"n": 3}, ("n", int), 3),
+        ({}, ("steps", list, ()), ()),
+        ({"steps": [{}]}, ("steps", list, (), dict), [{}]),
+        ({"ids": ["a", "b"]}, ("ids", list, None, str), ["a", "b"]),
+    ],
+)
+def test_json_field_reads_a_field_of_its_kind(obj, args, value):
+    assert json_field(obj, *args) == value
+
+
+@pytest.mark.parametrize(
+    "obj, args, message",
+    [
+        ({}, ("query", str), "missing 'query'"),
+        ({"query": None}, ("query", str), "'query' must be a string"),
+        ({"n": True}, ("n", int), "'n' must be an integer"),
+        ({"n": 1.0}, ("n", int), "'n' must be an integer"),
+        ({"c": []}, ("c", dict), "'c' must be an object"),
+        ({"steps": {}}, ("steps", list, ()), "'steps' must be a list"),
+        ({"steps": [["q"]]}, ("steps", list, (), dict), "each item of 'steps' must be an object"),
+        ({"ids": ["a", 1]}, ("ids", list, None, str), "each item of 'ids' must be a string"),
+        (["q"], ("query", str), "not a JSON object"),
+        ("query", ("query", str), "not a JSON object"),
+    ],
+)
+def test_json_field_names_a_bad_field(obj, args, message):
+    with pytest.raises(ValueError) as raised:
+        json_field(obj, *args)
+    assert str(raised.value) == message
 
 
 def test_read_corpus_jsonl(tmp_path):
