@@ -867,56 +867,54 @@ class TestBadInputFiles:
     def snapshot_file(entry):
         return '{"magic": "sessionsearch-index", "version": 1, "docs": {"d1": ' + entry + "}}"
 
-    # (id, role, command, content, what the line names besides the file)
+    # (id, role, command, content, what the line names right after the file)
     FIELD_CASES = [
         ("step-not-an-object", "sessions", "run", session_file('[["q"]]'),
-         ["session s1: each item of 'steps' must be an object"]),
+         "session s1: each item of 'steps' must be an object"),
         ("click-without-doc", "sessions", "run",
          session_file('[{"query": "jazz", "impressions": ["d1"], "clicks": [{"dwell": 1}]}]'),
-         ["session s1: missing 'doc'"]),
+         "session s1: missing 'doc'"),
         ("session-not-an-object", "sessions", "run", '{"sessions": [["s1"]]}',
-         ["session #0: not a JSON object"]),
+         "session #0: not a JSON object"),
         ("doc-not-an-object", "snapshot", "run", snapshot_file("[1]"),
-         ["doc 'd1': not a JSON object"]),
+         "doc 'd1': not a JSON object"),
         ("step-without-query", "sessions", "run", session_file('[{"impressions": ["d1"]}]'),
-         ["session s1: missing 'query'"]),
+         "session s1: missing 'query'"),
         ("session-without-current-query", "sessions", "run", session_file(rest=""),
-         ["session s1: missing 'current_query'"]),
+         "session s1: missing 'current_query'"),
         ("doc-without-counts", "snapshot", "run", snapshot_file('{"length": 1}'),
-         ["doc 'd1': missing 'counts'"]),
+         "doc 'd1': missing 'counts'"),
         ("long-dwell", "sessions", "run", session_file(
             '[{"query": "jazz", "impressions": ["d1"], "clicks": [{"doc": "d1", "dwell": '
-            + LONG + "}]}]"), ["invalid JSON: an integer has more than 4300 digits"]),
+            + LONG + "}]}]"), "invalid JSON: an integer has more than 4300 digits"),
         ("long-length", "snapshot", "run", snapshot_file('{"counts": {}, "length": ' + LONG + "}"),
-         ["invalid JSON: an integer has more than 4300 digits"]),
+         "invalid JSON: an integer has more than 4300 digits"),
         ("long-config-value", "config", "run", '{"mu": ' + LONG + "}",
-         ["invalid JSON: an integer has more than 4300 digits"]),
+         "invalid JSON: an integer has more than 4300 digits"),
         ("long-corpus-value", "corpus", "index", '{"id": "d1", "text": "a"}\n{"n": ' + LONG + "}",
-         ["line 2: invalid JSON: an integer has more than 4300 digits"]),
+         "line 2: invalid JSON: an integer has more than 4300 digits"),
         ("long-grade", "qrels", "run", "t1 0 d1 " + LONG + "\n",
-         [f"line 1: grade '{LONG}' is not an integer"]),
+         f"line 1: grade '{LONG}' is not an integer"),
         ("long-rank", "run", "eval", "s1 Q0 d1 " + LONG + " -1.0 t\n",
-         [f"line 1: rank '{LONG}' is not a positive integer"]),
+         f"line 1: rank '{LONG}' is not a positive integer"),
         ("huge-config-value", "config", "run", '{"mu": ' + HUGE + "}",
-         ["field 'mu' is out of float range"]),
+         "field 'mu' is out of float range"),
         ("huge-config-value-tune", "config", "tune", '{"mu": ' + HUGE + ', "lam": [0.5]}',
-         ["field 'mu' is out of float range"]),
+         "field 'mu' is out of float range"),
         ("huge-grid-value", "config", "tune", '{"lam": [0.5, ' + HUGE + "]}",
-         ["field 'lam' is out of float range"]),
+         "field 'lam' is out of float range"),
         ("huge-count", "snapshot", "run",
          snapshot_file('{"counts": {"a": ' + HUGE + '}, "length": ' + HUGE + "}"),
-         ["doc 'd1': counts sum to more than 2**53"]),
+         "doc 'd1': counts sum to more than 2**53"),
     ]
 
-    @pytest.mark.parametrize("role, command, content, names",
+    @pytest.mark.parametrize("role, command, content, named",
                              [pytest.param(*case[1:], id=case[0]) for case in FIELD_CASES])
     def test_bad_field_named_in_one_line_without_python_text(
-        self, workspace, capsys, role, command, content, names
+        self, workspace, capsys, role, command, content, named
     ):
         err = self.error_line(workspace, capsys, role, content.encode(), command)
-        assert f"bad_{role}: " in err, err
-        for name in names:
-            assert name in err, err
+        assert f"bad_{role}: {named}" in err, err
         for python_text in ("KeyError(", "TypeError(", "indices must be",
                             "object has no attribute", "Exceeds the limit", "Traceback"):
             assert python_text not in err, err
