@@ -25,21 +25,9 @@ from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")
 
-# (flag, RunConfig field, help) per numeric parameter. A config file accepts the
-# flag without dashes or the field name; a field's type is its default's type.
-_PARAMS = (
-    ("--k", "k", "cutoff for @k metrics"),
-    ("--depth", "depth", "initial retrieval depth"),
-    ("--lambda", "lam", "feedback interpolation weight"),
-    ("--gamma", "gamma", "history retention weight"),
-    ("--m", "m", "feedback document count"),
-    ("--mu", "mu", "Dirichlet smoothing pseudo-count"),
-    ("--clip", "clip_terms", "keep only this many top model terms"),
-    ("--decay", "decay", "per-step query weight decay for qa-decay"),
-)
 _DEFAULTS = pipeline.RunConfig()
 _TYPES = {name: type(value) for name, value in dataclasses.asdict(_DEFAULTS).items()}
-_CONFIG_KEYS = {**{name: name for name in _TYPES}, **{f[2:]: name for f, name, _ in _PARAMS}}
+_CONFIG_KEYS = {**{name: name for name in _TYPES}, **{p.flag[2:]: p.field for p in pipeline.PARAMS}}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -86,7 +74,7 @@ def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
         if isinstance(value, list):
             if not allow_grids:
                 raise ValueError(f"{where} is a list; grids are for tune only")
-            if field_name not in evalkit.TUNABLE_FIELDS:
+            if field_name not in pipeline.TUNABLE_FIELDS:
                 raise ValueError(f"{where} cannot be tuned over")
             values = [_coerce(where, field_name, item) for item in value]
             grids[field_name] = evalkit.distinct_grid_values(where, values)
@@ -116,16 +104,16 @@ def _parse_value_list(flag: str, field_name: str, text: str) -> list:
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, grids: bool) -> None:
-    """Add --method, a flag per _PARAMS row and --config; with grids, each
+    """Add --method, a flag per pipeline.PARAMS row and --config; with grids, each
     tunable field's flag takes a comma-separated list, stored as grid_<field>."""
     parser.add_argument("--method", choices=pipeline.METHODS,
                         help="scoring method (default none: plain query likelihood)")
-    for flag, field_name, help_text in _PARAMS:
-        if grids and field_name in evalkit.TUNABLE_FIELDS:
-            parser.add_argument(flag, dest=f"grid_{field_name}", metavar="V1,V2,...",
-                                help=f"grid values: {help_text}")
+    for p in pipeline.PARAMS:
+        if grids and p.methods:
+            parser.add_argument(p.flag, dest=f"grid_{p.field}", metavar="V1,V2,...",
+                                help=f"grid values: {p.help}")
         else:
-            parser.add_argument(flag, dest=field_name, type=_TYPES[field_name], help=help_text)
+            parser.add_argument(p.flag, dest=p.field, type=_TYPES[p.field], help=p.help)
     parser.add_argument("--config", help="JSON config; list-valued fields become grids"
                         if grids else "JSON file with parameter values")
 
@@ -169,8 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sessions", required=True,
                         help="sessions JSON file (maps session ids to topics)")
     p_eval.add_argument("--report", default=None, help="metrics report JSON to write")
-    p_eval.add_argument("--k", type=int, default=_DEFAULTS.k)
-    p_eval.add_argument("--depth", type=int, default=_DEFAULTS.depth)
+    for p in pipeline.PARAMS:
+        if p.field in ("k", "depth"):  # the metrics' cutoff and nDCG's ideal depth
+            p_eval.add_argument(p.flag, type=_TYPES[p.field], default=getattr(_DEFAULTS, p.field))
     p_eval.set_defaults(func=cmd_eval)
 
     return parser
@@ -283,7 +272,7 @@ def cmd_tune(args) -> int:
     file_scalars, grids = (
         _load_config_file(args.config, allow_grids=True) if args.config else ({}, {})
     )
-    grid_flags = [(flag, name) for flag, name, _ in _PARAMS if name in evalkit.TUNABLE_FIELDS]
+    grid_flags = [(p.flag, p.field) for p in pipeline.PARAMS if p.methods]
     for flag, field_name in grid_flags:
         raw = getattr(args, f"grid_{field_name}")
         if raw is not None:
@@ -298,7 +287,8 @@ def cmd_tune(args) -> int:
     for field_name, values in grids.items():
         for value in values:
             dataclasses.replace(base, **{field_name: value})
-    for field_name in sorted(grids.keys() - pipeline.METHOD_FIELDS[base.method]):
+    for field_name in sorted(p.field for p in pipeline.PARAMS
+                             if p.field in grids and base.method not in p.methods):
         logger.warning("method %s does not read %s: every value of its grid scores alike",
                        base.method, field_name)
     sessions = load_sessions(_require_file(args.sessions, "sessions"))

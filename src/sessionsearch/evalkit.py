@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .index import open_text
+from .pipeline import TUNABLE_FIELDS
 
 RankedDocs = Sequence[str]
 
@@ -262,10 +263,6 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
         entries.sort(key=lambda row: row[0])
         rankings[key] = [(doc_id, score) for _, doc_id, score in entries]
     return rankings
-
-
-# RunConfig fields a grid may vary, in the order grid points are visited.
-TUNABLE_FIELDS = ("m", "lam", "gamma", "mu", "decay", "clip_terms")
 
 
 def distinct_grid_values(label: str, values: Sequence) -> Sequence:

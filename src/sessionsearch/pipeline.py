@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .baselines import qa_score, rm3_model
 from .index import InvertedIndex
@@ -48,19 +48,40 @@ METHOD_RM3_QPRIME = "rm3-qprime"
 METHOD_QA_UNIFORM = "qa-uniform"
 METHOD_QA_DECAY = "qa-decay"
 
-# The tunable RunConfig fields each method reads; a grid over any other
-# field scores alike at every value.
-_RM3_FIELDS = frozenset({"m", "lam", "mu", "clip_terms"})
-METHOD_FIELDS = {
-    METHOD_NONE: frozenset({"mu"}),
-    METHOD_SRM_QC: _RM3_FIELDS | {"gamma"},
-    METHOD_SRM_RM1: _RM3_FIELDS | {"gamma"},
-    METHOD_RM3_QN: _RM3_FIELDS,
-    METHOD_RM3_QPRIME: _RM3_FIELDS,
-    METHOD_QA_UNIFORM: frozenset({"mu"}),
-    METHOD_QA_DECAY: frozenset({"mu", "decay"}),
-}
-METHODS = tuple(METHOD_FIELDS)
+METHODS = (METHOD_NONE, METHOD_SRM_QC, METHOD_SRM_RM1, METHOD_RM3_QN, METHOD_RM3_QPRIME,
+           METHOD_QA_UNIFORM, METHOD_QA_DECAY)
+_FEEDBACK_METHODS = (METHOD_SRM_QC, METHOD_SRM_RM1, METHOD_RM3_QN, METHOD_RM3_QPRIME)
+
+
+class Param(NamedTuple):
+    """A numeric RunConfig field: flag, help text, a validity test that fails
+    for NaN, its range, and the methods whose scores a grid over it changes."""
+
+    field: str
+    flag: str
+    help: str
+    valid: Callable[[float], bool]
+    expected: str
+    methods: tuple[str, ...] = ()
+
+
+# Grid fields (those with methods) first, in the order grid_tune visits grid points.
+PARAMS = (
+    Param("m", "--m", "feedback document count", lambda v: v >= 1, ">= 1", _FEEDBACK_METHODS),
+    Param("lam", "--lambda", "feedback interpolation weight", lambda v: 0.0 <= v <= 1.0,
+          "in [0, 1]", _FEEDBACK_METHODS),
+    Param("gamma", "--gamma", "history retention weight", lambda v: 0.0 <= v <= 1.0,
+          "in [0, 1]", (METHOD_SRM_QC, METHOD_SRM_RM1)),
+    Param("mu", "--mu", "Dirichlet smoothing pseudo-count",  # compared exactly: 10**400 fails
+          lambda v: 0.0 < v <= sys.float_info.max, "finite and > 0", METHODS),
+    Param("decay", "--decay", "per-step query weight decay for qa-decay",
+          lambda v: 0.0 < v <= 1.0, "in (0, 1]", (METHOD_QA_DECAY,)),
+    Param("clip_terms", "--clip", "keep only this many top model terms", lambda v: v >= 1,
+          ">= 1", _FEEDBACK_METHODS),
+    Param("k", "--k", "cutoff for @k metrics", lambda v: v >= 1, ">= 1"),
+    Param("depth", "--depth", "initial retrieval depth", lambda v: v >= 1, ">= 1"),
+)
+TUNABLE_FIELDS = tuple(param.field for param in PARAMS if param.methods)
 
 
 @dataclass
@@ -80,20 +101,10 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
-        # Each test is "not (valid)" so that NaN, which fails every
-        # comparison, is rejected too.
-        for name, valid, expected in (
-            ("depth", self.depth >= 1, ">= 1"),
-            ("k", self.k >= 1, ">= 1"),
-            ("m", self.m >= 1, ">= 1"),
-            ("clip_terms", self.clip_terms >= 1, ">= 1"),
-            ("mu", math.isfinite(self.mu) and self.mu > 0.0, "finite and > 0"),
-            ("lam", 0.0 <= self.lam <= 1.0, "in [0, 1]"),
-            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
-            ("decay", 0.0 < self.decay <= 1.0, "in (0, 1]"),
-        ):
-            if not valid:
-                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
+        for param in PARAMS:
+            value = getattr(self, param.field)
+            if not param.valid(value):
+                raise ValueError(f"{param.field} must be {param.expected}, got {value!r}")
 
     def srm_params(self) -> SrmParams:
         variant = VARIANT_QUERY_CHANGE if self.method == METHOD_SRM_QC else VARIANT_RM1

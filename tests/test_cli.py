@@ -4,7 +4,9 @@ import argparse
 import dataclasses
 import gc
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -684,6 +686,17 @@ class TestTuneCommand:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["method qa-uniform does not read decay: "
                             "every value of its grid scores alike"]
+        caplog.clear()
+        rc = main([
+            "tune", "--index", str(workspace["index"]),
+            "--sessions", str(workspace["sessions"]),
+            "--qrels", str(workspace["qrels"]),
+            "--method", "none", "--lambda", "0.3,0.5", "--gamma", "0.3,0.5", "--m", "3,5",
+        ])
+        assert rc == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"method none does not read {field}: every value of its grid "
+                            "scores alike" for field in ("gamma", "lam", "m")]
 
     def test_no_sessions_rejected(self, workspace, capsys):
         empty = write_sessions(workspace["dir"], {"sessions": []}, name="empty.json")
@@ -1047,6 +1060,59 @@ class TestParameterFlags:
     def test_eval_defaults_match_run_config(self):
         args = self.subparser("eval").parse_args(["--run", "r", "--qrels", "q", "--sessions", "s"])
         assert (args.k, args.depth) == (RunConfig().k, RunConfig().depth)
+
+    def test_params_has_one_row_per_numeric_field(self):
+        defaults = RunConfig()
+        numeric = [f.name for f in dataclasses.fields(RunConfig)
+                   if type(getattr(defaults, f.name)) in (int, float)]
+        assert sorted(p.field for p in pipeline.PARAMS) == sorted(numeric)
+
+    @pytest.mark.parametrize("param", pipeline.PARAMS, ids=lambda p: p.field)
+    def test_each_row_parses_on_run_tune_and_in_a_config_file(self, param, tmp_path):
+        run = self.subparser("run").parse_args(
+            ["--index", "i", "--sessions", "s", "--out", "o", param.flag, "1"])
+        assert getattr(run, param.field) == 1
+        tune = self.subparser("tune").parse_args(
+            ["--index", "i", "--sessions", "s", "--qrels", "q", param.flag, "1"])
+        if param.methods:
+            assert getattr(tune, f"grid_{param.field}") == "1"
+        else:
+            assert getattr(tune, param.field) == 1
+        for key in (param.flag[2:], param.field):
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps({key: 1}), encoding="utf-8")
+            assert cli._load_config_file(str(path), allow_grids=False) == ({param.field: 1}, {})
+
+    def test_grid_fields_each_method_reads(self):
+        # The map the rows replaced, as it stood.
+        rm3_fields = frozenset({"m", "lam", "mu", "clip_terms"})
+        method_fields = {
+            "none": frozenset({"mu"}),
+            "srm-qc": rm3_fields | {"gamma"},
+            "srm-rm1": rm3_fields | {"gamma"},
+            "rm3-qn": rm3_fields,
+            "rm3-qprime": rm3_fields,
+            "qa-uniform": frozenset({"mu"}),
+            "qa-decay": frozenset({"mu", "decay"}),
+        }
+        assert pipeline.METHODS == tuple(method_fields)
+        assert {method: {p.field for p in pipeline.PARAMS if method in p.methods}
+                for method in pipeline.METHODS} == method_fields
+        assert pipeline.TUNABLE_FIELDS == ("m", "lam", "gamma", "mu", "decay", "clip_terms")
+
+    @pytest.mark.parametrize("mu", [10**400, math.nan, math.inf])
+    def test_mu_past_float_range_gets_the_range_message(self, mu):
+        with pytest.raises(ValueError, match=r"^mu must be finite and > 0, got "):
+            RunConfig(mu=mu)
+
+    def test_readme_parameter_table_matches_params(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(--[a-z]+)` \| `(\w+)` \| ([^|]+?) \|", readme, flags=re.M)
+        defaults = RunConfig()
+        listed = {(flag, field, type(getattr(defaults, field))(default))
+                  for flag, field, default in rows}
+        assert len(rows) == len(listed)
+        assert listed == {(p.flag, p.field, getattr(defaults, p.field)) for p in pipeline.PARAMS}
 
 
 class TestTopLevel:

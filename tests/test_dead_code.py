@@ -1,5 +1,6 @@
 """No package module imports a name it never uses, and no private
-module-level function or class goes unreferenced in the package.
+module-level function, class or assigned name goes unreferenced in the
+package.
 
 __init__.py is exempt from the import rule: its imports are the public
 re-exports. A private definition counts as referenced when any statement of
@@ -41,21 +42,32 @@ def unused_imports(tree):
                     yield node.lineno, bound
 
 
+def defined_names(stmt):
+    """The names a module-level statement defines: a function's or class's
+    name, or each name an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
 def dead_code(sources):
     """One finding per unused import (modules other than __init__.py) and
-    per unreferenced private module-level function or class, for sources
-    mapping a module's file name to its text."""
+    per unreferenced private module-level function, class or assigned name,
+    for sources mapping a module's file name to its text."""
     trees = {name: ast.parse(text, filename=name) for name, text in sorted(sources.items())}
     findings = [f"{name}:{line}: unused import {bound}"
                 for name, tree in trees.items() if name != "__init__.py"
                 for line, bound in unused_imports(tree)]
     statements = [(name, stmt) for name, tree in trees.items() for stmt in tree.body]
     for name, stmt in statements:
-        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and stmt.name.startswith("_") and not stmt.name.startswith("__")
-                and not any(stmt.name in references(other)
-                            for _, other in statements if other is not stmt)):
-            findings.append(f"{name}:{stmt.lineno}: {stmt.name} is never referenced")
+        for defined in defined_names(stmt):
+            if (defined.startswith("_") and not defined.startswith("__")
+                    and not any(defined in references(other)
+                                for _, other in statements if other is not stmt)):
+                findings.append(f"{name}:{stmt.lineno}: {defined} is never referenced")
     return findings
 
 
@@ -76,6 +88,17 @@ def test_planted_unused_import_and_unreferenced_private_function_are_found():
     assert dead_code(sources) == [
         "leftover.py:1: unused import Iterator",
         "leftover.py:4: _staged_leftover is never referenced",
+    ]
+
+
+def test_planted_unreferenced_private_assignments_are_found():
+    sources = package_sources()
+    sources["leftover.py"] = ("_X = 1\n_FIELDS: frozenset = frozenset()\n"
+                              "_a, (_b, PUBLIC) = 1, (2, 3)\n_USED = 4\nVALUE = _USED + _a\n")
+    assert dead_code(sources) == [
+        "leftover.py:1: _X is never referenced",
+        "leftover.py:2: _FIELDS is never referenced",
+        "leftover.py:3: _b is never referenced",
     ]
 
 
