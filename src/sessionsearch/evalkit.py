@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .index import open_text
+from .index import open_text, shown
 from .pipeline import TUNABLE_FIELDS
 
 RankedDocs = Sequence[str]
@@ -62,7 +62,7 @@ class Qrels:
                     grade = None
                 if grade is None:
                     raise ValueError(
-                        f"{path}: line {lineno}: grade {grade_str!r} is not an integer"
+                        f"{path}: line {lineno}: grade {shown(grade_str)} is not an integer"
                     )
                 if grade > MAX_GRADE:
                     raise ValueError(f"{path}: line {lineno}: grade {grade} is above {MAX_GRADE}")
@@ -243,7 +243,7 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                 rank = 0
             if rank < 1:
                 raise ValueError(
-                    f"{path}: line {lineno}: rank {rank_str!r} is not a positive integer"
+                    f"{path}: line {lineno}: rank {shown(rank_str)} is not a positive integer"
                 )
             try:
                 score = float(score_str)

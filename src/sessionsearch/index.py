@@ -6,9 +6,9 @@ collection statistics are derived from it in one pass, on first use, so a
 built index and its loaded snapshot are equal down to iteration order,
 whichever is read first. `load` derives them before it returns; an index
 that is only built and saved (the `index` command) never does. The snapshot
-(JSON, magic header + format version) holds the table as written; `load`
-rejects one out of order instead of re-sorting it. An index is immutable
-once built.
+(JSON, magic header + format version) maps each doc_id to its count map and
+stores nothing derived from it, not even the length; `load` rejects a table
+out of order instead of re-sorting it. An index is immutable once built.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from typing import Callable, ItemsView, Iterable, Iterator, Mapping, TextIO
 from .analysis import AnalyzedText, analyze, term_memo
 
 SNAPSHOT_MAGIC = "sessionsearch-index"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+
+def shown(value, limit: int = 40) -> str:
+    """repr(value) for an error line, cut to limit characters and '…'."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "…"
 
 
 def valid_id(text: str, file_name: bool = False) -> bool:
@@ -154,50 +160,40 @@ class InvertedIndex:
         return math.log((self.stats.num_docs + 1) / (df + 0.5))
 
     def save(self, path: str | Path) -> None:
-        snapshot = {
-            "magic": SNAPSHOT_MAGIC,
-            "version": SNAPSHOT_VERSION,
-            "docs": {
-                doc_id: {"length": rec.length, "counts": dict(rec.term_counts)}
-                for doc_id, rec in self.doc_table.items()
-            },
-        }
-        Path(path).write_text(
-            json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        """Write the snapshot: {doc_id: {term: count}}, both levels in order."""
+        docs = {doc_id: dict(rec.term_counts) for doc_id, rec in self.doc_table.items()}
+        snapshot = {"magic": SNAPSHOT_MAGIC, "version": SNAPSHOT_VERSION, "docs": docs}
+        text = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
-        """The index saved at path; ValueError names the file, and a bad entry's doc and field."""
+        """The index saved at path, lengths summed from counts; ValueError names file and doc."""
         raw = load_json(path)
         if not isinstance(raw, dict) or raw.get("magic") != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not an index snapshot (bad magic header)")
         version = raw.get("version")
-        # type() too: true and 1.0 compare equal to 1.
-        if type(version) is not int or version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported snapshot version {version!r} (expected {SNAPSHOT_VERSION})"
-            )
+        if type(version) is not int or version != SNAPSHOT_VERSION:  # type(): 2.0 == 2
+            raise ValueError(f"{path}: unsupported snapshot version {version!r} (expected "
+                             f"{SNAPSHOT_VERSION}); rebuild it with the index command")
         docs = raw.get("docs")
         if not isinstance(docs, dict):
             raise ValueError(f"{path}: snapshot has no 'docs' object")
         doc_table = {}
         previous = None
-        for doc_id, entry in docs.items():
+        for doc_id, counts in docs.items():
             if not valid_id(doc_id):
                 raise ValueError(f"{path}: doc id {doc_id!r} is empty or contains whitespace")
             try:
                 if previous is not None and doc_id <= previous:
                     raise ValueError(f"not in doc_id order (it follows {previous!r})")
-                counts = json_field(entry, "counts", dict)
-                length = json_field(entry, "length", int)
+                if type(counts) is not dict:
+                    raise ValueError("not a JSON object")
                 values = counts.values()
                 # type() rather than isinstance(): JSON true/false load as bool.
                 if counts and (set(map(type, values)) != {int} or min(values) < 1):
                     raise ValueError("counts must be positive integers")
-                if length != sum(values):
-                    raise ValueError(f"length {length!r} is not the sum of its counts")
+                length = sum(values)
                 if length > 2**53:  # so each count, and the length, is an exact float
                     raise ValueError("counts sum to more than 2**53")
                 if list(counts) != sorted(counts):  # keys are distinct: in strict order

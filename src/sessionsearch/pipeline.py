@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .baselines import qa_score, rm3_model
-from .index import InvertedIndex
+from .index import InvertedIndex, shown
 from .lm import (
     RankedList,
     TermDistribution,
@@ -103,8 +103,10 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
         for param in PARAMS:
             value = getattr(self, param.field)
+            if type(getattr(RunConfig, param.field)) is int and type(value) is not int:
+                raise ValueError(f"{param.field} must be an integer, got {shown(value)}")
             if not param.valid(value):
-                raise ValueError(f"{param.field} must be {param.expected}, got {value!r}")
+                raise ValueError(f"{param.field} must be {param.expected}, got {shown(value)}")
 
     def srm_params(self) -> SrmParams:
         variant = VARIANT_QUERY_CHANGE if self.method == METHOD_SRM_QC else VARIANT_RM1

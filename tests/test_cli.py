@@ -878,7 +878,7 @@ class TestBadInputFiles:
 
     @staticmethod
     def snapshot_file(entry):
-        return '{"magic": "sessionsearch-index", "version": 1, "docs": {"d1": ' + entry + "}}"
+        return '{"magic": "sessionsearch-index", "version": 2, "docs": {"d1": ' + entry + "}}"
 
     # (id, role, command, content, what the line names right after the file)
     FIELD_CASES = [
@@ -895,21 +895,20 @@ class TestBadInputFiles:
          "session s1: missing 'query'"),
         ("session-without-current-query", "sessions", "run", session_file(rest=""),
          "session s1: missing 'current_query'"),
-        ("doc-without-counts", "snapshot", "run", snapshot_file('{"length": 1}'),
-         "doc 'd1': missing 'counts'"),
         ("long-dwell", "sessions", "run", session_file(
             '[{"query": "jazz", "impressions": ["d1"], "clicks": [{"doc": "d1", "dwell": '
             + LONG + "}]}]"), "invalid JSON: an integer has more than 4300 digits"),
-        ("long-length", "snapshot", "run", snapshot_file('{"counts": {}, "length": ' + LONG + "}"),
+        # A doc of one count: the count, and so the length, past int()'s limit.
+        ("long-length", "snapshot", "run", snapshot_file('{"a": ' + LONG + "}"),
          "invalid JSON: an integer has more than 4300 digits"),
         ("long-config-value", "config", "run", '{"mu": ' + LONG + "}",
          "invalid JSON: an integer has more than 4300 digits"),
         ("long-corpus-value", "corpus", "index", '{"id": "d1", "text": "a"}\n{"n": ' + LONG + "}",
          "line 2: invalid JSON: an integer has more than 4300 digits"),
         ("long-grade", "qrels", "run", "t1 0 d1 " + LONG + "\n",
-         f"line 1: grade '{LONG}' is not an integer"),
+         "line 1: grade '100000000000000000000000000000000000000… is not an integer"),
         ("long-rank", "run", "eval", "s1 Q0 d1 " + LONG + " -1.0 t\n",
-         f"line 1: rank '{LONG}' is not a positive integer"),
+         "line 1: rank '100000000000000000000000000000000000000… is not a positive integer"),
         ("huge-config-value", "config", "run", '{"mu": ' + HUGE + "}",
          "field 'mu' is out of float range"),
         ("huge-config-value-tune", "config", "tune", '{"mu": ' + HUGE + ', "lam": [0.5]}',
@@ -917,7 +916,7 @@ class TestBadInputFiles:
         ("huge-grid-value", "config", "tune", '{"lam": [0.5, ' + HUGE + "]}",
          "field 'lam' is out of float range"),
         ("huge-count", "snapshot", "run",
-         snapshot_file('{"counts": {"a": ' + HUGE + '}, "length": ' + HUGE + "}"),
+         snapshot_file('{"a": ' + HUGE + "}"),
          "doc 'd1': counts sum to more than 2**53"),
     ]
 
@@ -931,6 +930,14 @@ class TestBadInputFiles:
         for python_text in ("KeyError(", "TypeError(", "indices must be",
                             "object has no attribute", "Exceeds the limit", "Traceback"):
             assert python_text not in err, err
+
+    def test_version_1_snapshot_asks_for_a_rebuild(self, workspace, capsys):
+        # The format-1 layout: each doc an object of its counts and its length.
+        content = (b'{"magic": "sessionsearch-index", "version": 1, '
+                   b'"docs": {"d1": {"counts": {"jazz": 1}, "length": 1}}}')
+        err = self.error_line(workspace, capsys, "snapshot", content)
+        assert err.endswith("bad_snapshot: unsupported snapshot version 1 (expected 2); "
+                            "rebuild it with the index command"), err
 
     def test_repeated_doc_id_names_file_and_both_lines(self, workspace, capsys):
         docs = [CORPUS_DOCS[0], CORPUS_DOCS[1], {"id": "d1", "text": "other"}]
@@ -1104,6 +1111,22 @@ class TestParameterFlags:
     def test_mu_past_float_range_gets_the_range_message(self, mu):
         with pytest.raises(ValueError, match=r"^mu must be finite and > 0, got "):
             RunConfig(mu=mu)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"depth": 2.5}, "depth must be an integer, got 2.5"),
+        ({"method": "rm3-qn", "m": 1.5}, "m must be an integer, got 1.5"),
+        ({"clip_terms": 2.0}, "clip_terms must be an integer, got 2.0"),
+        ({"k": True}, "k must be an integer, got True"),
+    ], ids=["depth", "m", "clip_terms", "k"])
+    def test_integer_field_takes_only_an_int(self, kwargs, message):
+        with pytest.raises(ValueError) as caught:
+            RunConfig(**kwargs)
+        assert str(caught.value) == message
+
+    def test_long_bad_value_is_cut_in_the_message(self):
+        with pytest.raises(ValueError) as caught:
+            RunConfig(mu=-10**100)
+        assert str(caught.value) == "mu must be finite and > 0, got -1" + "0" * 38 + "…"
 
     def test_readme_parameter_table_matches_params(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -6,11 +6,19 @@ import math
 import re
 import weakref
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
 from sessionsearch.analysis import AnalyzedText, analyze, whitespace_analyze
-from sessionsearch.index import InvertedIndex, build_index, json_field, read_corpus_jsonl
+from sessionsearch.index import (
+    DocumentRecord,
+    InvertedIndex,
+    build_index,
+    json_field,
+    read_corpus_jsonl,
+    shown,
+)
 from sessionsearch.lm import query_log_likelihood, top_k_by_query_likelihood
 
 
@@ -157,32 +165,81 @@ def test_save_is_deterministic(tmp_path, club_index):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_load_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bogus.json"
-    path.write_text(json.dumps({"magic": "not-an-index", "version": 1, "docs": {}}))
-    with pytest.raises(ValueError):
-        InvertedIndex.load(path)
-
-
-def test_load_rejects_wrong_version(tmp_path, tiny_index):
+def test_save_writes_each_docs_count_map_and_nothing_derived(tmp_path, tiny_index):
     path = tmp_path / "index.json"
     tiny_index.save(path)
-    snapshot = json.loads(path.read_text())
-    snapshot["version"] = 999
+    assert path.read_text(encoding="utf-8") == (
+        '{"docs":{"d1":{"a":2,"b":1},"d2":{"b":1,"c":1}},'
+        '"magic":"sessionsearch-index","version":2}\n'
+    )
+
+
+def test_save_writes_any_mapping_of_counts(tmp_path, tiny_index):
+    proxied = InvertedIndex({
+        doc_id: DocumentRecord(doc_id, MappingProxyType(dict(rec.term_counts)), rec.length)
+        for doc_id, rec in tiny_index.doc_table.items()
+    })
+    expected, path = tmp_path / "expected.json", tmp_path / "proxied.json"
+    tiny_index.save(expected)
+    proxied.save(path)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+def test_load_derives_each_length_from_the_counts(tmp_path, tiny_index):
+    path = tmp_path / "index.json"
+    tiny_index.save(path)
+    loaded = InvertedIndex.load(path)
+    assert [(rec.doc_id, rec.length) for rec in loaded.doc_table.values()] == [("d1", 3), ("d2", 2)]
+
+
+def load_error(path, snapshot):
+    """The message of the ValueError that loading snapshot, written to path, raises."""
     path.write_text(json.dumps(snapshot))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         InvertedIndex.load(path)
+    return str(caught.value)
 
 
-@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
-def test_load_rejects_version_equal_to_1_but_not_an_int(tmp_path, tiny_index, version):
+def test_load_rejects_wrong_magic(tmp_path):
+    path = tmp_path / "bogus.json"
+    snapshot = {"magic": "not-an-index", "version": 2, "docs": {}}
+    assert load_error(path, snapshot) == f"{path}: not an index snapshot (bad magic header)"
+
+
+def test_load_rejects_a_version_1_snapshot_with_a_rebuild_line(tmp_path):
+    # The format-1 layout: each doc an object of its counts and its length.
+    path = tmp_path / "index.json"
+    snapshot = {"magic": "sessionsearch-index", "version": 1,
+                "docs": {"d1": {"counts": {"a": 2, "b": 1}, "length": 3}}}
+    assert load_error(path, snapshot) == (
+        f"{path}: unsupported snapshot version 1 (expected 2); rebuild it with the index command"
+    )
+
+
+def check_version_rejected(tmp_path, tiny_index, version):
     path = tmp_path / "index.json"
     tiny_index.save(path)
     snapshot = json.loads(path.read_text())
     snapshot["version"] = version
-    path.write_text(json.dumps(snapshot))
-    with pytest.raises(ValueError, match=rf"unsupported snapshot version {version!r} \(expected 1\)"):
-        InvertedIndex.load(path)
+    assert load_error(path, snapshot) == (
+        f"{path}: unsupported snapshot version {version!r} (expected 2); "
+        "rebuild it with the index command"
+    )
+
+
+def test_load_rejects_wrong_version(tmp_path, tiny_index):
+    check_version_rejected(tmp_path, tiny_index, 999)
+
+
+# A version equal to a version number but not a JSON integer is named as
+# written, never read as that number.
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_load_rejects_version_equal_to_1_but_not_an_int(tmp_path, tiny_index, version):
+    check_version_rejected(tmp_path, tiny_index, version)
+
+
+def test_load_rejects_version_equal_to_2_but_not_an_int(tmp_path, tiny_index):
+    check_version_rejected(tmp_path, tiny_index, 2.0)
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
@@ -202,10 +259,8 @@ def test_load_and_build_keep_the_callers_collector_setting(tmp_path, tiny_index,
     assert build_index([("d1", "a b")]).stats.num_docs == 1
     assert gc.isenabled() is collector
     snapshot = json.loads(path.read_text())
-    snapshot["docs"]["d1"]["length"] += 1
-    path.write_text(json.dumps(snapshot))
-    with pytest.raises(ValueError, match="is not the sum of its counts"):
-        InvertedIndex.load(path)
+    snapshot["docs"]["d1"]["a"] = 0
+    assert load_error(path, snapshot).endswith("doc 'd1': counts must be positive integers")
     assert gc.isenabled() is collector
 
 
@@ -221,18 +276,17 @@ def test_a_dropped_index_is_freed_without_the_collector(collector):
 
 
 @pytest.mark.parametrize(
-    "docs",
+    "docs, message",
     [
-        None,
-        [],
-        {"d1": {"length": 1}},
-        {"d1": "a"},
-        {"d1": {"length": 3, "counts": [["a", 2], ["b", 1]]}},
-        {"d2": {"length": 1, "counts": {"b": 1}}, "d1": {"length": 1, "counts": {"a": 1}}},
+        (None, "snapshot has no 'docs' object"),
+        ([], "snapshot has no 'docs' object"),
+        ({"d1": "a"}, "doc 'd1': not a JSON object"),
+        ({"d1": [["a", 2], ["b", 1]]}, "doc 'd1': not a JSON object"),
+        ({"d2": {"b": 1}, "d1": {"a": 1}}, "doc 'd1': not in doc_id order (it follows 'd2')"),
     ],
-    ids=["absent", "list", "no-counts", "str", "list-counts", "unsorted-doc-ids"],
+    ids=["absent", "list", "str", "list-counts", "unsorted-doc-ids"],
 )
-def test_load_rejects_malformed_docs_table(tmp_path, tiny_index, docs):
+def test_load_rejects_malformed_docs_table(tmp_path, tiny_index, docs, message):
     path = tmp_path / "index.json"
     tiny_index.save(path)
     snapshot = json.loads(path.read_text())
@@ -240,48 +294,48 @@ def test_load_rejects_malformed_docs_table(tmp_path, tiny_index, docs):
         del snapshot["docs"]
     else:
         snapshot["docs"] = docs
-    path.write_text(json.dumps(snapshot))
-    with pytest.raises(ValueError, match="index.json"):
-        InvertedIndex.load(path)
+    assert load_error(path, snapshot) == f"{path}: {message}"
+
+
+POSITIVE = "counts must be positive integers"
+PAST_2_53 = "counts sum to more than 2**53"
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "counts, message",
     [
-        {"length": 3, "counts": {"a": 2.9, "b": 1}},
-        {"length": 3, "counts": {"a": -3, "b": 1}},
-        {"length": 3, "counts": {"a": True, "b": 1}},
-        {"length": 3, "counts": {"a": "1", "b": 1}},
-        {"length": 3, "counts": {"a": 0, "b": 1}},
-        {"length": 99, "counts": {"a": 2, "b": 1}},
-        {"length": 3.0, "counts": {"a": 2, "b": 1}},
-        {"length": 3, "counts": {"b": 1, "a": 2}},
-        {"length": 2**53 + 1, "counts": {"a": 2**53, "b": 1}},
-        {"length": 2**53 + 2, "counts": {"a": 2**53 + 1, "b": 1}},
-        {"length": 10**400 + 1, "counts": {"a": 10**400, "b": 1}},
+        ({"a": 2.9, "b": 1}, POSITIVE),
+        ({"a": -3, "b": 1}, POSITIVE),
+        ({"a": True, "b": 1}, POSITIVE),
+        ({"a": "1", "b": 1}, POSITIVE),
+        ({"a": 0, "b": 1}, POSITIVE),
+        ({"b": 1, "a": 2}, "counts are not in term order"),
+        ({"a": 2**53, "b": 1}, PAST_2_53),
+        ({"a": 2**53 + 1, "b": 1}, PAST_2_53),
+        ({"a": 10**400, "b": 1}, PAST_2_53),
     ],
     ids=[
-        "float", "negative", "bool", "string", "zero", "length-sum", "float-length",
+        "float", "negative", "bool", "string", "zero",
         "unsorted-terms", "sum-past-2**53", "count-past-2**53", "past-float-range",
     ],
 )
-def test_load_rejects_counts_it_would_change(tmp_path, tiny_index, entry):
+def test_load_rejects_counts_it_would_change(tmp_path, tiny_index, counts, message):
     path = tmp_path / "index.json"
     tiny_index.save(path)
     snapshot = json.loads(path.read_text())
-    snapshot["docs"]["d1"] = entry
-    path.write_text(json.dumps(snapshot))
-    with pytest.raises(ValueError, match=r"index\.json: doc 'd1'"):
-        InvertedIndex.load(path)
+    snapshot["docs"]["d1"] = counts
+    assert load_error(path, snapshot) == f"{path}: doc 'd1': {message}"
 
 
 def test_load_accepts_counts_summing_to_2_53(tmp_path, tiny_index):
     path = tmp_path / "index.json"
     tiny_index.save(path)
     snapshot = json.loads(path.read_text())
-    snapshot["docs"]["d1"] = {"length": 2**53, "counts": {"a": 2**53 - 1, "b": 1}}
+    snapshot["docs"]["d1"] = {"a": 2**53 - 1, "b": 1}
     path.write_text(json.dumps(snapshot))
-    assert InvertedIndex.load(path).stats.collection_tf["a"] >= 2**53 - 1
+    loaded = InvertedIndex.load(path)
+    assert loaded.doc("d1").length == 2**53
+    assert loaded.stats.collection_tf["a"] >= 2**53 - 1
 
 
 @pytest.mark.parametrize(
@@ -317,6 +371,16 @@ def test_json_field_names_a_bad_field(obj, args, message):
     with pytest.raises(ValueError) as raised:
         json_field(obj, *args)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value, text", [
+    ("jazz", "'jazz'"),
+    (10**39, "1" + "0" * 39),
+    (10**40, "1" + "0" * 39 + "…"),
+    ("1" + "0" * 5000, "'1" + "0" * 38 + "…"),
+])
+def test_shown_cuts_a_long_repr_to_40_characters(value, text):
+    assert shown(value) == text
 
 
 def test_read_corpus_jsonl(tmp_path):

@@ -24,6 +24,8 @@ bits of every score; another platform may differ in those bits.
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -164,3 +166,42 @@ def test_qa_uniform_reports_the_decay_it_applies(generated):
                  "--qrels", str(generated / "qrels.txt"), "--method", "qa-uniform",
                  "--mu", "500,2500", "--out", str(best)]) == 0
     assert json.loads(best.read_text(encoding="utf-8"))["best"]["decay"] == 1.0
+
+
+# index, then run for three methods (srm-qc with its trace), as one script
+# per process; output paths are relative to the process's directory.
+HASH_SEED_SCRIPT = """
+import sys
+from sessionsearch.cli import main
+corpus, sessions, qrels = sys.argv[1:]
+assert main(["index", "--corpus", corpus, "--out", "index.json"]) == 0
+for method, extra in (("srm-qc", ["--dump-trace", "trace"]), ("rm3-qprime", []),
+                      ("qa-decay", [])):
+    assert main(["run", "--index", "index.json", "--sessions", sessions, "--qrels", qrels,
+                 "--method", method, "--out", f"run.{method}.txt",
+                 "--report", f"report.{method}.json", *extra]) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(generated, tmp_path):
+    # pytest runs under one random hash seed, so a leak of str hashing into
+    # an output (set order breaking a tie, say) would only show as a flake;
+    # two fixed seeds in fresh processes make it a plain failure.
+    src = Path(__file__).resolve().parent.parent / "src"
+    inputs = [str(generated / name) for name in ("corpus.jsonl", "sessions.json", "qrels.txt")]
+    outputs = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / f"hash-seed-{seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, *inputs], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        files = {path.relative_to(cwd).as_posix(): path.read_bytes()
+                 for path in sorted(cwd.rglob("*")) if path.is_file()}
+        outputs.append((files, done.stdout, done.stderr))
+    names = outputs[0][0].keys()
+    assert {"index.json", "run.rm3-qprime.txt", "report.qa-decay.json"} <= names
+    assert any(name.startswith("trace/") for name in names)
+    assert outputs[0] == outputs[1]
