@@ -36,7 +36,7 @@ from sessionsearch.pipeline import METHODS
 
 GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
-INDEX_SHA256 = "88781a0773b6c97a514df2da569ca8fe414bde349d46cfd8e197667426c7b8b1"
+INDEX_SHA256 = "7ab39fdcbe1759a35774a70be6a676d54a0ddb5a0c4f6b01a109a4763a4d2aa2"
 
 RUN_SHA256 = {
     "none": "132b8cfd59020efb8d7d36473fb3f83bcf9d69f9cf1e4d9adc32b30a11f7e676",
