@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import evalkit, pipeline
-from .index import InvertedIndex, build_index, load_json, read_corpus_jsonl
+from .index import InvertedIndex, build_index, load_json, read_corpus_jsonl, shown
 from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")
@@ -45,13 +45,13 @@ def _coerce(where: str, field_name: str, value):
     kind = _TYPES[field_name]
     if kind is str:
         if not isinstance(value, str):
-            raise ValueError(f"{where} must be a string, got {value!r}")
+            raise ValueError(f"{where} must be a string, got {shown(value)}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number, got {value!r}")
+        raise ValueError(f"{where} must be a number, got {shown(value)}")
     if kind is int:
         if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{where} must be an integer, got {value!r}")
+            raise ValueError(f"{where} must be an integer, got {shown(value)}")
         return int(value)
     try:
         return float(value)
@@ -97,7 +97,7 @@ def _parse_value_list(flag: str, field_name: str, text: str) -> list:
     try:
         values = [kind(chunk) for chunk in text.split(",") if chunk.strip()]
     except ValueError:
-        raise ValueError(f"{flag}: expected {kind.__name__} values, got {text!r}") from None
+        raise ValueError(f"{flag}: expected {kind.__name__} values, got {shown(text)}") from None
     if not values:
         raise ValueError(f"empty value list for {field_name!r}: {text!r}")
     return evalkit.distinct_grid_values(flag, values)

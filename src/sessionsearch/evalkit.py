@@ -248,7 +248,7 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             try:
                 score = float(score_str)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad score {score_str!r}") from exc
+                raise ValueError(f"{path}: line {lineno}: bad score {shown(score_str)}") from exc
             first = rank_lines.setdefault((key, rank), lineno)
             if first != lineno:
                 raise ValueError(f"{path}: line {lineno}: repeated rank {rank} under key "

@@ -160,11 +160,13 @@ class InvertedIndex:
         return math.log((self.stats.num_docs + 1) / (df + 0.5))
 
     def save(self, path: str | Path) -> None:
-        """Write the snapshot: {doc_id: {term: count}}, both levels in order."""
-        docs = {doc_id: dict(rec.term_counts) for doc_id, rec in self.doc_table.items()}
+        """Write {doc_id: {term: count}}, both levels in order; any Mapping as a dict."""
+        docs = {doc_id: rec.term_counts for doc_id, rec in self.doc_table.items()}
         snapshot = {"magic": SNAPSHOT_MAGIC, "version": SNAPSHOT_VERSION, "docs": docs}
-        text = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        Path(path).write_text(
+            json.dumps(snapshot, sort_keys=True, separators=(",", ":"), default=dict) + "\n",
+            encoding="utf-8",
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
@@ -245,9 +247,7 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
                 continue
             obj = parse_json(line, path, lineno)
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected an object with 'id' and 'text'"
-                )
+                raise ValueError(f"{path}: line {lineno}: expected an object with 'id' and 'text'")
             doc_id, text = obj["id"], obj["text"]
             if not isinstance(doc_id, str) or not isinstance(text, str):
                 raise ValueError(f"{path}: line {lineno}: 'id' and 'text' must be strings")

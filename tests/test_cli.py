@@ -909,6 +909,10 @@ class TestBadInputFiles:
          "line 1: grade '100000000000000000000000000000000000000… is not an integer"),
         ("long-rank", "run", "eval", "s1 Q0 d1 " + LONG + " -1.0 t\n",
          "line 1: rank '100000000000000000000000000000000000000… is not a positive integer"),
+        ("long-config-string", "config", "run", '{"mu": "' + "x" * 100 + '"}',
+         "field 'mu' must be a number, got '" + "x" * 39 + "…"),
+        ("long-score", "run", "eval", "s1 Q0 d1 1 " + "x" * 100 + " t\n",
+         "line 1: bad score '" + "x" * 39 + "…"),
         ("huge-config-value", "config", "run", '{"mu": ' + HUGE + "}",
          "field 'mu' is out of float range"),
         ("huge-config-value-tune", "config", "tune", '{"mu": ' + HUGE + ', "lam": [0.5]}',

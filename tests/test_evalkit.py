@@ -21,6 +21,7 @@ from sessionsearch.evalkit import (
     session_metrics,
     write_run_file,
 )
+from sessionsearch.index import shown
 from sessionsearch.pipeline import RunConfig
 
 # Independent hand computation for the nDCG spot check: grades in rank
@@ -193,7 +194,7 @@ class TestQrels:
         path.write_text(f"t1 0 d1 1\nt1 0 d2 {grade}\n", encoding="utf-8")
         with pytest.raises(ValueError) as raised:
             Qrels.from_trec_file(path)
-        assert str(raised.value) == f"{path}: line 2: grade {grade!r} is not an integer"
+        assert str(raised.value) == f"{path}: line 2: grade {shown(grade)} is not an integer"
 
     def test_signed_ascii_grades_accepted(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -313,7 +314,7 @@ class TestRunFiles:
         path.write_text(f"s1 Q0 d1 1 -1.0 t\ns1 Q0 d2 {rank} -2.0 t\n", encoding="utf-8")
         with pytest.raises(ValueError) as excinfo:
             parse_run_file(path)
-        assert str(excinfo.value) == f"{path}: line 2: rank {rank!r} is not a positive integer"
+        assert str(excinfo.value) == f"{path}: line 2: rank {shown(rank)} is not a positive integer"
 
     def test_infinite_score_accepted(self, tmp_path):
         # run writes -inf for a candidate a model term rules out.

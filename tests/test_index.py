@@ -185,13 +185,6 @@ def test_save_writes_any_mapping_of_counts(tmp_path, tiny_index):
     assert path.read_bytes() == expected.read_bytes()
 
 
-def test_load_derives_each_length_from_the_counts(tmp_path, tiny_index):
-    path = tmp_path / "index.json"
-    tiny_index.save(path)
-    loaded = InvertedIndex.load(path)
-    assert [(rec.doc_id, rec.length) for rec in loaded.doc_table.values()] == [("d1", 3), ("d2", 2)]
-
-
 def load_error(path, snapshot):
     """The message of the ValueError that loading snapshot, written to path, raises."""
     path.write_text(json.dumps(snapshot))
