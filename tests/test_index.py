@@ -306,10 +306,12 @@ PAST_2_53 = "counts sum to more than 2**53"
         ({"a": 2**53, "b": 1}, PAST_2_53),
         ({"a": 2**53 + 1, "b": 1}, PAST_2_53),
         ({"a": 10**400, "b": 1}, PAST_2_53),
+        ({"counts": {"a": 2, "b": 1}, "length": 3}, POSITIVE),
     ],
     ids=[
         "float", "negative", "bool", "string", "zero",
         "unsorted-terms", "sum-past-2**53", "count-past-2**53", "past-float-range",
+        "format-1-entry",
     ],
 )
 def test_load_rejects_counts_it_would_change(tmp_path, tiny_index, counts, message):
