@@ -29,10 +29,10 @@ SNAPSHOT_MAGIC = "sessionsearch-index"
 SNAPSHOT_VERSION = 2
 
 
-def shown(value, limit: int = 40) -> str:
-    """repr(value) for an error line, cut to limit characters and '…'."""
+def shown(value) -> str:
+    """repr(value) for an error line, cut to 40 characters and '…'."""
     text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "…"
+    return text if len(text) <= 40 else text[:40] + "…"
 
 
 def valid_id(text: str, file_name: bool = False) -> bool:
