@@ -1,106 +1,3 @@
 """Session-aware search toolkit: indexing, session replay, re-ranking, evaluation."""
 
-from .analysis import AnalyzedText, analyze, stem, tokenize, whitespace_analyze
-from .evalkit import (
-    Qrels,
-    average_precision,
-    build_report,
-    grid_tune,
-    mrr,
-    ndcg_at_k,
-    nerr_at_k,
-    parse_run_file,
-    session_metrics,
-    write_run_file,
-)
-from .index import CollectionStats, DocumentRecord, InvertedIndex, build_index, read_corpus_jsonl
-from .lm import (
-    TermDistribution,
-    ZERO,
-    clip_distribution,
-    cross_entropy_score,
-    doc_mle,
-    generalized_jaccard_sim,
-    interpolate,
-    kl_divergence,
-    query_log_likelihood,
-    query_mle,
-    smoothed_prob,
-    top_k_by_query_likelihood,
-)
-from .pipeline import METHODS, RunConfig, run_sessions, score_session
-from .session import (
-    ChangeType,
-    Click,
-    FeedbackSet,
-    FeedbackSource,
-    QueryChange,
-    Session,
-    SessionStep,
-    classify_change,
-    load_sessions,
-    pseudo_info_need,
-    select_feedback_docs,
-)
-from .srm import SrmParams, SrmTrace, build_session_model, feedback_model, rerank
-from .baselines import qa_score, rm1_model, rm3_model
-
-__all__ = [
-    "AnalyzedText",
-    "ChangeType",
-    "Click",
-    "CollectionStats",
-    "DocumentRecord",
-    "FeedbackSet",
-    "FeedbackSource",
-    "InvertedIndex",
-    "METHODS",
-    "Qrels",
-    "QueryChange",
-    "RunConfig",
-    "Session",
-    "SessionStep",
-    "SrmParams",
-    "SrmTrace",
-    "TermDistribution",
-    "ZERO",
-    "analyze",
-    "average_precision",
-    "build_index",
-    "build_report",
-    "build_session_model",
-    "classify_change",
-    "clip_distribution",
-    "cross_entropy_score",
-    "doc_mle",
-    "feedback_model",
-    "generalized_jaccard_sim",
-    "grid_tune",
-    "interpolate",
-    "kl_divergence",
-    "load_sessions",
-    "mrr",
-    "ndcg_at_k",
-    "nerr_at_k",
-    "parse_run_file",
-    "pseudo_info_need",
-    "qa_score",
-    "query_log_likelihood",
-    "query_mle",
-    "read_corpus_jsonl",
-    "rerank",
-    "rm1_model",
-    "rm3_model",
-    "run_sessions",
-    "score_session",
-    "select_feedback_docs",
-    "session_metrics",
-    "smoothed_prob",
-    "stem",
-    "tokenize",
-    "top_k_by_query_likelihood",
-    "whitespace_analyze",
-    "write_run_file",
-]
-
 __version__ = "0.1.0"

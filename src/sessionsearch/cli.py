@@ -25,8 +25,8 @@ from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")
 
-_DEFAULTS = pipeline.RunConfig()
-_TYPES = {name: type(value) for name, value in dataclasses.asdict(_DEFAULTS).items()}
+_TYPES = {name: type(value) for name, value in dataclasses.asdict(pipeline.RunConfig()).items()}
+_FLAGS = {"method": "--method", **{p.field: p.flag for p in pipeline.PARAMS}}
 _CONFIG_KEYS = {**{name: name for name in _TYPES}, **{p.flag[2:]: p.field for p in pipeline.PARAMS}}
 
 
@@ -41,12 +41,16 @@ def _require_file(path: str, role: str) -> Path:
     return resolved
 
 
-def _coerce(where: str, field_name: str, value):
+def _coerce(where: str, field_name: str, value, text: bool = False):
+    """value as the field's type: a flag's text through int() or float(), or a
+    config file's JSON value, which must already be of the field's kind."""
     kind = _TYPES[field_name]
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{where} must be a string, got {shown(value)}")
-        return value
+    if text or kind is str:
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError):  # int()'s digit limit too
+                return kind(value)
+        noun = "a string" if kind is str else "an integer" if kind is int else "a number"
+        raise ValueError(f"{where} must be {noun}, got {shown(value)}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where} must be a number, got {shown(value)}")
     if kind is int:
@@ -57,6 +61,15 @@ def _coerce(where: str, field_name: str, value):
         return float(value)
     except OverflowError:  # a JSON integer past the float range
         raise ValueError(f"{where} is out of float range") from None
+
+
+def _grid(where: str, field_name: str, value, text: bool = False) -> list:
+    """A flag's comma-separated text or a config file's JSON list as the grid
+    of one field: each item through _coerce, at least one, none repeated."""
+    items = [item for item in value.split(",") if item.strip()] if text else value
+    if not items:
+        raise ValueError(f"{where} has no grid values")
+    return evalkit.distinct_grid_values(where, [_coerce(where, field_name, v, text) for v in items])
 
 
 def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
@@ -70,14 +83,13 @@ def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
         field_name = _CONFIG_KEYS.get(key)
         where = f"{path}: field {key!r}"
         if field_name is None:
-            raise ValueError(f"{path}: unknown config field {key!r}")
+            raise ValueError(f"{path}: unknown config field {shown(key)}")
         if isinstance(value, list):
             if not allow_grids:
                 raise ValueError(f"{where} is a list; grids are for tune only")
             if field_name not in pipeline.TUNABLE_FIELDS:
                 raise ValueError(f"{where} cannot be tuned over")
-            values = [_coerce(where, field_name, item) for item in value]
-            grids[field_name] = evalkit.distinct_grid_values(where, values)
+            grids[field_name] = _grid(where, field_name, value)
         else:
             scalars[field_name] = _coerce(where, field_name, value)
     return scalars, grids
@@ -85,35 +97,24 @@ def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
 
 def _effective_config(args, file_scalars: dict) -> pipeline.RunConfig:
     values = dict(file_scalars)
-    for field_name in _TYPES:
-        cli_value = getattr(args, field_name, None)
-        if cli_value is not None:
-            values[field_name] = cli_value
+    for field_name, flag in _FLAGS.items():
+        text = getattr(args, field_name, None)
+        if text is not None:
+            values[field_name] = _coerce(flag, field_name, text, text=True)
     return pipeline.RunConfig(**values)
 
 
-def _parse_value_list(flag: str, field_name: str, text: str) -> list:
-    kind = _TYPES[field_name]
-    try:
-        values = [kind(chunk) for chunk in text.split(",") if chunk.strip()]
-    except ValueError:
-        raise ValueError(f"{flag}: expected {kind.__name__} values, got {shown(text)}") from None
-    if not values:
-        raise ValueError(f"empty value list for {field_name!r}: {text!r}")
-    return evalkit.distinct_grid_values(flag, values)
-
-
 def _add_param_flags(parser: argparse.ArgumentParser, grids: bool) -> None:
-    """Add --method, a flag per pipeline.PARAMS row and --config; with grids, each
-    tunable field's flag takes a comma-separated list, stored as grid_<field>."""
-    parser.add_argument("--method", choices=pipeline.METHODS,
+    """Add --method, a flag per pipeline.PARAMS row and --config, all kept as
+    text; with grids, each tunable field's flag takes a list as grid_<field>."""
+    parser.add_argument("--method", metavar="{" + ",".join(pipeline.METHODS) + "}",
                         help="scoring method (default none: plain query likelihood)")
     for p in pipeline.PARAMS:
         if grids and p.methods:
             parser.add_argument(p.flag, dest=f"grid_{p.field}", metavar="V1,V2,...",
                                 help=f"grid values: {p.help}")
         else:
-            parser.add_argument(p.flag, dest=p.field, type=_TYPES[p.field], help=p.help)
+            parser.add_argument(p.flag, dest=p.field, help=p.help)
     parser.add_argument("--config", help="JSON config; list-valued fields become grids"
                         if grids else "JSON file with parameter values")
 
@@ -157,9 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sessions", required=True,
                         help="sessions JSON file (maps session ids to topics)")
     p_eval.add_argument("--report", default=None, help="metrics report JSON to write")
-    for p in pipeline.PARAMS:
-        if p.field in ("k", "depth"):  # the metrics' cutoff and nDCG's ideal depth
-            p_eval.add_argument(p.flag, type=_TYPES[p.field], default=getattr(_DEFAULTS, p.field))
+    for field_name in ("k", "depth"):  # the metrics' cutoff and nDCG's ideal depth
+        p_eval.add_argument(_FLAGS[field_name])
     p_eval.set_defaults(func=cmd_eval)
 
     return parser
@@ -276,7 +276,7 @@ def cmd_tune(args) -> int:
     for flag, field_name in grid_flags:
         raw = getattr(args, f"grid_{field_name}")
         if raw is not None:
-            grids[field_name] = _parse_value_list(flag, field_name, raw)
+            grids[field_name] = _grid(flag, field_name, raw, text=True)
     if not grids:
         raise ValueError(
             f"no grid given; pass value lists via {'/'.join(f for f, _ in grid_flags)} "
@@ -315,8 +315,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # RunConfig range-checks --k and --depth before any input is read.
-    pipeline.RunConfig(k=args.k, depth=args.depth)
+    # --k and --depth are converted and range-checked before any input is read.
+    config = _effective_config(args, {})
     rankings = evalkit.parse_run_file(_require_file(args.run, "run"))
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     # run scores every session whose current query has terms, one that
@@ -335,7 +335,7 @@ def cmd_eval(args) -> int:
         for s in scored
     ]
     skipped = [s.session_id for s in sessions if not s.current_query.tokens]
-    _report(args.report, ordered, qrels, skipped, {"k": args.k, "depth": args.depth}, {})
+    _report(args.report, ordered, qrels, skipped, {"k": config.k, "depth": config.depth}, {})
     return 0
 
 

@@ -270,7 +270,7 @@ def distinct_grid_values(label: str, values: Sequence) -> Sequence:
     seen = set()
     for value in values:
         if value in seen:
-            raise ValueError(f"{label}: duplicate grid value {value!r}")
+            raise ValueError(f"{label}: duplicate grid value {shown(value)}")
         seen.add(value)
     return values
 

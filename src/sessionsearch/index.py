@@ -30,8 +30,12 @@ SNAPSHOT_VERSION = 2
 
 
 def shown(value) -> str:
-    """repr(value) for an error line, cut to 40 characters and '…'."""
-    text = repr(value)
+    """repr(value) for an error line, cut to 40 characters and '…'. An int
+    past int()'s digit limit, which repr cannot write, shows its bit length."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
     return text if len(text) <= 40 else text[:40] + "…"
 
 

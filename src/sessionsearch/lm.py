@@ -13,7 +13,7 @@ from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analysis import AnalyzedText
-from .index import DocumentRecord, CollectionStats, InvertedIndex
+from .index import DocumentRecord, CollectionStats, InvertedIndex, shown
 
 NEG_INF = float("-inf")
 
@@ -142,8 +142,18 @@ def smoothed_prob(
     tf = doc.term_counts.get(term, 0)
     cf = stats.collection_tf.get(term, 0)
     if mu > 0 and cf:
-        return (tf + mu * cf / stats.total_tokens) / denom
+        return (tf + _background_mass(term, cf, stats, mu)) / denom
     return tf / denom
+
+
+def _background_mass(term: str, cf: int, stats: CollectionStats, mu: float) -> float:
+    """mu * P(term|C), which a log needs finite and > 0: a mu so small or so
+    large that it rounds to 0 or overflows raises ValueError naming mu."""
+    mass = mu * cf / stats.total_tokens
+    if not 0.0 < mass < math.inf:
+        extreme = "small" if mass == 0.0 else "large"
+        raise ValueError(f"mu={shown(mu)} is too {extreme}: mu * P({shown(term)}|C) is {mass}")
+    return mass
 
 
 class LogLikelihoodScorer:
@@ -188,7 +198,7 @@ class LogLikelihoodScorer:
         for term in self.weights:
             cf = stats.collection_tf.get(term, 0)
             if mu > 0 and cf:
-                self._background[term] = mu * cf / stats.total_tokens
+                self._background[term] = _background_mass(term, cf, stats, mu)
             else:
                 self.required.append(term)
         self._constant = math.fsum(self.weights[term] * math.log(background)

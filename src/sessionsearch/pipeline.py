@@ -100,7 +100,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
+            raise ValueError(f"unknown method {shown(self.method)} "
+                             "(the run command's --help lists the methods)")
         for param in PARAMS:
             value = getattr(self, param.field)
             if type(getattr(RunConfig, param.field)) is int and type(value) is not int:

@@ -189,6 +189,24 @@ def test_loaded_index_is_derived_before_the_block(workspace):
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("mu, head", [("5e-324", "mu=5e-324 is too small: "),
+                                          ("1.7e308", "mu=1.7e+308 is too large: ")])
+    def test_mu_whose_background_mass_is_0_or_inf_fails_cleanly(self, workspace, capsys, mu, head):
+        # mu * cf / |C| rounds to 0.0 (a log of it fails) or overflows (every
+        # score would be inf, ranking by doc id): both name mu instead.
+        out = workspace["dir"] / "run.txt"
+        for method in pipeline.METHODS:
+            rc = main([
+                "run", "--index", str(workspace["index"]),
+                "--sessions", str(workspace["sessions"]), "--out", str(out),
+                "--method", method, "--mu", mu,
+            ])
+            assert rc == 2
+            err = capsys.readouterr().err
+            tail = r"mu \* P\('\w+'\|C\) is (0\.0|inf)\n"
+            assert re.fullmatch(re.escape(f"error: {head}") + tail, err), (method, err)
+            assert not out.exists()
+
     def test_default_method_is_plain_query_likelihood(self, workspace, capsys):
         out = workspace["dir"] / "run.txt"
         rc = main([
@@ -591,8 +609,10 @@ class TestTuneCommand:
             (["--m", "5,10,5"], None, "--m: duplicate grid value 5"),
             ([], {"gamma": [0.5, 0.5]}, "field 'gamma': duplicate grid value 0.5"),
             ([], {"clip": [10, 10.0]}, "field 'clip': duplicate grid value 10"),
+            (["--m", ",".join(["9" * 4300] * 2)], None,
+             "--m: duplicate grid value " + "9" * 40 + "…"),
         ],
-        ids=["flag-float", "flag-int", "config-float", "config-int"],
+        ids=["flag-float", "flag-int", "config-float", "config-int", "flag-long"],
     )
     def test_duplicate_grid_value_rejected_before_reading(
         self, workspace, capsys, flags, config, label
@@ -633,7 +653,7 @@ class TestTuneCommand:
             "--qrels", str(workspace["qrels"]), "--m", "5,1.5",
         ])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: --m:")
+        assert capsys.readouterr().err == "error: --m must be an integer, got '1.5'\n"
 
     def test_missing_topic_rejected_before_scoring(self, workspace, capsys, monkeypatch):
         scored = []
@@ -1070,7 +1090,17 @@ class TestParameterFlags:
 
     def test_eval_defaults_match_run_config(self):
         args = self.subparser("eval").parse_args(["--run", "r", "--qrels", "q", "--sessions", "s"])
-        assert (args.k, args.depth) == (RunConfig().k, RunConfig().depth)
+        assert (args.k, args.depth) == (None, None)
+        config = cli._effective_config(args, {})
+        assert (config.k, config.depth) == (RunConfig().k, RunConfig().depth)
+
+    def test_no_parameter_flag_converts_or_restricts_its_text(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        for name in ("run", "tune", "eval"):
+            actions = [a for a in self.subparser(name)._actions
+                       if a.dest.removeprefix("grid_") in fields]
+            assert actions
+            assert all(a.type is None and a.choices is None for a in actions), name
 
     def test_params_has_one_row_per_numeric_field(self):
         defaults = RunConfig()
@@ -1080,15 +1110,21 @@ class TestParameterFlags:
 
     @pytest.mark.parametrize("param", pipeline.PARAMS, ids=lambda p: p.field)
     def test_each_row_parses_on_run_tune_and_in_a_config_file(self, param, tmp_path):
+        kind = type(getattr(RunConfig(), param.field))
         run = self.subparser("run").parse_args(
             ["--index", "i", "--sessions", "s", "--out", "o", param.flag, "1"])
-        assert getattr(run, param.field) == 1
+        assert getattr(run, param.field) == "1"
+        value = getattr(cli._effective_config(run, {}), param.field)
+        assert value == 1 and type(value) is kind
         tune = self.subparser("tune").parse_args(
             ["--index", "i", "--sessions", "s", "--qrels", "q", param.flag, "1"])
         if param.methods:
             assert getattr(tune, f"grid_{param.field}") == "1"
+            (value,) = cli._grid(param.flag, param.field, "1", text=True)
         else:
-            assert getattr(tune, param.field) == 1
+            assert getattr(tune, param.field) == "1"
+            value = getattr(cli._effective_config(tune, {}), param.field)
+        assert value == 1 and type(value) is kind
         for key in (param.flag[2:], param.field):
             path = tmp_path / "params.json"
             path.write_text(json.dumps({key: 1}), encoding="utf-8")
@@ -1131,6 +1167,58 @@ class TestParameterFlags:
         with pytest.raises(ValueError) as caught:
             RunConfig(mu=-10**100)
         assert str(caught.value) == "mu must be finite and > 0, got -1" + "0" * 38 + "…"
+
+    def test_int_past_the_digit_limit_is_shown_by_its_bit_length(self):
+        with pytest.raises(ValueError) as caught:
+            RunConfig(mu=-10**5000)
+        assert str(caught.value) == "mu must be finite and > 0, got <negative int of 16610 bits>"
+
+    def test_unknown_method_is_cut_in_the_message(self):
+        with pytest.raises(ValueError) as caught:
+            RunConfig(method="x" * 100)
+        assert str(caught.value) == (
+            "unknown method '" + "x" * 39 + "… (the run command's --help lists the methods)")
+
+    LONG = "1" + "0" * 5000
+    CUT = "'1" + "0" * 38 + "…"
+
+    @pytest.mark.parametrize("argv, config, line", [
+        (["run", "--m", "1.5"], None, "--m must be an integer, got '1.5'"),
+        (["run", "--mu", "x"], None, "--mu must be a number, got 'x'"),
+        (["run", "--clip", LONG], None, "--clip must be an integer, got " + CUT),
+        (["run", "--method", "bogus"], None,
+         "unknown method 'bogus' (the run command's --help lists the methods)"),
+        (["run"], {"m": 1.5}, "field 'm' must be an integer, got 1.5"),
+        (["run"], {"x" * 50: 1}, "unknown config field '" + "x" * 39 + "…"),
+        (["tune", "--m", "5", "--k", "1.5"], None, "--k must be an integer, got '1.5'"),
+        (["tune", "--m", "5", "--depth", "x"], None, "--depth must be an integer, got 'x'"),
+        (["tune", "--m", "5", "--k", LONG], None, "--k must be an integer, got " + CUT),
+        (["tune", "--m", "5,1.5,x"], None, "--m must be an integer, got '1.5'"),
+        (["tune", "--lambda", "0.5,x"], None, "--lambda must be a number, got 'x'"),
+        (["tune", "--clip", "5," + LONG], None, "--clip must be an integer, got " + CUT),
+        (["tune", "--m", " , "], None, "--m has no grid values"),
+        (["tune"], {"gamma": []}, "field 'gamma' has no grid values"),
+        (["tune"], {"lambda": [0.5, None]}, "field 'lambda' must be a number, got None"),
+        (["tune", "--method", "bogus", "--m", "5"], None,
+         "unknown method 'bogus' (the run command's --help lists the methods)"),
+        (["eval", "--k", "1.5"], None, "--k must be an integer, got '1.5'"),
+        (["eval", "--depth", "x"], None, "--depth must be an integer, got 'x'"),
+        (["eval", "--depth", LONG], None, "--depth must be an integer, got " + CUT),
+    ])
+    def test_bad_value_gets_one_error_line_naming_it(self, tmp_path, capsys, argv, config, line):
+        # No input exists: every value must be checked before any is read.
+        absent = tmp_path / "absent"
+        files = {"run": ["--index", "i", "--sessions", "s", "--out", "o"],
+                 "tune": ["--index", "i", "--sessions", "s", "--qrels", "q"],
+                 "eval": ["--run", "r", "--sessions", "s", "--qrels", "q"]}[argv[0]]
+        argv = [*argv, *[str(absent / a) if a[0] != "-" else a for a in files]]
+        if config is not None:
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(path)]
+            line = f"{path}: {line}"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_readme_parameter_table_matches_params(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

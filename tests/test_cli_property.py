@@ -1,0 +1,111 @@
+"""A bad parameter value never ends in a traceback or a usage dump.
+
+Hypothesis draws parameter values, as flag text (scalar flags and grid
+lists) and as config file JSON, and passes them to cli.main for run, tune
+and eval with input files that do not exist. Whatever the value, the
+command exits 2 with exactly one `error:` line of at most 120 characters
+(logger WARNING lines aside), and that line holds none of Python's or
+argparse's own texts. Inputs are named by short relative paths, because an
+error line quotes the path of a bad config file.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from sessionsearch import cli, pipeline  # noqa: E402
+
+FOREIGN = ("usage:", "invalid literal", "could not convert", "Exceeds the limit")
+
+INPUTS = {
+    "run": ["--index", "absent.idx", "--sessions", "absent.json", "--out", "run.txt"],
+    "tune": ["--index", "absent.idx", "--sessions", "absent.json", "--qrels", "absent.txt"],
+    "eval": ["--run", "absent.run", "--sessions", "absent.json", "--qrels", "absent.txt"],
+}
+SCALAR_FLAGS = {
+    "run": ["--method", *(p.flag for p in pipeline.PARAMS)],
+    "tune": ["--method", *(p.flag for p in pipeline.PARAMS if not p.methods)],
+    "eval": ["--k", "--depth"],
+}
+GRID_FLAGS = [p.flag for p in pipeline.PARAMS if p.methods]
+CONFIG_KEYS = sorted(cli._CONFIG_KEYS)
+
+# The longest int within int()'s digit limit (4,300 digits), and past it.
+huge_digits = st.one_of(st.just("9" * 4300), st.integers(4301, 5001).map(lambda n: "9" * n))
+items = st.one_of(
+    st.sampled_from(["", " ", "1.5", "2.0", "x", "nan", "-nan", "inf", "-inf", "1e400",
+                     "-1e400", "1e-400", "0", "-1", "1_0", "0x10", "٣", "５", "1e", "none"]),
+    huge_digits,
+    st.decimals(allow_nan=True, allow_infinity=True).map(str),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(max_size=12),
+)
+flag_texts = st.one_of(items, st.lists(items, max_size=4).map(",".join),
+                       items.map(lambda item: f"{item},{item}"), st.text())
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+# JSON text of a value; json.dumps cannot write an int past the digit limit.
+json_texts = st.one_of(json_values.map(json.dumps), huge_digits, huge_digits.map("-".__add__),
+                       huge_digits.map(lambda digits: f"[{digits}, {digits}]"))
+
+
+@st.composite
+def flag_cases(draw):
+    command = draw(st.sampled_from(sorted(INPUTS)))
+    flags = SCALAR_FLAGS[command] + (GRID_FLAGS if command == "tune" else [])
+    flag = draw(st.sampled_from(flags))
+    argv = [command, *INPUTS[command], f"{flag}={draw(flag_texts)}"]
+    if command == "tune" and flag not in GRID_FLAGS:
+        argv.append("--m=5")  # a grid, so that the scalar flags are read
+    return argv, None
+
+
+@st.composite
+def config_cases(draw):
+    command = draw(st.sampled_from(["run", "tune"]))
+    keys = st.one_of(st.sampled_from(CONFIG_KEYS), st.text(), st.just("x" * 5000))
+    fields = draw(st.lists(st.tuples(keys, json_texts), min_size=1, max_size=3,
+                           unique_by=lambda kv: kv[0]))
+    config = "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in fields) + "}"
+    return [command, *INPUTS[command], "--config", "params.json"], config
+
+
+def one_error_line(argv, config, directory):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(directory), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        if config is not None:
+            with open("params.json", "w", encoding="utf-8") as handle:
+                handle.write(config)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's exit
+            code = exc.code
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("WARNING ")]
+    assert code == 2, (argv, config, err.getvalue())
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, config, lines)
+    assert len(lines[0]) <= 120, lines[0]
+    assert not any(text in lines[0] for text in FOREIGN), lines[0]
+
+
+@pytest.fixture(scope="module")
+def directory(tmp_path_factory):
+    return tmp_path_factory.mktemp("no_traceback")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.one_of(flag_cases(), config_cases()))
+def test_bad_parameter_value_gets_one_short_error_line(case, directory):
+    one_error_line(*case, directory)

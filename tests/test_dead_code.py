@@ -2,9 +2,8 @@
 module-level function, class or assigned name goes unreferenced in the
 package.
 
-__init__.py is exempt from the import rule: its imports are the public
-re-exports. A private definition counts as referenced when any statement of
-any package module other than its own definition names it.
+A private definition counts as referenced when any statement of any package
+module other than its own definition names it.
 """
 
 import ast
@@ -54,12 +53,12 @@ def defined_names(stmt):
 
 
 def dead_code(sources):
-    """One finding per unused import (modules other than __init__.py) and
-    per unreferenced private module-level function, class or assigned name,
-    for sources mapping a module's file name to its text."""
+    """One finding per unused import and per unreferenced private
+    module-level function, class or assigned name, for sources mapping a
+    module's file name to its text."""
     trees = {name: ast.parse(text, filename=name) for name, text in sorted(sources.items())}
     findings = [f"{name}:{line}: unused import {bound}"
-                for name, tree in trees.items() if name != "__init__.py"
+                for name, tree in trees.items()
                 for line, bound in unused_imports(tree)]
     statements = [(name, stmt) for name, tree in trees.items() for stmt in tree.body]
     for name, stmt in statements:
@@ -102,10 +101,10 @@ def test_planted_unreferenced_private_assignments_are_found():
     ]
 
 
-def test_reexport_in_init_and_reference_from_another_module_count_as_use():
+def test_init_import_is_checked_and_reference_from_another_module_counts_as_use():
     sources = {
         "__init__.py": "from .a import unused_here\n",
         "a.py": "import os\n\n\ndef _helper():\n    return os.sep\n",
         "b.py": "from .a import _helper\n\n\ndef f():\n    return _helper()\n",
     }
-    assert dead_code(sources) == []
+    assert dead_code(sources) == ["__init__.py:1: unused import unused_here"]

@@ -378,6 +378,14 @@ def test_shown_cuts_a_long_repr_to_40_characters(value, text):
     assert shown(value) == text
 
 
+@pytest.mark.parametrize("value, text", [
+    (10**5000, "<int of 16610 bits>"),
+    (-10**5000, "<negative int of 16610 bits>"),
+], ids=["positive", "negative"])
+def test_shown_writes_an_int_past_the_digit_limit_without_raising(value, text):
+    assert shown(value) == text
+
+
 def test_read_corpus_jsonl(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(

@@ -158,6 +158,19 @@ class TestSmoothedProb:
         with pytest.raises(ValueError):
             smoothed_prob("a", index.doc("d2"), index.stats, 0.0)
 
+    @pytest.mark.parametrize("mu, message", [
+        (5e-324, "mu=5e-324 is too small: mu * P('a'|C) is 0.0"),
+        (1.7e308, "mu=1.7e+308 is too large: mu * P('a'|C) is inf"),
+    ])
+    def test_mu_whose_background_mass_is_0_or_inf_rejected(self, tiny_index, mu, message):
+        doc = tiny_index.doc("d1")
+        with pytest.raises(ValueError) as raised:
+            smoothed_prob("a", doc, tiny_index.stats, mu)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            query_log_likelihood(q("a"), doc, tiny_index.stats, mu)
+        assert str(raised.value) == message
+
 
 class TestQueryLogLikelihood:
     def test_hand_value(self, tiny_index):
