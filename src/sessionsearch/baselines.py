@@ -72,32 +72,25 @@ def qa_score(
     index: InvertedIndex,
     mu: float,
     decay: float = 1.0,
-    stages: Optional[Stages] = None,
 ) -> float:
-    """Query-aggregation score of one document for a session.
+    """Query-aggregation score of one document for a session: qa_scorer's
+    score of doc."""
+    return qa_scorer(session, index, mu, decay)(doc)
+
+
+def qa_scorer(
+    session: Session, index: InvertedIndex, mu: float, decay: float = 1.0
+) -> LogLikelihoodScorer:
+    """The session's query-aggregation scorer: one query of its known terms
+    with decayed counts.
 
     Per-query log likelihoods are summed with weight decay^(n-t), decay in
     (0, 1], so older queries count less; decay=1 weighs all queries equally.
     Tokens unseen in the collection are dropped, the same convention the
     first-pass ranker uses.
-
-    The scorer depends only on the session, mu and decay, so it is built on
-    the first lookup in stages (a fresh memo when None) under
-    ("qa", mu, decay) and reused for every later document of the session.
     """
     if not 0.0 < decay <= 1.0:
         raise ValueError(f"decay must be in (0, 1], got {decay}")
-    if stages is None:
-        stages = Stages()
-    scorer = stages.get(("qa", mu, decay), lambda: _qa_scorer(session, index, mu, decay))
-    return scorer(doc)
-
-
-def _qa_scorer(
-    session: Session, index: InvertedIndex, mu: float, decay: float
-) -> LogLikelihoodScorer:
-    """The scorer qa_score applies: one query of the session's known terms
-    with decayed counts."""
     # sum_t decay^(n-t) ln p(q_t|d) = sum_w (sum_t decay^(n-t) c_t(w)) ln p(w|d):
     # one scorer over the decayed term counts.
     queries = session.queries

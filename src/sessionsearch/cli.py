@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from . import evalkit, pipeline
-from .index import InvertedIndex, build_index, load_json, read_corpus_jsonl, shown
+from .index import (InvertedIndex, build_index, load_json, read_corpus_jsonl, shown,
+                    shown_ids)
 from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")
@@ -185,7 +186,8 @@ def _load_qrels(path: str, sessions) -> evalkit.Qrels:
     for session in sessions:
         if session.current_query.tokens and session.topic_id not in qrels.grades_by_topic:
             raise ValueError(
-                f"{path}: unknown topic {session.topic_id!r} of session {session.session_id!r}"
+                f"{path}: unknown topic {shown(session.topic_id)} "
+                f"of session {shown(session.session_id)}"
             )
     return qrels
 
@@ -326,7 +328,7 @@ def cmd_eval(args) -> int:
     if unknown:
         raise ValueError(
             f"{args.run}: session ids not in {args.sessions} "
-            f"or without an analyzable current query: {unknown}"
+            f"or without an analyzable current query: {shown_ids(unknown)}"
         )
     qrels = _load_qrels(args.qrels, scored)
 

@@ -69,8 +69,8 @@ class Qrels:
                 first_grade, first_line = judged.setdefault((topic_id, doc_id), (grade, lineno))
                 if first_grade != grade:
                     raise ValueError(
-                        f"{path}: line {lineno}: topic {topic_id!r} doc {doc_id!r} has grade "
-                        f"{grade}, but line {first_line} gave it grade {first_grade}"
+                        f"{path}: line {lineno}: topic {shown(topic_id)} doc {shown(doc_id)} "
+                        f"has grade {grade}, but line {first_line} gave it grade {first_grade}"
                     )
                 grades.setdefault(topic_id, {})[doc_id] = max(0, grade)
         return cls(grades)
@@ -79,7 +79,7 @@ class Qrels:
         try:
             return self.grades_by_topic[topic_id]
         except KeyError:
-            raise ValueError(f"unknown topic {topic_id!r} in qrels") from None
+            raise ValueError(f"unknown topic {shown(topic_id)} in qrels") from None
 
     def max_grade(self) -> int:
         top = 0
@@ -252,11 +252,11 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             first = rank_lines.setdefault((key, rank), lineno)
             if first != lineno:
                 raise ValueError(f"{path}: line {lineno}: repeated rank {rank} under key "
-                                 f"{key!r} (first on line {first})")
+                                 f"{shown(key)} (first on line {first})")
             first = doc_lines.setdefault((key, doc_id), lineno)
             if first != lineno:
-                raise ValueError(f"{path}: line {lineno}: duplicate doc {doc_id!r} under key "
-                                 f"{key!r} (first on line {first})")
+                raise ValueError(f"{path}: line {lineno}: duplicate doc {shown(doc_id)} under key "
+                                 f"{shown(key)} (first on line {first})")
             rows.setdefault(key, []).append((rank, doc_id, score))
     rankings: dict[str, list[tuple[str, float]]] = {}
     for key, entries in rows.items():

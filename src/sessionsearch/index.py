@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, ItemsView, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .analysis import AnalyzedText, analyze, term_memo
 
@@ -37,6 +37,13 @@ def shown(value) -> str:
     except ValueError:
         return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
     return text if len(text) <= 40 else text[:40] + "…"
+
+
+def shown_ids(ids: Sequence) -> str:
+    """A list of ids for an error line: its length and its first three
+    items, each through shown."""
+    more = ", …" if len(ids) > 3 else ""
+    return f"{len(ids)} ({', '.join(map(shown, ids[:3]))}{more})"
 
 
 def valid_id(text: str, file_name: bool = False) -> bool:
@@ -189,10 +196,10 @@ class InvertedIndex:
         previous = None
         for doc_id, counts in docs.items():
             if not valid_id(doc_id):
-                raise ValueError(f"{path}: doc id {doc_id!r} is empty or contains whitespace")
+                raise ValueError(f"{path}: doc id {shown(doc_id)} is empty or contains whitespace")
             try:
                 if previous is not None and doc_id <= previous:
-                    raise ValueError(f"not in doc_id order (it follows {previous!r})")
+                    raise ValueError(f"not in doc_id order (it follows {shown(previous)})")
                 if type(counts) is not dict:
                     raise ValueError("not a JSON object")
                 values = counts.values()
@@ -205,7 +212,7 @@ class InvertedIndex:
                 if list(counts) != sorted(counts):  # keys are distinct: in strict order
                     raise ValueError("counts are not in term order")
             except ValueError as exc:
-                raise ValueError(f"{path}: doc {doc_id!r}: {exc}") from None
+                raise ValueError(f"{path}: doc {shown(doc_id)}: {exc}") from None
             previous = doc_id
             doc_table[doc_id] = DocumentRecord(doc_id, counts, length)
         index = cls(doc_table)
@@ -228,9 +235,9 @@ def build_index(
     with term_memo():
         for doc_id, text in docs:
             if doc_id in doc_table:
-                raise ValueError(f"duplicate doc_id: {doc_id!r}")
+                raise ValueError(f"duplicate doc_id: {shown(doc_id)}")
             if not valid_id(doc_id):
-                raise ValueError(f"doc id {doc_id!r} is empty or contains whitespace")
+                raise ValueError(f"doc id {shown(doc_id)} is empty or contains whitespace")
             analyzed = analyzer(text)
             counts = dict(sorted(analyzed.counts().items()))
             doc_table[doc_id] = DocumentRecord(doc_id, counts, analyzed.length)
@@ -257,11 +264,10 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
                 raise ValueError(f"{path}: line {lineno}: 'id' and 'text' must be strings")
             if not valid_id(doc_id):
                 raise ValueError(
-                    f"{path}: line {lineno}: doc id {doc_id!r} is empty or contains whitespace"
+                    f"{path}: line {lineno}: doc id {shown(doc_id)} is empty or contains whitespace"
                 )
             first = first_line.setdefault(doc_id, lineno)
             if first != lineno:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate doc id {doc_id!r} (first on line {first})"
-                )
+                raise ValueError(f"{path}: line {lineno}: duplicate doc id {shown(doc_id)} "
+                                 f"(first on line {first})")
             yield doc_id, text

@@ -167,8 +167,8 @@ class LogLikelihoodScorer:
             + sum_{w in d} p_w ln(1 + tf / (mu P(w|C)))
 
     scores() is the one loop that applies it: to the rerank, pseudo-click
-    selection, RM1 weights, first-pass documents several terms match and,
-    one document per call, query aggregation. The scorer computes
+    selection, RM1 weights, first-pass documents several terms match and
+    query aggregation's candidates. The scorer computes
     base(length), the first two parts, once per length and summand(term,
     tf), p_w ln(1 + tf / (mu P(w|C))), once per (term, tf), and keeps both:
     a kept value is the same expression evaluated in the same order, so the

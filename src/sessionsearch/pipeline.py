@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .baselines import qa_score, rm3_model
+from .baselines import qa_scorer, rm3_model
 from .index import InvertedIndex, shown
 from .lm import (
     RankedList,
@@ -156,10 +156,11 @@ def score_session_full(
     """Like score_session but keeps the learned model and trace when present.
 
     stages is this session's memo (a fresh one when None). It keys the first
-    pass by (mu, depth), the RM3 feedback first pass by (feedback query, mu,
-    m), the session model's feedback stages as build_session_model does, the
-    QA scorer and the RM1 model as qa_score and rm3_model do. The rest runs
-    every call, and each scorer it builds computes its own log ratios.
+    pass by (mu, depth), the QA ranking (one baselines.qa_scorer pass over
+    the candidates) by (mu, depth, decay), the RM3 feedback first pass by
+    (feedback query, mu, m), the session model's feedback stages as
+    build_session_model does and the RM1 model as rm3_model does. The rest
+    runs every call, and each scorer it builds computes its own log ratios.
 
     A caller that passes stages scores the session again (tune), so the
     rerank gets the candidates' srm.CandidateMatching, keyed by (mu, depth,
@@ -187,13 +188,13 @@ def score_session_full(
         return result
 
     if method in (METHOD_QA_UNIFORM, METHOD_QA_DECAY):
-        # qa_score covers the whole query pool, current query included, so it
-        # replaces the candidate score rather than adding to it.
+        # QA covers the whole query pool, current query included, so its
+        # score replaces the candidate score rather than adding to it.
         decay = config.applied_decay
-        result.ranking = rank_documents([
-            (doc_id, qa_score(session, index.doc(doc_id), index, mu, decay, stages))
-            for doc_id, _ in candidates
-        ])
+        ids = [doc_id for doc_id, _ in candidates]
+        docs = map(index.doc_table.__getitem__, ids)
+        result.ranking = stages.get(("qa", mu, config.depth, decay), lambda: rank_documents(
+            zip(ids, qa_scorer(session, index, mu, decay).scores(docs))))
         return result
 
     if method in (METHOD_SRM_QC, METHOD_SRM_RM1):

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze, term_memo
-from .index import InvertedIndex, json_field, load_json, valid_id
+from .index import InvertedIndex, json_field, load_json, shown, shown_ids, valid_id
 from .lm import LogLikelihoodScorer, rank_documents
 
 
@@ -49,12 +49,12 @@ class SessionStep:
         seen = set()
         for doc_id in self.impressions:
             if doc_id in seen:
-                raise ValueError(f"duplicate impression {doc_id!r}")
+                raise ValueError(f"duplicate impression {shown(doc_id)}")
             seen.add(doc_id)
         for click in self.clicks:
             if click.doc_id not in seen:
                 raise ValueError(
-                    f"clicked doc {click.doc_id!r} does not appear in the impressions"
+                    f"clicked doc {shown(click.doc_id)} does not appear in the impressions"
                 )
 
 
@@ -110,11 +110,10 @@ class Stages:
 
     Valid for one session and one index: start a fresh memo for another.
     Every lookup of a key returns the same object, so callers must not
-    mutate what they get. A stored scorer keeps the summands and length
-    bases it has computed (lm.LogLikelihoodScorer) as long as the memo, and
-    a stored candidate matching (srm.CandidateMatching) the (term, tf)
-    pairs of every model scored through it and the rankings it has made,
-    one per distinct model.
+    mutate what they get: a stored ranking (query aggregation's) is the
+    list every later point gets back. A stored candidate matching
+    (srm.CandidateMatching) keeps the (term, tf) pairs of every model scored
+    through it and the rankings it has made, one per distinct model.
     """
 
     __slots__ = ("_memo",)
@@ -227,15 +226,16 @@ def load_sessions(
     sessions = []
     with term_memo():
         for pos, entry in enumerate(raw["sessions"]):
-            label = entry.get("session_id", f"#{pos}") if isinstance(entry, dict) else f"#{pos}"
             try:
                 sessions.append(_parse_session(entry, analyzer))
             except ValueError as exc:
+                has_id = isinstance(entry, dict) and "session_id" in entry
+                label = shown(entry["session_id"]) if has_id else f"#{pos}"
                 raise ValueError(f"{path}: session {label}: {exc}") from exc
     counts = Counter(session.session_id for session in sessions)
     repeated = sorted(session_id for session_id, count in counts.items() if count > 1)
     if repeated:
-        raise ValueError(f"{path}: duplicate session ids: {repeated}")
+        raise ValueError(f"{path}: duplicate session ids: {shown_ids(repeated)}")
     return sessions
 
 
@@ -243,10 +243,8 @@ def _parse_session(entry: dict, analyzer: Callable[[str], AnalyzedText]) -> Sess
     session_id = json_field(entry, "session_id", str)
     topic_id = json_field(entry, "topic_id", str)
     if not valid_id(session_id, file_name=True):
-        raise ValueError(
-            f"session id {session_id!r} is empty, contains whitespace, '/' or '\\', "
-            "or is '.' or '..'"
-        )
+        # The caller's error line shows the id.
+        raise ValueError("'session_id' must be a file name without whitespace")
     steps = []
     for step in json_field(entry, "steps", list, (), items=dict):
         query = json_field(step, "query", str)

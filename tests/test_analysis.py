@@ -349,7 +349,7 @@ def test_load_sessions_stems_each_distinct_token_once_per_call(tmp_path, stem_ca
     # A session that fails to parse after others were analyzed ends the
     # scope too; the next call starts cold.
     bad = write_sessions(tmp_path / "bad.json", entries + [{"session_id": "s3"}])
-    with pytest.raises(ValueError, match="session s3"):
+    with pytest.raises(ValueError, match="session 's3'"):
         load_sessions(bad)
     assert analysis._scope_terms.get() is None
     stem_calls.clear()

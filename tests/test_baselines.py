@@ -7,13 +7,12 @@ import pytest
 import oracle
 from conftest import make_session, text
 
-from sessionsearch import baselines
+from sessionsearch import baselines, pipeline
 from sessionsearch.analysis import whitespace_analyze
 from sessionsearch.baselines import qa_score, rm1_model, rm3_model
 from sessionsearch.index import build_index
 from sessionsearch.lm import doc_mle, query_log_likelihood, query_mle
 from sessionsearch.pipeline import RunConfig, StagedScorer
-from sessionsearch.session import Stages
 
 
 @pytest.fixture
@@ -170,30 +169,30 @@ class TestQueryAggregation:
     @pytest.mark.parametrize("mu", [10.0, 2500.0])
     @pytest.mark.parametrize("decay", [None, 0.5, 0.92, 1.0])
     def test_shared_stages_score_bit_for_bit_like_fresh_ones(self, club_index, decay, mu):
-        # A history with repeats and a term the collection lacks, so the
-        # decayed query differs from the current one. decay=None leaves the
-        # argument at its default, the uniform weighting qa-uniform uses.
+        # One scorer's batch over every document, the way the pipeline scores
+        # QA candidates, against a fresh scorer per document. A history with
+        # repeats and a term the collection lacks, so the decayed query
+        # differs from the current one. decay=None leaves the argument at its
+        # default, the uniform weighting qa-uniform uses.
         session = make_session(
             [(["jazz", "club"], [], []), (["rock", "zzz"], [], []), (["jazz"], [], [])],
             ["club", "music"],
         )
         weighting = {} if decay is None else {"decay": decay}
-        stages = Stages()
-        for doc_id in sorted(club_index.doc_table):
-            doc = club_index.doc(doc_id)
-            shared = qa_score(session, doc, club_index, mu, stages=stages, **weighting)
-            fresh = qa_score(session, doc, club_index, mu, **weighting)
-            assert shared.hex() == fresh.hex()
+        docs = [club_index.doc(doc_id) for doc_id in sorted(club_index.doc_table)]
+        shared = baselines.qa_scorer(session, club_index, mu, **weighting).scores(docs)
+        fresh = [qa_score(session, doc, club_index, mu, **weighting) for doc in docs]
+        assert [score.hex() for score in shared] == [score.hex() for score in fresh]
 
     def test_scorer_built_once_per_session_mu_and_decay(self, monkeypatch, club_index):
         built = []
-        real = baselines._qa_scorer
+        real = pipeline.qa_scorer
 
         def recording(session, index, mu, decay):
             built.append((mu, decay))
             return real(session, index, mu, decay)
 
-        monkeypatch.setattr(baselines, "_qa_scorer", recording)
+        monkeypatch.setattr(pipeline, "qa_scorer", recording)
         session = make_session([(["jazz"], [], [])], ["jazz", "club"])
         scorer = StagedScorer()
         points = [("qa-decay", 0.5), ("qa-decay", 0.92), ("qa-uniform", 0.5), ("qa-decay", 0.5),
@@ -201,6 +200,7 @@ class TestQueryAggregation:
         rankings = [scorer(session, club_index, RunConfig(method=method, decay=decay))
                     for method, decay in points]
         assert all(len(ranking) == 4 for ranking in rankings)
-        # qa-uniform is qa-decay at decay 1: both points share one scorer.
-        assert rankings[2] == rankings[4]
+        # qa-uniform is qa-decay at decay 1: both points share one ranking.
+        assert rankings[2] is rankings[4]
+        assert rankings[0] is rankings[3]
         assert built == [(2500.0, 0.5), (2500.0, 0.92), (2500.0, 1.0)]

@@ -338,7 +338,8 @@ class TestRunCommand:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "bad_id.json" in err[0] and f"session id {session_id!r}" in err[0]
+        assert err[0].endswith(f"bad_id.json: session {session_id!r}: "
+                               "'session_id' must be a file name without whitespace")
         assert sorted(workspace["dir"].rglob("*")) == before
 
     def test_missing_topic_writes_no_run_file(self, workspace, capsys):
@@ -394,7 +395,7 @@ class TestRunCommand:
         ])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {bad}: session s1: a click's 'dwell' must be a finite number"
+        assert err == [f"error: {bad}: session 's1': a click's 'dwell' must be a finite number"
                        " >= 0, or null"], err
         assert not out.exists()
 
@@ -679,7 +680,7 @@ class TestTuneCommand:
             "--qrels", str(workspace["qrels"]), "--method", "none", "--m", "5",
         ])
         assert rc == 2
-        assert "duplicate session ids: ['s1']" in capsys.readouterr().err
+        assert "duplicate session ids: 1 ('s1')" in capsys.readouterr().err
 
     def test_no_servable_session_rejected_before_qrels_and_index(self, workspace, capsys):
         stopwords = write_sessions(
@@ -786,7 +787,7 @@ class TestEvalCommand:
             "--qrels", str(workspace["qrels"]), "--sessions", str(sessions),
         ])
         assert rc == 2
-        assert "duplicate session ids: ['s1']" in capsys.readouterr().err
+        assert "duplicate session ids: 1 ('s1')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, field", [(["--k", "0"], "k"), (["--depth", "0"], "depth"),
                                               (["--k", "-3"], "k")])
@@ -903,18 +904,18 @@ class TestBadInputFiles:
     # (id, role, command, content, what the line names right after the file)
     FIELD_CASES = [
         ("step-not-an-object", "sessions", "run", session_file('[["q"]]'),
-         "session s1: each item of 'steps' must be an object"),
+         "session 's1': each item of 'steps' must be an object"),
         ("click-without-doc", "sessions", "run",
          session_file('[{"query": "jazz", "impressions": ["d1"], "clicks": [{"dwell": 1}]}]'),
-         "session s1: missing 'doc'"),
+         "session 's1': missing 'doc'"),
         ("session-not-an-object", "sessions", "run", '{"sessions": [["s1"]]}',
          "session #0: not a JSON object"),
         ("doc-not-an-object", "snapshot", "run", snapshot_file("[1]"),
          "doc 'd1': not a JSON object"),
         ("step-without-query", "sessions", "run", session_file('[{"impressions": ["d1"]}]'),
-         "session s1: missing 'query'"),
+         "session 's1': missing 'query'"),
         ("session-without-current-query", "sessions", "run", session_file(rest=""),
-         "session s1: missing 'current_query'"),
+         "session 's1': missing 'current_query'"),
         ("long-dwell", "sessions", "run", session_file(
             '[{"query": "jazz", "impressions": ["d1"], "clicks": [{"doc": "d1", "dwell": '
             + LONG + "}]}]"), "invalid JSON: an integer has more than 4300 digits"),

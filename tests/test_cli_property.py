@@ -7,6 +7,10 @@ command exits 2 with exactly one `error:` line of at most 120 characters
 (logger WARNING lines aside), and that line holds none of Python's or
 argparse's own texts. Inputs are named by short relative paths, because an
 error line quotes the path of a bad config file.
+
+Input files whose ids are 5,000 characters long, or lists of 300 ids, get
+the same one short line: each id is cut, and a list shows its length and
+its first three ids.
 """
 
 import contextlib
@@ -109,3 +113,67 @@ def directory(tmp_path_factory):
 @given(case=st.one_of(flag_cases(), config_cases()))
 def test_bad_parameter_value_gets_one_short_error_line(case, directory):
     one_error_line(*case, directory)
+
+
+LONG = "x" * 5000
+MANY = [f"x{i:04}" for i in range(300)]
+INDEX = ["index", "--corpus", "c.jsonl", "--out", "i.idx"]
+RUN = ["run", "--index", "i.idx", "--sessions", "s.json", "--out", "run.txt"]
+EVAL = ["eval", "--run", "r.run", "--sessions", "s.json", "--qrels", "q.txt"]
+
+
+def sessions(*entries):
+    return json.dumps({"sessions": list(entries)})
+
+
+def session(session_id="s1", topic_id="t1", impressions=("d1",), clicks=()):
+    step = {"query": "jazz", "impressions": list(impressions),
+            "clicks": [{"doc": doc_id} for doc_id in clicks]}
+    return {"session_id": session_id, "topic_id": topic_id, "steps": [step],
+            "current_query": "jazz"}
+
+
+def snapshot(docs):
+    return json.dumps({"magic": "sessionsearch-index", "version": 2, "docs": docs})
+
+
+def corpus(*doc_ids):
+    return "".join(json.dumps({"id": doc_id, "text": "jazz"}) + "\n" for doc_id in doc_ids)
+
+
+# (argv, the input files by name); each case names one long id or a long id list.
+ID_CASES = {
+    "session-id-a-list": (RUN, {"s.json": sessions({**session(), "session_id": ["s1"] * 3000})}),
+    "session-id-a-long-int": (RUN, {"s.json": f'{{"sessions": [{{"session_id": {"9" * 4000}}}]}}'}),
+    "session-id-with-whitespace": (RUN, {"s.json": sessions(session(LONG + " y"))}),
+    "duplicate-session-ids": (RUN, {"s.json": sessions(*map(session, MANY + MANY))}),
+    "duplicate-impression": (RUN, {"s.json": sessions(session(impressions=[LONG, LONG]))}),
+    "click-not-among-impressions": (RUN, {"s.json": sessions(session(clicks=[LONG]))}),
+    "corpus-doc-id-with-whitespace": (INDEX, {"c.jsonl": corpus(LONG + " y")}),
+    "duplicate-corpus-doc-id": (INDEX, {"c.jsonl": corpus(LONG, LONG)}),
+    "snapshot-doc-id-with-whitespace": (RUN, {"s.json": sessions(session()),
+                                              "i.idx": snapshot({LONG + " y": {"jazz": 1}})}),
+    "snapshot-doc-out-of-order": (RUN, {"s.json": sessions(session()),
+                                        "i.idx": snapshot({LONG: {}, "d1": {}})}),
+    "snapshot-doc-not-an-object": (RUN, {"s.json": sessions(session()),
+                                         "i.idx": snapshot({LONG: [1]})}),
+    "unknown-qrels-topic": (EVAL, {"r.run": "s1 Q0 d1 1 -1.0 t\n", "q.txt": "t1 0 d1 1\n",
+                                   "s.json": sessions(session(topic_id=LONG))}),
+    "conflicting-qrels-grades": (EVAL, {"r.run": "s1 Q0 d1 1 -1.0 t\n",
+                                        "q.txt": f"{LONG} 0 d1 1\n{LONG} 0 d1 2\n",
+                                        "s.json": sessions(session())}),
+    "unknown-run-ids": (EVAL, {"r.run": "".join(f"{key} Q0 d1 1 -1.0 t\n" for key in MANY),
+                               "s.json": sessions(session()), "q.txt": "t1 0 d1 1\n"}),
+    "run-file-duplicate-doc": (EVAL, {"r.run": f"s1 Q0 {LONG} 1 -1.0 t\ns1 Q0 {LONG} 2 -2.0 t\n",
+                                      "s.json": sessions(session()), "q.txt": "t1 0 d1 1\n"}),
+    "run-file-repeated-rank": (EVAL, {"r.run": f"{LONG} Q0 d1 1 -1.0 t\n{LONG} Q0 d2 1 -2.0 t\n",
+                                      "s.json": sessions(session()), "q.txt": "t1 0 d1 1\n"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ID_CASES))
+def test_long_ids_in_input_files_get_one_short_error_line(case, tmp_path):
+    argv, files = ID_CASES[case]
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    one_error_line(argv, None, tmp_path)

@@ -21,7 +21,6 @@ REBOUND = (
     (pipeline, "top_k_by_query_likelihood"),
     (pipeline, "build_session_model"),
     (pipeline, "rerank"),
-    (pipeline, "qa_score"),
     (srm, "select_feedback_docs"),
     (srm, "feedback_model"),
     (srm, "rm1_style_feedback_model"),
@@ -39,18 +38,17 @@ SRM_CALLS = {
 EXPECTED = {
     "srm-qc": SRM_CALLS | {"srm.feedback_model"},
     "srm-rm1": SRM_CALLS | {"srm.rm1_style_feedback_model"},
-    "qa-decay": {"pipeline.top_k_by_query_likelihood", "pipeline.qa_score"},
+    "qa-decay": {"pipeline.top_k_by_query_likelihood"},
 }
 
 
 # What a second (lambda, gamma) point of a session reaches under
 # StagedScorer: the first pass, the feedback set and the feedback model
-# come from the memo; QA's scorer too, though qa_score is still called
-# once per candidate.
+# come from the memo, and QA's whole ranking, which reads neither.
 SECOND_POINT = {
     "srm-qc": {"pipeline.build_session_model", "srm.anchor_feedback", "pipeline.rerank"},
     "srm-rm1": {"pipeline.build_session_model", "srm.anchor_feedback", "pipeline.rerank"},
-    "qa-decay": {"pipeline.qa_score"},
+    "qa-decay": set(),
 }
 
 
@@ -86,11 +84,15 @@ def test_staged_scorer_reaches_only_the_changed_stages(monkeypatch, club_index, 
     calls = rebind(monkeypatch)
     session = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])
     scorer = pipeline.StagedScorer()
-    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.3, gamma=0.3))
+    first = scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.3, gamma=0.3))
+    assert first
     assert calls == EXPECTED[method]
     calls.clear()
-    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.7, gamma=0.5))
+    second = scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.7, gamma=0.5))
+    assert second
     assert calls == SECOND_POINT[method]
+    # QA reads neither lambda nor gamma: the second point gets the kept list back.
+    assert (second is first) == (method == "qa-decay")
     # A new session object starts a fresh memo.
     calls.clear()
     other = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])

@@ -289,7 +289,7 @@ class TestLoadSessions:
             {"sessions": [{"session_id": "s1", "topic_id": "t1", "steps": [step],
                            "current_query": "q"}]},
         )
-        with pytest.raises(ValueError, match=re.escape(f"{path}: session s1: {message}")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: session 's1': {message}")):
             load_sessions(path)
 
     @pytest.mark.parametrize("steps", ["", "q", {}, {"query": "q"}, 0, True])
@@ -299,7 +299,7 @@ class TestLoadSessions:
             {"sessions": [{"session_id": "s1", "topic_id": "t1", "steps": steps,
                            "current_query": "q"}]},
         )
-        with pytest.raises(ValueError, match=re.escape(f"{path}: session s1: 'steps' must be a list")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: session 's1': 'steps' must be a list")):
             load_sessions(path)
 
     @pytest.mark.parametrize("click", [{"doc": "d1"}, {"doc": "d1", "dwell": None},
