@@ -1,11 +1,12 @@
 """Inverted index over a document corpus, with collection statistics.
 
 The document table is the one stored form: records in doc_id order, each
-count map in term order. Postings (per term, a {doc_id: count} map) and
-collection statistics are derived from it in one pass, on first use, so a
-built index and its loaded snapshot are equal down to iteration order,
-whichever is read first. `load` derives them before it returns; an index
-that is only built and saved (the `index` command) never does. The snapshot
+count map in term order. Postings (per term, a {doc_id: count} map),
+lengths ({doc_id: length}) and collection statistics are derived from it
+on first use, so a built index and its loaded snapshot are equal down to
+iteration order, whichever is read first. `load` derives them all before
+it returns; an index that is only built and saved (the `index` command)
+never does. The snapshot
 (JSON, magic header + format version) maps each doc_id to its count map and
 stores nothing derived from it, not even the length; `load` rejects a table
 out of order instead of re-sorting it. An index is immutable once built.
@@ -132,9 +133,9 @@ class CollectionStats:
 
 
 class InvertedIndex:
-    """Document table of one corpus, with its postings and collection
-    statistics. Both are derived from the table on first use and then kept;
-    `load` derives them before it returns."""
+    """Document table of one corpus, with its postings, document lengths and
+    collection statistics. Each is derived from the table on first use and
+    then kept; `load` derives them all before it returns."""
 
     def __init__(self, doc_table: dict[str, DocumentRecord]):
         """Index a document table given in doc_id order, counts in term order."""
@@ -152,11 +153,17 @@ class InvertedIndex:
         return {term: gathered[term].items() for term in sorted(gathered)}
 
     @cached_property
+    def lengths(self) -> dict[str, int]:
+        """Each document's length, in doc_id order."""
+        return {doc_id: rec.length for doc_id, rec in self.doc_table.items()}
+
+    @cached_property
     def stats(self) -> CollectionStats:
-        """Collection statistics; a term's cf sums its postings' counts, its df counts them."""
+        """Collection statistics; a term's cf sums its postings' counts, its
+        df counts them, and the total sums the lengths."""
         postings = self.postings
         return CollectionStats(
-            total_tokens=sum(rec.length for rec in self.doc_table.values()),
+            total_tokens=sum(self.lengths.values()),
             collection_tf={t: sum(p.mapping.values()) for t, p in postings.items()},
             doc_freq={t: len(p) for t, p in postings.items()},
             num_docs=len(self.doc_table),
@@ -216,7 +223,7 @@ class InvertedIndex:
             previous = doc_id
             doc_table[doc_id] = DocumentRecord(doc_id, counts, length)
         index = cls(doc_table)
-        index.stats  # derives the postings too: both are part of the load
+        index.stats  # derives the postings and lengths too: all three are part of the load
         return index
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analysis import AnalyzedText
@@ -166,11 +166,13 @@ class LogLikelihoodScorer:
         sum_w p_w ln(mu P(w|C)) - (sum_w p_w) ln(|d| + mu)
             + sum_{w in d} p_w ln(1 + tf / (mu P(w|C)))
 
-    scores() is the one loop that applies it: to the rerank, pseudo-click
-    selection, RM1 weights, first-pass documents several terms match and
-    query aggregation's candidates. The scorer computes
-    base(length), the first two parts, once per length and summand(term,
-    tf), p_w ln(1 + tf / (mu P(w|C))), once per (term, tf), and keeps both:
+    Two loops apply it. scores() goes document at a time: the rerank,
+    pseudo-click selection and RM1 weights use it. term_at_a_time() goes
+    over each term's postings: the first pass and query aggregation's
+    candidates use it, and it gives the float scores() would. The scorer
+    computes base(length), the first two parts, once per length and
+    summand(term, tf), p_w ln(1 + tf / (mu P(w|C))), once per (term, tf),
+    and keeps both:
     a kept value is the same expression evaluated in the same order, so the
     float a fresh one would be. A term without background mass (cf = 0, or
     any term when mu = 0) is in .required: a document without it scores
@@ -225,8 +227,8 @@ class LogLikelihoodScorer:
         self, docs: Iterable[DocumentRecord], matched: Optional[Iterable[list[float]]] = None
     ) -> list[float]:
         """The score of each document, in order. matched, when given, holds
-        each document's summands, in the same order (the first pass gathers
-        them term at a time)."""
+        each document's summands, in the same order (srm.CandidateMatching
+        gathers them ahead)."""
         weights = self.weights
         if not weights:
             return [0.0 for _ in docs]
@@ -252,6 +254,49 @@ class LogLikelihoodScorer:
                     values.append(self.summand(term, counts[term]) if value is None else value)
             out.append(base + (values[0] if len(values) == 1 else math.fsum(values)))
         return out
+
+    def term_at_a_time(
+        self, index: InvertedIndex, ids: Optional[Sequence[str]] = None
+    ) -> list[tuple[str, float]]:
+        """(doc_id, score), in no fixed order, of each document holding a
+        scored term (each must be in the index), or of exactly the distinct
+        ids; each score, or error, is what scores() gives.
+
+        In C-level loops, a term maps its documents to its summand, computed
+        once per distinct tf. To its base (once per distinct length, from
+        index.lengths) a document adds its one summand, the fsum of several,
+        or 0.0 for a listed one that holds no scored term."""
+        if not self.weights:
+            return [(doc_id, 0.0) for doc_id in ids or ()]
+        wanted = None if ids is None else set(ids)
+        alone: dict[str, float] = {}
+        shared: dict[str, list[float]] = {}
+        for term in self.weights:
+            counts = index.postings[term].mapping
+            if wanted is None:
+                docs, tfs = counts, counts.values()
+            else:
+                docs = counts.keys() & wanted
+                tfs = list(map(counts.__getitem__, docs))
+            per_tf = {tf: self.summand(term, tf) for tf in set(tfs)}
+            summands = dict(zip(docs, map(per_tf.__getitem__, tfs)))
+            for doc_id in summands.keys() & shared.keys():
+                shared[doc_id].append(summands.pop(doc_id))
+            for doc_id in summands.keys() & alone.keys():
+                shared[doc_id] = [alone.pop(doc_id), summands.pop(doc_id)]
+            alone.update(summands)
+        if wanted is not None:
+            alone.update(dict.fromkeys(wanted - alone.keys() - shared.keys(), 0.0))
+        alone.update(zip(shared, map(math.fsum, shared.values())))
+        # Without a required term (any term, at mu = 0): -inf, plus a finite base.
+        for term in self.required:
+            alone.update(dict.fromkeys(alone.keys() - index.postings[term].mapping.keys(), NEG_INF))
+        mu, lengths = self._mu, list(map(index.lengths.__getitem__, alone))
+        if lengths and min(lengths) + mu <= 0:
+            doc_id = next(d for d in ids or alone if index.lengths[d] + mu <= 0)
+            raise ValueError(f"cannot smooth over an empty document ({doc_id!r}) with mu={mu}")
+        bases = {length: self.base(length) for length in set(lengths)}
+        return list(zip(alone, map(add, map(bases.__getitem__, lengths), alone.values())))
 
     def __call__(self, doc: DocumentRecord) -> float:
         return self.scores((doc,))[0]
@@ -356,29 +401,7 @@ def top_k_by_query_likelihood(
     if not scorable.tokens:
         return []
     score = LogLikelihoodScorer(scorable.counts().items(), index.stats, mu)
-    # Term at a time, in C-level loops: a term maps its documents to its
-    # summand, computed once per distinct tf. A document one term matches
-    # scores base + summand; one several share keeps its summands for fsum.
-    alone: dict[str, float] = {}
-    shared: dict[str, list[float]] = {}
-    for term in score.weights:
-        counts = index.postings[term].mapping
-        per_tf = {tf: score.summand(term, tf) for tf in set(counts.values())}
-        summands = dict(zip(counts, map(per_tf.__getitem__, counts.values())))
-        for doc_id in summands.keys() & shared.keys():
-            shared[doc_id].append(summands.pop(doc_id))
-        for doc_id in summands.keys() & alone.keys():
-            shared[doc_id] = [alone.pop(doc_id), summands.pop(doc_id)]
-        alone.update(summands)
-    # A document without a required term (any term, at mu = 0) scores -inf.
-    for term in score.required:
-        alone.update(dict.fromkeys(alone.keys() - index.postings[term].mapping.keys(), NEG_INF))
-    docs = index.doc_table
-    lengths = list(map(attrgetter("length"), map(docs.__getitem__, alone)))
-    bases = {length: score.base(length) for length in set(lengths)}
-    ranked = list(zip(alone, map(add, map(bases.__getitem__, lengths), alone.values())))
-    ranked += zip(shared, score.scores(map(docs.__getitem__, shared), shared.values()))
-    return rank_documents(ranked)[:k]
+    return rank_documents(score.term_at_a_time(index))[:k]
 
 
 def query_likelihood_doc_weights(

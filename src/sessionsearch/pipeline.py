@@ -156,11 +156,12 @@ def score_session_full(
     """Like score_session but keeps the learned model and trace when present.
 
     stages is this session's memo (a fresh one when None). It keys the first
-    pass by (mu, depth), the QA ranking (one baselines.qa_scorer pass over
-    the candidates) by (mu, depth, decay), the RM3 feedback first pass by
-    (feedback query, mu, m), the session model's feedback stages as
-    build_session_model does and the RM1 model as rm3_model does. The rest
-    runs every call, and each scorer it builds computes its own log ratios.
+    pass by (mu, depth), the QA ranking (baselines.qa_scorer's
+    term_at_a_time over the candidates, the first pass's loop) by (mu,
+    depth, decay), the RM3 feedback first pass by (feedback query, mu, m),
+    the session model's feedback stages as build_session_model does and the
+    RM1 model as rm3_model does. The rest runs every call, and each scorer
+    it builds computes its own log ratios.
 
     A caller that passes stages scores the session again (tune), so the
     rerank gets the candidates' srm.CandidateMatching, keyed by (mu, depth,
@@ -192,9 +193,8 @@ def score_session_full(
         # score replaces the candidate score rather than adding to it.
         decay = config.applied_decay
         ids = [doc_id for doc_id, _ in candidates]
-        docs = map(index.doc_table.__getitem__, ids)
         result.ranking = stages.get(("qa", mu, config.depth, decay), lambda: rank_documents(
-            zip(ids, qa_scorer(session, index, mu, decay).scores(docs))))
+            qa_scorer(session, index, mu, decay).term_at_a_time(index, ids)))
         return result
 
     if method in (METHOD_SRM_QC, METHOD_SRM_RM1):

@@ -178,14 +178,14 @@ class TestIndexCommand:
         corpus = write_corpus(tmp_path)
         assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "x.idx")]) == 0
         (index,) = built
-        assert not {"postings", "stats"} & vars(index).keys()
+        assert not {"postings", "stats", "lengths"} & vars(index).keys()
 
 
 def test_loaded_index_is_derived_before_the_block(workspace):
     # Derived inside the collector pause and before the freeze, not at the
     # first read while sessions are scored.
     with cli._loaded_index(str(workspace["index"])) as index:
-        assert {"postings", "stats"} <= vars(index).keys()
+        assert {"postings", "stats", "lengths"} <= vars(index).keys()
 
 
 class TestRunCommand:

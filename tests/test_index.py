@@ -31,6 +31,7 @@ def test_hand_counted_two_doc_fixture(tiny_index):
     assert tiny_index.doc("d1").term_counts == {"a": 2, "b": 1}
     assert tiny_index.doc("d1").length == 3
     assert tiny_index.doc("d2").term_counts == {"b": 1, "c": 1}
+    assert tiny_index.lengths == {"d1": 3, "d2": 2}
 
 
 def test_postings_consistent_and_sorted(tiny_index):
@@ -121,6 +122,7 @@ def iteration_order(index):
         [(term, list(postings)) for term, postings in index.postings.items()],
         list(index.stats.collection_tf.items()),
         list(index.stats.doc_freq.items()),
+        list(index.lengths.items()),
     )
 
 
@@ -144,17 +146,29 @@ def test_save_load_round_trip(tmp_path, club_docs):
         assert before == after
 
 
-@pytest.mark.parametrize("first", ["postings", "stats"])
+@pytest.mark.parametrize("first", ["postings", "stats", "lengths"])
 def test_derived_on_first_read_as_loaded(tmp_path, club_docs, first):
     built = build_index(club_docs, analyzer=whitespace_analyze)
-    assert not {"postings", "stats"} & vars(built).keys()
+    assert not {"postings", "stats", "lengths"} & vars(built).keys()
     getattr(built, first)
     assert first in vars(built)
     path = tmp_path / "index.json"
     built.save(path)
     loaded = InvertedIndex.load(path)
+    assert {"postings", "stats", "lengths"} <= vars(loaded).keys()
     assert iteration_order(built) == iteration_order(loaded)
     assert built.stats == loaded.stats
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_lengths_are_the_records_lengths_and_sum_to_the_total(tmp_path, club_docs, loaded):
+    index = build_index(club_docs, analyzer=whitespace_analyze)
+    if loaded:
+        index.save(tmp_path / "index.json")
+        index = InvertedIndex.load(tmp_path / "index.json")
+    assert list(index.lengths.items()) == [
+        (doc_id, sum(rec.term_counts.values())) for doc_id, rec in index.doc_table.items()]
+    assert index.stats.total_tokens == sum(index.lengths.values())
 
 
 def test_save_is_deterministic(tmp_path, club_index):

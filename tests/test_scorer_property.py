@@ -18,7 +18,9 @@ a length part and an fsum over the matched terms. These tests require:
   filled, in any order and between scorers at other mu values, and from a
   fresh scorer;
 - bit-equal scores from query aggregation at decay 1 and a scorer over the
-  known terms of the concatenated session queries.
+  known terms of the concatenated session queries;
+- bit-equal scores, and the same ValueError, from query aggregation's
+  term-at-a-time pass over a candidate list and the scorer's own loop.
 """
 
 import math
@@ -31,7 +33,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import make_session  # noqa: E402
 from sessionsearch.analysis import AnalyzedText, whitespace_analyze  # noqa: E402
-from sessionsearch.baselines import qa_score  # noqa: E402
+from sessionsearch.baselines import qa_score, qa_scorer  # noqa: E402
 from sessionsearch.index import CollectionStats, DocumentRecord, build_index  # noqa: E402
 from sessionsearch.lm import (  # noqa: E402
     NEG_INF,
@@ -337,6 +339,38 @@ def test_qa_at_decay_one_scores_as_the_concatenated_query(token_lists, queries, 
     for doc in index.doc_table.values():
         got = outcome(qa_score, session, doc, index, mu, 1.0)
         assert bits(got) == bits(outcome(uniform, doc))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    token_lists=long_and_short_documents(),
+    queries=st.lists(st.lists(st.sampled_from(MODEL_TERMS), max_size=6), min_size=1, max_size=4),
+    mu=st.sampled_from([0.0, 0.5, 2500.0]),
+    decay=st.sampled_from([None, 0.5, 0.92, 1.0]),
+    data=st.data(),
+)
+def test_qa_term_at_a_time_over_candidates_equals_the_scorer(
+    token_lists, queries, mu, decay, data
+):
+    # The pipeline's QA pass against scores(), each side with a fresh
+    # scorer. The candidates are any distinct documents in any order, so
+    # some hold no scored term, and at mu = 0 an empty one (the corpus
+    # always has one) makes both sides raise, naming the first in the list.
+    # decay=None is the default, the uniform weighting.
+    index = build_index(
+        [(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(token_lists + [[]])],
+        analyzer=whitespace_analyze,
+    )
+    ids = data.draw(st.permutations(sorted(index.doc_table)))
+    ids = ids[:data.draw(st.integers(0, len(ids)))]
+    session = make_session([(query, [], []) for query in queries[:-1]], queries[-1])
+    weighting = {} if decay is None else {"decay": decay}
+    expected = outcome(qa_scorer(session, index, mu, **weighting).scores, map(index.doc, ids))
+    got = outcome(qa_scorer(session, index, mu, **weighting).term_at_a_time, index, ids)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert repr(sorted(got)) == repr(sorted(zip(ids, expected)))
 
 
 def test_empty_document_with_zero_mu_rejected():
