@@ -4,8 +4,10 @@ All outputs are deterministic for a given set of inputs and arguments, so
 repeating an invocation reproduces its files byte for byte. Parameter
 precedence is CLI flag over config file over built-in default, and the
 effective configuration is embedded in every report. `run` and `tune` load
-the index snapshot with the cyclic collector paused and keep everything
-loaded by then frozen (gc.freeze) until the command ends.
+the sessions first, then the index snapshot with the cyclic collector
+paused, derive its statistics and the postings of the sessions' query
+terms only, and keep everything loaded by then frozen (gc.freeze) until the
+command ends.
 """
 
 from __future__ import annotations
@@ -193,10 +195,16 @@ def _load_qrels(path: str, sessions) -> evalkit.Qrels:
 
 
 @contextlib.contextmanager
-def _loaded_index(path: str):
-    """Load the snapshot at path with the cyclic collector paused, and keep
-    every object tracked by then (sessions, qrels, index) frozen until the
-    block exits, so the collector walks none of them while the command runs.
+def _loaded_index(path: str, sessions):
+    """Load the snapshot at path with the cyclic collector paused, derive
+    its lengths, statistics and the postings of every term of the sessions'
+    queries, and keep every object tracked by then (sessions, qrels, index)
+    frozen until the block exits, so the collector walks none of them while
+    the command runs.
+
+    Those are the only postings a method reads: the first pass, query
+    aggregation and RM3's feedback pass score the session's queries term at
+    a time, and every other term is scored from the count maps.
 
     The caller's collector is left as found: a disabled one stays disabled,
     and a caller that already holds frozen objects gets no freeze, so its
@@ -206,6 +214,9 @@ def _loaded_index(path: str):
     gc.disable()
     try:
         index = InvertedIndex.load(_require_file(path, "index"))
+        # Derives the statistics and lengths first: Postings reads the dfs.
+        index.postings.gather(term for session in sessions
+                              for query in session.queries for term in query.tokens)
         freeze = not gc.get_freeze_count()
         if freeze:
             gc.freeze()
@@ -244,7 +255,7 @@ def cmd_run(args) -> int:
     config = _effective_config(args, file_scalars)
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     qrels = _load_qrels(args.qrels, sessions) if args.qrels else None
-    with _loaded_index(args.index) as index:
+    with _loaded_index(args.index, sessions) as index:
         results, skipped = pipeline.run_sessions(sessions, index, config)
         rankings = {result.session_id: result.ranking for result in results}
         evalkit.write_run_file(args.out, rankings, tag=config.method)
@@ -299,7 +310,7 @@ def cmd_tune(args) -> int:
             f"{args.sessions}: no sessions with an analyzable current query to tune on"
         )
     qrels = _load_qrels(args.qrels, sessions)
-    with _loaded_index(args.index) as index:
+    with _loaded_index(args.index, sessions) as index:
         best, table = evalkit.grid_tune(
             sessions, qrels, index, base, grids, score_fn=pipeline.StagedScorer()
         )

@@ -1,15 +1,16 @@
 """Inverted index over a document corpus, with collection statistics.
 
 The document table is the one stored form: records in doc_id order, each
-count map in term order. Postings (per term, a {doc_id: count} map),
-lengths ({doc_id: length}) and collection statistics are derived from it
-on first use, so a built index and its loaded snapshot are equal down to
-iteration order, whichever is read first. `load` derives them all before
-it returns; an index that is only built and saved (the `index` command)
-never does. The snapshot
-(JSON, magic header + format version) maps each doc_id to its count map and
-stores nothing derived from it, not even the length; `load` rejects a table
-out of order instead of re-sorting it. An index is immutable once built.
+count map in term order. Lengths ({doc_id: length}), collection statistics
+(from the count maps) and postings (per term, a {doc_id: count} map) are
+derived from it on first use, so a built index and its loaded snapshot are
+equal down to iteration order, whichever is read first. `load` derives
+none of them; `Postings.gather` derives the postings of given terms only,
+which is all a command that scores fixed sessions reads (see
+cli._loaded_index). The snapshot (JSON, magic header + format version)
+maps each doc_id to its count map and stores nothing derived from it, not
+even the length; `load` rejects a table out of order instead of
+re-sorting it. An index is immutable once built.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import defaultdict
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, ItemsView, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -132,25 +135,76 @@ class CollectionStats:
     num_docs: int
 
 
+class Postings(Mapping[str, ItemsView[str, int]]):
+    """Per term in term order, the items view of its {doc_id: count} map,
+    docs in doc_id order: it yields (doc_id, count) pairs, and its .mapping
+    is a read-only proxy of the map.
+
+    A term's postings are gathered from the document table when first
+    needed: gather(terms) derives those of the given terms in one pass over
+    the documents, and a read of any other term the collection holds
+    derives all the rest in one more pass. A term the collection lacks
+    raises KeyError and derives nothing. len() derives nothing either.
+    """
+
+    __slots__ = ("_doc_table", "_doc_freq", "_views", "_complete")
+
+    def __init__(self, doc_table: Mapping[str, DocumentRecord], doc_freq: Mapping[str, int]):
+        self._doc_table = doc_table
+        self._doc_freq = doc_freq
+        self._views: dict[str, ItemsView[str, int]] = {}
+        self._complete = False
+
+    def gather(self, terms: Iterable[str]) -> None:
+        """Derive the postings of each of terms the collection holds, in one
+        pass over the documents: each document adds its count to the map of
+        each wanted term it holds."""
+        wanted = {term for term in terms if term in self._doc_freq} - self._views.keys()
+        if not wanted:
+            return
+        maps: dict[str, dict[str, int]] = {term: {} for term in wanted}
+        for doc_id, rec in self._doc_table.items():
+            counts = rec.term_counts
+            for term in counts.keys() & wanted:
+                maps[term][doc_id] = counts[term]
+        self._views.update((term, docs.items()) for term, docs in maps.items())
+
+    def _every(self) -> dict[str, ItemsView[str, int]]:
+        """Every term's postings, in term order."""
+        if not self._complete:
+            self.gather(self._doc_freq)
+            self._views = dict(sorted(self._views.items()))
+            self._complete = True
+        return self._views
+
+    def __getitem__(self, term: str) -> ItemsView[str, int]:
+        try:
+            return self._views[term]
+        except KeyError:
+            if term not in self._doc_freq:
+                raise
+        return self._every()[term]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._every())
+
+    def __len__(self) -> int:
+        return len(self._doc_freq)
+
+
 class InvertedIndex:
-    """Document table of one corpus, with its postings, document lengths and
-    collection statistics. Each is derived from the table on first use and
-    then kept; `load` derives them all before it returns."""
+    """Document table of one corpus, with its document lengths, collection
+    statistics and postings. Each is derived from the table on first use
+    and then kept, the postings only for the terms read (see Postings)."""
 
     def __init__(self, doc_table: dict[str, DocumentRecord]):
         """Index a document table given in doc_id order, counts in term order."""
         self.doc_table = doc_table
 
     @cached_property
-    def postings(self) -> dict[str, ItemsView[str, int]]:
-        """Per term in term order, the items view of its {doc_id: count} map,
-        docs in doc_id order: it yields (doc_id, count) pairs, and its
-        .mapping is a read-only proxy of the map."""
-        gathered: defaultdict[str, dict[str, int]] = defaultdict(dict)
-        for doc_id, rec in self.doc_table.items():
-            for term, count in rec.term_counts.items():
-                gathered[term][doc_id] = count
-        return {term: gathered[term].items() for term in sorted(gathered)}
+    def postings(self) -> Postings:
+        """Per term in term order, its postings; see Postings."""
+        return Postings(self.doc_table, self.stats.doc_freq)
 
     @cached_property
     def lengths(self) -> dict[str, int]:
@@ -159,13 +213,23 @@ class InvertedIndex:
 
     @cached_property
     def stats(self) -> CollectionStats:
-        """Collection statistics; a term's cf sums its postings' counts, its
-        df counts them, and the total sums the lengths."""
-        postings = self.postings
+        """Collection statistics from the count maps, terms in first-seen
+        order: a term's df counts the maps that hold it, its cf sums its
+        counts, and the total sums the lengths."""
+        records = self.doc_table.values()
+        doc_freq = Counter(chain.from_iterable(map(attrgetter("term_counts"), records)))
+        # cf is df plus, for each count above 1, its excess over the 1 that
+        # df counted; only a document longer than its number of terms has one.
+        collection_tf = doc_freq.copy()
+        for rec in records:
+            if rec.length != len(rec.term_counts):
+                for term, count in rec.term_counts.items():
+                    if count > 1:
+                        collection_tf[term] += count - 1
         return CollectionStats(
             total_tokens=sum(self.lengths.values()),
-            collection_tf={t: sum(p.mapping.values()) for t, p in postings.items()},
-            doc_freq={t: len(p) for t, p in postings.items()},
+            collection_tf=collection_tf,
+            doc_freq=doc_freq,
             num_docs=len(self.doc_table),
         )
 
@@ -188,14 +252,15 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
-        """The index saved at path, lengths summed from counts; ValueError names file and doc."""
+        """The index saved at path, lengths summed from counts, nothing else
+        derived; ValueError names file and doc."""
         raw = load_json(path)
         if not isinstance(raw, dict) or raw.get("magic") != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not an index snapshot (bad magic header)")
         version = raw.get("version")
         if type(version) is not int or version != SNAPSHOT_VERSION:  # type(): 2.0 == 2
-            raise ValueError(f"{path}: unsupported snapshot version {version!r} (expected "
-                             f"{SNAPSHOT_VERSION}); rebuild it with the index command")
+            raise ValueError(f"{path}: snapshot version {shown(version)} is not "
+                             f"{SNAPSHOT_VERSION}; rebuild it with the index command")
         docs = raw.get("docs")
         if not isinstance(docs, dict):
             raise ValueError(f"{path}: snapshot has no 'docs' object")
@@ -222,9 +287,7 @@ class InvertedIndex:
                 raise ValueError(f"{path}: doc {shown(doc_id)}: {exc}") from None
             previous = doc_id
             doc_table[doc_id] = DocumentRecord(doc_id, counts, length)
-        index = cls(doc_table)
-        index.stats  # derives the postings and lengths too: all three are part of the load
-        return index
+        return cls(doc_table)
 
 
 def build_index(

@@ -18,9 +18,10 @@ from sessionsearch import cli, evalkit, pipeline
 from sessionsearch.analysis import analyze
 from sessionsearch.cli import _build_parser, main
 from sessionsearch.evalkit import parse_run_file
-from sessionsearch.index import InvertedIndex
+from sessionsearch.index import InvertedIndex, Postings
 from sessionsearch.lm import top_k_by_query_likelihood
 from sessionsearch.pipeline import RunConfig
+from sessionsearch.session import load_sessions
 
 CORPUS_DOCS = [
     {"id": "d1", "text": "jazz club downtown jazz music"},
@@ -181,11 +182,62 @@ class TestIndexCommand:
         assert not {"postings", "stats", "lengths"} & vars(index).keys()
 
 
-def test_loaded_index_is_derived_before_the_block(workspace):
-    # Derived inside the collector pause and before the freeze, not at the
-    # first read while sessions are scored.
-    with cli._loaded_index(str(workspace["index"])) as index:
+def test_loaded_index_is_derived_before_the_block(workspace, monkeypatch):
+    # The statistics, lengths and the postings of the sessions' query terms
+    # are derived inside the collector pause and before the freeze, not at
+    # the first read while sessions are scored; no other term's postings are.
+    states = []
+    real_gather = Postings.gather
+
+    def gather(postings, terms):
+        states.append((gc.isenabled(), gc.get_freeze_count()))
+        real_gather(postings, terms)
+
+    monkeypatch.setattr(Postings, "gather", gather)
+    frozen = gc.get_freeze_count()
+    sessions = load_sessions(workspace["sessions"])
+    with cli._loaded_index(str(workspace["index"]), sessions) as index:
         assert {"postings", "stats", "lengths"} <= vars(index).keys()
+        assert index.postings._views.keys() == {"jazz", "club"}
+    assert states == [(False, frozen)]
+
+
+# Two sessions whose queries hold five of the corpus's nine terms, and a
+# history query word ("saxophone") the corpus lacks.
+VOCABULARY_SESSIONS = {"sessions": [
+    {"session_id": "s1", "topic_id": "t1", "current_query": "jazz club",
+     "steps": [{"query": "jazz saxophone", "impressions": ["d1", "d3"],
+                "clicks": [{"doc": "d1"}]}]},
+    {"session_id": "s2", "topic_id": "t1", "current_query": "quiet records",
+     "steps": [{"query": "shop", "impressions": ["d3"]}]},
+]}
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_commands_derive_only_the_postings_of_the_sessions_query_terms(
+    workspace, monkeypatch, command, method
+):
+    loaded = []
+    real_load = InvertedIndex.load
+    monkeypatch.setattr(InvertedIndex, "load",
+                        lambda path: loaded.append(real_load(path)) or loaded[-1])
+    d = workspace["dir"]
+    sessions = write_sessions(d, VOCABULARY_SESSIONS)
+    inputs = ["--index", str(workspace["index"]), "--sessions", str(sessions),
+              "--qrels", str(workspace["qrels"]), "--method", method]
+    if command == "run":
+        argv = ["run", *inputs, "--out", str(d / "run.txt"), "--m", "2"]
+    else:
+        argv = ["tune", *inputs, "--mu", "10,2500", "--m", "1,2"]
+    assert main(argv) == 0
+    (index,) = loaded
+    (lacking,) = analyze("saxophone").tokens
+    assert lacking not in index.stats.doc_freq
+    vocabulary = {"jazz", "club", "quiet", "record", "shop"}
+    assert index.postings._views.keys() == vocabulary
+    assert index.postings.get(lacking, ()) == ()
+    assert index.postings._views.keys() == vocabulary
 
 
 class TestRunCommand:
@@ -961,7 +1013,7 @@ class TestBadInputFiles:
         content = (b'{"magic": "sessionsearch-index", "version": 1, '
                    b'"docs": {"d1": {"counts": {"jazz": 1}, "length": 1}}}')
         err = self.error_line(workspace, capsys, "snapshot", content)
-        assert err.endswith("bad_snapshot: unsupported snapshot version 1 (expected 2); "
+        assert err.endswith("bad_snapshot: snapshot version 1 is not 2; "
                             "rebuild it with the index command"), err
 
     def test_repeated_doc_id_names_file_and_both_lines(self, workspace, capsys):

@@ -11,11 +11,17 @@ error line quotes the path of a bad config file.
 Input files whose ids are 5,000 characters long, or lists of 300 ids, get
 the same one short line: each id is cut, and a list shows its length and
 its first three ids.
+
+A snapshot that hypothesis mutates (wrong types, dropped, renamed,
+reordered or added keys, NaN and infinite counts, huge integers, a cut or
+a byte that is not UTF-8) makes `run` either stop with that one line or
+succeed with finite report numbers and no NaN score.
 """
 
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
@@ -86,7 +92,10 @@ def config_cases(draw):
     return [command, *INPUTS[command], "--config", "params.json"], config
 
 
-def one_error_line(argv, config, directory):
+def one_error_line(argv, config, directory, may_succeed=False):
+    """Run cli.main(argv) in directory (config, when given, in params.json)
+    and check it exits 2 with one short `error:` line; with may_succeed, an
+    exit 0 passes unchecked. Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.chdir(directory), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -97,11 +106,14 @@ def one_error_line(argv, config, directory):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's exit
             code = exc.code
+    if may_succeed and code == 0:
+        return code
     lines = [line for line in err.getvalue().splitlines() if not line.startswith("WARNING ")]
     assert code == 2, (argv, config, err.getvalue())
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, config, lines)
     assert len(lines[0]) <= 120, lines[0]
     assert not any(text in lines[0] for text in FOREIGN), lines[0]
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +189,103 @@ def test_long_ids_in_input_files_get_one_short_error_line(case, tmp_path):
     for name, content in files.items():
         (tmp_path / name).write_text(content, encoding="utf-8")
     one_error_line(argv, None, tmp_path)
+
+
+# A snapshot of three documents, which the session below searches.
+SNAPSHOT = {"magic": "sessionsearch-index", "version": 2, "docs": {
+    "d1": {"club": 1, "jazz": 2}, "d2": {"club": 1, "rock": 3}, "d3": {"jazz": 1, "record": 1}}}
+SNAPSHOT_RUN = ["run", "--index", "i.idx", "--sessions", "s.json", "--qrels", "q.txt",
+                "--out", "run.txt", "--report", "report.json"]
+# Stands for a JSON integer of 4,290-4,310 digits, around int()'s limit of
+# 4,300, which json.dumps cannot write.
+HUGE = "<huge int>"
+values = st.one_of(
+    st.sampled_from([None, True, 0, -1, 1.5, 2.0, "1", [1], {"a": 1}, math.nan, math.inf,
+                     -math.inf, 2**53, 10**20, HUGE]),
+    st.integers(1, 5),
+    json_values,
+)
+keys = st.one_of(st.sampled_from(["", " ", "d 1", "d1\n", "\u2003", "a", "zz", "d0", "d9"]),
+                 st.text(max_size=3))
+
+
+def objects(value):
+    """Every JSON object in value, value itself first."""
+    if isinstance(value, dict):
+        yield value
+        for item in value.values():
+            yield from objects(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from objects(item)
+
+
+@st.composite
+def mutated_snapshots(draw):
+    """SNAPSHOT's bytes after up to three edits of its objects (a value
+    replaced, a key dropped or renamed, the keys reversed, a key added),
+    then maybe cut short or given a byte that is not UTF-8."""
+    snapshot = json.loads(json.dumps(SNAPSHOT))
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(list(objects(snapshot))))
+        edit = draw(st.sampled_from(["replace", "drop", "rename", "reverse", "add"]))
+        if not target or edit == "add":
+            target[draw(keys)] = draw(values)
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if edit == "replace":
+            target[key] = draw(values)
+        elif edit == "drop":
+            del target[key]
+        else:
+            items = list(target.items())
+            if edit == "rename":
+                new = draw(keys)
+                items = [(new if k == key else k, v) for k, v in items]
+            target.clear()
+            target.update(reversed(items) if edit == "reverse" else items)
+    text = json.dumps(snapshot).replace(json.dumps(HUGE), "9" * draw(st.integers(4290, 4310)))
+    data = text.encode()
+    ending = draw(st.sampled_from(["whole", "whole", "cut", "not-utf8"]))
+    at = draw(st.integers(0, len(data) - 1))
+    if ending == "cut":
+        data = data[:at]
+    elif ending == "not-utf8":
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+def numbers(value):
+    """Every number in a JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=mutated_snapshots(), method=st.sampled_from(pipeline.METHODS))
+def test_mutated_snapshot_gets_one_error_line_or_finite_numbers(data, method, directory):
+    # Whatever the snapshot holds, run either stops with one short error
+    # line or writes a report whose every number is finite and a run file
+    # without NaN scores. A run-file score may be -inf: a model term the
+    # corpus lacks collapses the rerank (ROADMAP item 4).
+    (directory / "i.idx").write_bytes(data)
+    (directory / "s.json").write_text(json.dumps({"sessions": [{
+        "session_id": "s1", "topic_id": "t1", "current_query": "jazz club",
+        "steps": [{"query": "jazz records", "impressions": ["d1", "d3"],
+                   "clicks": [{"doc": "d1"}]}]}]}), encoding="utf-8")
+    (directory / "q.txt").write_text("t1 0 d1 2\nt1 0 d3 1\n", encoding="utf-8")
+    for name in ("run.txt", "report.json"):
+        (directory / name).unlink(missing_ok=True)
+    if one_error_line([*SNAPSHOT_RUN, "--method", method], None, directory, may_succeed=True):
+        return
+    report = json.loads((directory / "report.json").read_text(encoding="utf-8"))
+    assert all(map(math.isfinite, numbers(report))), report
+    scores = [float(line.split()[4])
+              for line in (directory / "run.txt").read_text(encoding="utf-8").splitlines()]
+    assert not any(map(math.isnan, scores)), scores
