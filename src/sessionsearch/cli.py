@@ -22,8 +22,8 @@ import sys
 from pathlib import Path
 
 from . import evalkit, pipeline
-from .index import (InvertedIndex, build_index, load_json, read_corpus_jsonl, shown,
-                    shown_ids)
+from .index import (PAIRED, InvertedIndex, build_index, load_json, read_corpus_jsonl,
+                    shown, shown_ids)
 from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")
@@ -174,6 +174,7 @@ def cmd_index(args) -> int:
     if not docs:
         logger.warning("corpus %s is empty; writing an empty index", args.corpus)
     index = build_index(docs)
+    del docs  # the texts: saving and counting read the index only
     index.save(args.out)
     # Counted from the document table, so the postings are never derived.
     terms = set().union(*(rec.term_counts for rec in index.doc_table.values()))
@@ -188,8 +189,8 @@ def _load_qrels(path: str, sessions) -> evalkit.Qrels:
     for session in sessions:
         if session.current_query.tokens and session.topic_id not in qrels.grades_by_topic:
             raise ValueError(
-                f"{path}: unknown topic {shown(session.topic_id)} "
-                f"of session {shown(session.session_id)}"
+                f"{path}: unknown topic {shown(session.topic_id, PAIRED)} "
+                f"of session {shown(session.session_id, PAIRED)}"
             )
     return qrels
 

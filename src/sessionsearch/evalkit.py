@@ -2,7 +2,9 @@
 
 Natural log is used everywhere else in the toolkit; the DCG discount is the
 customary log2. Metric functions take a ranking (doc ids in rank order) and
-a topic's grade map, and return values in [0, 1].
+a topic's grade map, and return values in [0, 1]. Run files are written a
+key at a time and read back through per-key maps, so neither direction
+builds a copy of the whole file.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .index import open_text, shown
+from .index import PAIRED, open_text, shown
 from .pipeline import TUNABLE_FIELDS
 
 RankedDocs = Sequence[str]
@@ -65,12 +67,15 @@ class Qrels:
                         f"{path}: line {lineno}: grade {shown(grade_str)} is not an integer"
                     )
                 if grade > MAX_GRADE:
-                    raise ValueError(f"{path}: line {lineno}: grade {grade} is above {MAX_GRADE}")
+                    raise ValueError(
+                        f"{path}: line {lineno}: grade {shown(grade)} is above {MAX_GRADE}"
+                    )
                 first_grade, first_line = judged.setdefault((topic_id, doc_id), (grade, lineno))
                 if first_grade != grade:
                     raise ValueError(
-                        f"{path}: line {lineno}: topic {shown(topic_id)} doc {shown(doc_id)} "
-                        f"has grade {grade}, but line {first_line} gave it grade {first_grade}"
+                        f"{path}: line {lineno}: topic {shown(topic_id, PAIRED)} doc "
+                        f"{shown(doc_id, PAIRED)} has grade {shown(grade)}, "
+                        f"but line {first_line} gave it grade {shown(first_grade)}"
                     )
                 grades.setdefault(topic_id, {})[doc_id] = max(0, grade)
         return cls(grades)
@@ -208,12 +213,15 @@ def build_report(
 def write_run_file(
     path: str | Path, rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str
 ) -> None:
-    """Write rankings as 6-column TREC run lines: key Q0 doc rank score tag."""
-    lines = []
-    for key, ranking in rankings.items():
-        for rank, (doc_id, score) in enumerate(ranking, start=1):
-            lines.append(f"{key} Q0 {doc_id} {rank} {score!r} {tag}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """Write rankings as 6-column TREC run lines: key Q0 doc rank score tag.
+
+    The file is written one key's lines at a time, so no copy of the whole
+    file is ever built.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        for key, ranking in rankings.items():
+            handle.write("".join(f"{key} Q0 {doc_id} {rank} {score!r} {tag}\n"
+                                 for rank, (doc_id, score) in enumerate(ranking, start=1)))
 
 
 def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
@@ -222,11 +230,15 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     Lines are grouped by the first column and ordered by the rank column,
     a positive ASCII integer. A rank or a doc that repeats under one key,
     or a malformed line, raises ValueError naming the line (and, for a
-    repeat, the first line).
+    repeat, the first line); the first such line in the file wins.
+
+    While it reads, it holds per key a {rank: (doc_id, score)} map, whose
+    pairs become the ranking, and a {doc_id: line} map; each key's maps
+    are released once its ranking is built.
     """
-    rows: dict[str, list[tuple[int, str, float]]] = {}
-    rank_lines: dict[tuple[str, int], int] = {}
-    doc_lines: dict[tuple[str, str], int] = {}
+    # key -> ({rank: (doc_id, score)}, {doc_id: line}). Each accepted line
+    # holds a new rank and a new doc, so a rank's first line is its doc's.
+    keys: dict[str, tuple[dict[int, tuple[str, float]], dict[str, int]]] = {}
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -249,19 +261,19 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                 score = float(score_str)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad score {shown(score_str)}") from exc
-            first = rank_lines.setdefault((key, rank), lineno)
+            ranked, doc_lines = keys.get(key) or keys.setdefault(key, ({}, {}))
+            if rank in ranked:
+                raise ValueError(f"{path}: line {lineno}: repeated rank {shown(rank)} under key "
+                                 f"{shown(key)} (first on line {doc_lines[ranked[rank][0]]})")
+            first = doc_lines.setdefault(doc_id, lineno)
             if first != lineno:
-                raise ValueError(f"{path}: line {lineno}: repeated rank {rank} under key "
-                                 f"{shown(key)} (first on line {first})")
-            first = doc_lines.setdefault((key, doc_id), lineno)
-            if first != lineno:
-                raise ValueError(f"{path}: line {lineno}: duplicate doc {shown(doc_id)} under key "
-                                 f"{shown(key)} (first on line {first})")
-            rows.setdefault(key, []).append((rank, doc_id, score))
+                raise ValueError(f"{path}: line {lineno}: duplicate doc {shown(doc_id, PAIRED)} "
+                                 f"under key {shown(key, PAIRED)} (first on line {first})")
+            ranked[rank] = (doc_id, score)
     rankings: dict[str, list[tuple[str, float]]] = {}
-    for key, entries in rows.items():
-        entries.sort(key=lambda row: row[0])
-        rankings[key] = [(doc_id, score) for _, doc_id, score in entries]
+    for key in list(keys):
+        ranked, _ = keys.pop(key)
+        rankings[key] = list(map(ranked.__getitem__, sorted(ranked)))
     return rankings
 
 

@@ -33,14 +33,20 @@ SNAPSHOT_MAGIC = "sessionsearch-index"
 SNAPSHOT_VERSION = 2
 
 
-def shown(value) -> str:
-    """repr(value) for an error line, cut to 40 characters and '…'. An int
-    past int()'s digit limit, which repr cannot write, shows its bit length."""
+# The width shown() cuts each of two ids to when they share an error line,
+# so that the line stays within 120 characters.
+PAIRED = 20
+
+
+def shown(value, width: int = 40) -> str:
+    """repr(value) for an error line, cut to width characters and '…'. An
+    int past int()'s digit limit, which repr cannot write, shows its bit
+    length."""
     try:
         text = repr(value)
     except ValueError:
         return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
-    return text if len(text) <= 40 else text[:40] + "…"
+    return text if len(text) <= width else text[:width] + "…"
 
 
 def shown_ids(ids: Sequence) -> str:
@@ -269,9 +275,10 @@ class InvertedIndex:
         for doc_id, counts in docs.items():
             if not valid_id(doc_id):
                 raise ValueError(f"{path}: doc id {shown(doc_id)} is empty or contains whitespace")
+            if previous is not None and doc_id <= previous:
+                raise ValueError(f"{path}: doc {shown(doc_id, PAIRED)}: not in doc_id order "
+                                 f"(it follows {shown(previous, PAIRED)})")
             try:
-                if previous is not None and doc_id <= previous:
-                    raise ValueError(f"not in doc_id order (it follows {shown(previous)})")
                 if type(counts) is not dict:
                     raise ValueError("not a JSON object")
                 values = counts.values()

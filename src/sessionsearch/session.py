@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze, term_memo
-from .index import InvertedIndex, json_field, load_json, shown, shown_ids, valid_id
+from .index import PAIRED, InvertedIndex, json_field, load_json, shown, shown_ids, valid_id
 from .lm import LogLikelihoodScorer, rank_documents
 
 
@@ -54,7 +54,7 @@ class SessionStep:
         for click in self.clicks:
             if click.doc_id not in seen:
                 raise ValueError(
-                    f"clicked doc {shown(click.doc_id)} does not appear in the impressions"
+                    f"clicked doc {shown(click.doc_id, PAIRED)} does not appear in the impressions"
                 )
 
 
@@ -230,7 +230,7 @@ def load_sessions(
                 sessions.append(_parse_session(entry, analyzer))
             except ValueError as exc:
                 has_id = isinstance(entry, dict) and "session_id" in entry
-                label = shown(entry["session_id"]) if has_id else f"#{pos}"
+                label = shown(entry["session_id"], PAIRED) if has_id else f"#{pos}"
                 raise ValueError(f"{path}: session {label}: {exc}") from exc
     counts = Counter(session.session_id for session in sessions)
     repeated = sorted(session_id for session_id, count in counts.items() if count > 1)

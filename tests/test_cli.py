@@ -982,6 +982,15 @@ class TestBadInputFiles:
          "line 1: grade '100000000000000000000000000000000000000… is not an integer"),
         ("long-rank", "run", "eval", "s1 Q0 d1 " + LONG + " -1.0 t\n",
          "line 1: rank '100000000000000000000000000000000000000… is not a positive integer"),
+        # Values int() reads, each shown cut where the line names it.
+        ("long-repeated-rank", "run", "eval", "".join(
+            f"s1 Q0 d{i} 1{'0' * 4000} -1.0 t\n" for i in (1, 2)),
+         "line 2: repeated rank 1" + "0" * 39 + "… under key 's1' (first on line 1)"),
+        ("long-grade-above-the-maximum", "qrels", "run", "t1 0 d1 1" + "0" * 4000 + "\n",
+         "line 1: grade 1" + "0" * 39 + "… is above 64"),
+        ("long-conflicting-grade", "qrels", "run", "t1 0 d1 -1\nt1 0 d1 -1" + "0" * 4000 + "\n",
+         "line 2: topic 't1' doc 'd1' has grade -1" + "0" * 38
+         + "…, but line 1 gave it grade -1"),
         ("long-config-string", "config", "run", '{"mu": "' + "x" * 100 + '"}',
          "field 'mu' must be a number, got '" + "x" * 39 + "…"),
         ("long-score", "run", "eval", "s1 Q0 d1 1 " + "x" * 100 + " t\n",

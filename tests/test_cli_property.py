@@ -10,7 +10,8 @@ error line quotes the path of a bad config file.
 
 Input files whose ids are 5,000 characters long, or lists of 300 ids, get
 the same one short line: each id is cut, and a list shows its length and
-its first three ids.
+its first three ids. So does a line that names two 50-character ids: it
+cuts each of them shorter.
 
 A snapshot that hypothesis mutates (wrong types, dropped, renamed,
 reordered or added keys, NaN and infinite counts, huge integers, a cut or
@@ -129,6 +130,7 @@ def test_bad_parameter_value_gets_one_short_error_line(case, directory):
 
 LONG = "x" * 5000
 MANY = [f"x{i:04}" for i in range(300)]
+X50, Y50 = "x" * 50, "y" * 50
 INDEX = ["index", "--corpus", "c.jsonl", "--out", "i.idx"]
 RUN = ["run", "--index", "i.idx", "--sessions", "s.json", "--out", "run.txt"]
 EVAL = ["eval", "--run", "r.run", "--sessions", "s.json", "--qrels", "q.txt"]
@@ -153,7 +155,8 @@ def corpus(*doc_ids):
     return "".join(json.dumps({"id": doc_id, "text": "jazz"}) + "\n" for doc_id in doc_ids)
 
 
-# (argv, the input files by name); each case names one long id or a long id list.
+# (argv, the input files by name); each case names one long id, a long id list,
+# or (the two-ids cases) two 50-character ids in one line.
 ID_CASES = {
     "session-id-a-list": (RUN, {"s.json": sessions({**session(), "session_id": ["s1"] * 3000})}),
     "session-id-a-long-int": (RUN, {"s.json": f'{{"sessions": [{{"session_id": {"9" * 4000}}}]}}'}),
@@ -180,6 +183,20 @@ ID_CASES = {
                                       "s.json": sessions(session()), "q.txt": "t1 0 d1 1\n"}),
     "run-file-repeated-rank": (EVAL, {"r.run": f"{LONG} Q0 d1 1 -1.0 t\n{LONG} Q0 d2 1 -2.0 t\n",
                                       "s.json": sessions(session()), "q.txt": "t1 0 d1 1\n"}),
+    "two-ids-snapshot-doc-out-of-order": (RUN, {"s.json": sessions(session()),
+                                                "i.idx": snapshot({Y50: {}, X50: {}})}),
+    "two-ids-run-file-duplicate-doc": (EVAL, {
+        "r.run": f"{Y50} Q0 {X50} 1 -1.0 t\n{Y50} Q0 {X50} 2 -2.0 t\n",
+        "s.json": sessions(session()), "q.txt": "t1 0 d1 1\n"}),
+    "two-ids-conflicting-qrels-grades": (EVAL, {"r.run": "s1 Q0 d1 1 -1.0 t\n",
+                                                "q.txt": f"{Y50} 0 {X50} 1\n{Y50} 0 {X50} 2\n",
+                                                "s.json": sessions(session())}),
+    "two-ids-unknown-qrels-topic": (EVAL, {"r.run": f"{X50} Q0 d1 1 -1.0 t\n",
+                                           "q.txt": "t1 0 d1 1\n",
+                                           "s.json": sessions(session(X50, topic_id=Y50))}),
+    "two-ids-click-not-among-impressions": (RUN, {"s.json": sessions(session(X50, clicks=[Y50]))}),
+    "two-ids-duplicate-impression": (RUN, {
+        "s.json": sessions(session(X50, impressions=[Y50, Y50]))}),
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -327,6 +328,45 @@ class TestRunFiles:
         write_run_file(path, {}, "t")
         assert path.read_text(encoding="utf-8") == ""
         assert parse_run_file(path) == {}
+
+
+def guard_rankings():
+    """100 keys of 1,000 lines each: a run file about the size of the bench's."""
+    return {f"s{key:03}": [(f"doc-{(key * 7919 + rank) % 100000:06}", -1.0 - rank / 997)
+                           for rank in range(1000)] for key in range(100)}
+
+
+def traced(call):
+    """call()'s result, the traced memory it kept and its traced peak, both
+    above what was held before it ran."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        kept, peak = (size - held for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+class TestRunFileMemory:
+    """The writer builds no copy of the whole file, and the parser's peak
+    stays under twice the rankings it returns (the whole-file versions in
+    tests/run_file_reference.py peak at about 19 MB and 3.6 times)."""
+
+    def test_write_peak_stays_under_one_megabyte(self, tmp_path):
+        path, rankings = tmp_path / "run.txt", guard_rankings()
+        _, _, peak = traced(lambda: write_run_file(path, rankings, "t"))
+        assert peak < 1_000_000
+
+    def test_parse_peak_stays_under_twice_what_it_returns(self, tmp_path):
+        path, rankings = tmp_path / "run.txt", guard_rankings()
+        write_run_file(path, rankings, "t")
+        del rankings
+        parsed, kept, peak = traced(lambda: parse_run_file(path))
+        assert parsed == guard_rankings()
+        assert peak < 2 * kept
 
 
 class TestReport:
