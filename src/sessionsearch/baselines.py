@@ -49,21 +49,16 @@ def rm3_model(
     """Query MLE interpolated with RM1, clipped for scoring.
 
     lam is the feedback weight: 0 gives the bare query model, 1 pure RM1.
-    The RM1 model is looked up in stages (a fresh memo when None) under
-    (query tokens, feedback doc ids, mu); only the mix and the clip depend
-    on lam and clip_terms.
+    The RM1 model is rm1_model kept in stages (a fresh memo when None)
+    under its arguments; only the mix and the clip depend on lam and
+    clip_terms.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     if stages is None:
         stages = Stages()
-    qm = query_mle(query)
-    feedback_doc_ids = tuple(feedback_doc_ids)
-    fm = stages.get(
-        ("rm1", query.tokens, feedback_doc_ids, mu),
-        lambda: rm1_model(query, feedback_doc_ids, index, mu),
-    )
-    return clip_distribution(interpolate(1.0 - lam, qm, lam, fm), clip_terms)
+    fm = stages.get(rm1_model, query, tuple(feedback_doc_ids), index, mu)
+    return clip_distribution(interpolate(1.0 - lam, query_mle(query), lam, fm), clip_terms)
 
 
 def qa_score(

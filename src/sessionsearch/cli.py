@@ -334,14 +334,12 @@ def cmd_eval(args) -> int:
     rankings = evalkit.parse_run_file(_require_file(args.run, "run"))
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     # run scores every session whose current query has terms, one that
-    # matches no document as an empty ranking without a run-file line.
+    # matches no document as an empty ranking without a run-file line. The
+    # sessions file cannot serve an id that is absent or has no such query.
     scored = [s for s in sessions if s.current_query.tokens]
     unknown = sorted(set(rankings) - {s.session_id for s in scored})
     if unknown:
-        raise ValueError(
-            f"{args.run}: session ids not in {args.sessions} "
-            f"or without an analyzable current query: {shown_ids(unknown)}"
-        )
+        raise ValueError(f"{args.run}: ids {args.sessions} cannot serve: {shown_ids(unknown)}")
     qrels = _load_qrels(args.qrels, scored)
 
     ordered = [

@@ -51,17 +51,26 @@ def shown(value, width: int = 40) -> str:
 
 def shown_ids(ids: Sequence) -> str:
     """A list of ids for an error line: its length and its first three
-    items, each through shown."""
+    items, each cut to PAIRED characters through shown."""
     more = ", …" if len(ids) > 3 else ""
-    return f"{len(ids)} ({', '.join(map(shown, ids[:3]))}{more})"
+    return f"{len(ids)} ({', '.join(shown(item, PAIRED) for item in ids[:3])}{more})"
+
+
+# Why a doc id fails valid_id, for error lines.
+_BAD_ID = "is empty, has whitespace or is not UTF-8"
 
 
 def valid_id(text: str, file_name: bool = False) -> bool:
-    """Whether text can stand as an id in the output files: non-empty and
-    without whitespace, which would split a run file column. A file_name id
+    """Whether text can stand as an id in the output files: non-empty,
+    without whitespace, which would split a run file column, and UTF-8
+    (not a lone surrogate, which a JSON escape can give). A file_name id
     (a session id names dump files) also holds no '/' or '\\' and is not
     '.' or '..'."""
     if text.split() != [text]:
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
         return False
     return not file_name or ("/" not in text and "\\" not in text and text not in (".", ".."))
 
@@ -274,7 +283,7 @@ class InvertedIndex:
         previous = None
         for doc_id, counts in docs.items():
             if not valid_id(doc_id):
-                raise ValueError(f"{path}: doc id {shown(doc_id)} is empty or contains whitespace")
+                raise ValueError(f"{path}: doc id {shown(doc_id)} {_BAD_ID}")
             if previous is not None and doc_id <= previous:
                 raise ValueError(f"{path}: doc {shown(doc_id, PAIRED)}: not in doc_id order "
                                  f"(it follows {shown(previous, PAIRED)})")
@@ -314,7 +323,7 @@ def build_index(
             if doc_id in doc_table:
                 raise ValueError(f"duplicate doc_id: {shown(doc_id)}")
             if not valid_id(doc_id):
-                raise ValueError(f"doc id {shown(doc_id)} is empty or contains whitespace")
+                raise ValueError(f"doc id {shown(doc_id)} {_BAD_ID}")
             analyzed = analyzer(text)
             counts = dict(sorted(analyzed.counts().items()))
             doc_table[doc_id] = DocumentRecord(doc_id, counts, analyzed.length)
@@ -340,9 +349,7 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
             if not isinstance(doc_id, str) or not isinstance(text, str):
                 raise ValueError(f"{path}: line {lineno}: 'id' and 'text' must be strings")
             if not valid_id(doc_id):
-                raise ValueError(
-                    f"{path}: line {lineno}: doc id {shown(doc_id)} is empty or contains whitespace"
-                )
+                raise ValueError(f"{path}: line {lineno}: doc id {shown(doc_id)} {_BAD_ID}")
             first = first_line.setdefault(doc_id, lineno)
             if first != lineno:
                 raise ValueError(f"{path}: line {lineno}: duplicate doc id {shown(doc_id)} "

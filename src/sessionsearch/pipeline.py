@@ -5,9 +5,9 @@ for the current query and differs only in how it rescores those candidates.
 Scoring is pure per session, and sessions are processed in input order, so
 repeated runs are byte-identical.
 
-A session's stages are looked up in a Stages memo under the parameters
-each depends on (see score_session_full), so StagedScorer, which tune
-uses, redoes at each grid point only what its changed parameters reach.
+A session's stages are kept in a Stages memo under their function and
+arguments (see score_session_full), so StagedScorer, which tune uses,
+redoes at each grid point only the stages whose arguments changed.
 """
 
 from __future__ import annotations
@@ -155,20 +155,13 @@ def score_session_full(
 ) -> SessionResult:
     """Like score_session but keeps the learned model and trace when present.
 
-    stages is this session's memo (a fresh one when None). It keys the first
-    pass by (mu, depth), the QA ranking (baselines.qa_scorer's
-    term_at_a_time over the candidates, the first pass's loop) by (mu,
-    depth, decay), the RM3 feedback first pass by (feedback query, mu, m),
-    the session model's feedback stages as build_session_model does and the
-    RM1 model as rm3_model does. The rest runs every call, and each scorer
-    it builds computes its own log ratios.
-
-    A caller that passes stages scores the session again (tune), so the
-    rerank gets the candidates' srm.CandidateMatching, keyed by (mu, depth,
-    m): one matching per first pass, and per feedback depth m, which holds
-    each matching's terms to the models of one m. Without stages (run) the
-    rerank scores once, directly, which is cheaper than matching for one
-    model.
+    stages is this session's memo (a fresh one when None), which keeps each
+    stage under its function and arguments: the first pass, qa_ranking,
+    the RM3 feedback first pass, build_session_model's and rm3_model's
+    feedback stages and, when stages is given (tune, which scores the
+    session again), candidate_matching, which the rerank then goes through.
+    Without stages (run) the rerank scores once, directly, which is cheaper
+    than matching for one model. The rest runs every call.
     """
     q_n = session.current_query
     if not q_n.tokens:
@@ -179,22 +172,15 @@ def score_session_full(
     if stages is None:
         stages = Stages()
     mu = config.mu
-    candidates = stages.get(
-        ("first_pass", mu, config.depth),
-        lambda: top_k_by_query_likelihood(q_n, index, mu, config.depth),
-    )
+    candidates = stages.get(top_k_by_query_likelihood, q_n, index, mu, config.depth)
     result = SessionResult(session.session_id, session.topic_id, candidates)
     method = config.method
     if method == METHOD_NONE or not candidates:
         return result
 
     if method in (METHOD_QA_UNIFORM, METHOD_QA_DECAY):
-        # QA covers the whole query pool, current query included, so its
-        # score replaces the candidate score rather than adding to it.
-        decay = config.applied_decay
-        ids = [doc_id for doc_id, _ in candidates]
-        result.ranking = stages.get(("qa", mu, config.depth, decay), lambda: rank_documents(
-            qa_scorer(session, index, mu, decay).term_at_a_time(index, ids)))
+        result.ranking = stages.get(qa_ranking, session, index, mu, config.applied_decay,
+                                    candidates)
         return result
 
     if method in (METHOD_SRM_QC, METHOD_SRM_RM1):
@@ -203,10 +189,7 @@ def score_session_full(
         )
     else:
         feedback_query = q_n if method == METHOD_RM3_QN else pseudo_info_need(session.queries)
-        feedback = stages.get(
-            ("rm3_feedback", feedback_query.tokens, mu, config.m),
-            lambda: top_k_by_query_likelihood(feedback_query, index, mu, config.m),
-        )
+        feedback = stages.get(top_k_by_query_likelihood, feedback_query, index, mu, config.m)
         feedback_ids = [doc_id for doc_id, _ in feedback]
         if feedback:
             result.model = rm3_model(
@@ -215,12 +198,25 @@ def score_session_full(
         else:
             # Nothing retrievable to expand with; score with the bare query.
             result.model = query_mle(feedback_query)
-    matching = None
-    if scored_again:
-        matching = stages.get(("matching", mu, config.depth, config.m),
-                              lambda: CandidateMatching(candidates, index))
+    matching = stages.get(candidate_matching, candidates, index, config.m) if scored_again else None
     result.ranking = rerank(candidates, result.model, index, mu, matching)
     return result
+
+
+def qa_ranking(
+    session: Session, index: InvertedIndex, mu: float, decay: float, candidates: RankedList
+) -> RankedList:
+    """The candidates ranked by baselines.qa_scorer, term at a time like the
+    first pass. QA covers the whole query pool, current query included, so
+    its score replaces the candidate score rather than adding to it."""
+    ids = [doc_id for doc_id, _ in candidates]
+    return rank_documents(qa_scorer(session, index, mu, decay).term_at_a_time(index, ids))
+
+
+def candidate_matching(candidates: RankedList, index: InvertedIndex, m: int) -> CandidateMatching:
+    """The candidates' srm.CandidateMatching for the models of feedback
+    depth m: one matching per m keeps each to the terms of those models."""
+    return CandidateMatching(candidates, index)
 
 
 class StagedScorer:

@@ -104,29 +104,32 @@ class FeedbackSet:
 
 
 class Stages:
-    """One session's stage results, each under a key of exactly the
-    parameters it depends on, so a caller that scores the session again
-    with other parameters reuses what they leave unchanged.
+    """One session's stage results: get(stage, *args) keeps stage(*args)
+    under the stage, a module-level function that reads only its
+    arguments, and those arguments. An argument that is a result kept here
+    (a first pass's unhashable candidate list) is keyed by its own key.
 
-    Valid for one session and one index: start a fresh memo for another.
-    Every lookup of a key returns the same object, so callers must not
-    mutate what they get: a stored ranking (query aggregation's) is the
-    list every later point gets back. A stored candidate matching
-    (srm.CandidateMatching) keeps the (term, tf) pairs of every model scored
-    through it and the rankings it has made, one per distinct model.
+    Every lookup returns the same object, so callers must not mutate what
+    they get: a kept ranking (query aggregation's) is the list every later
+    point gets back, and a kept srm.CandidateMatching holds the (term, tf)
+    pairs of every model scored through it and one ranking per model.
     """
 
-    __slots__ = ("_memo",)
+    __slots__ = ("_memo", "_keys")
 
     def __init__(self):
         self._memo: dict = {}
+        # id of each kept result -> its key; the memo keeps the result alive.
+        self._keys: dict[int, tuple] = {}
 
-    def get(self, key, compute: Callable[[], object]):
-        """The value stored under key, computed by compute() on first use."""
+    def get(self, stage: Callable, *args):
+        """stage(*args), computed on the first call with these arguments."""
+        key = (stage, tuple([self._keys.get(id(arg), arg) for arg in args]))
         try:
             return self._memo[key]
         except KeyError:
-            value = self._memo[key] = compute()
+            value = self._memo[key] = stage(*args)
+            self._keys[id(value)] = key
             return value
 
 

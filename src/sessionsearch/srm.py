@@ -178,7 +178,7 @@ def doc_change_posterior(
 def feedback_model(
     change: QueryChange,
     feedback: FeedbackSet,
-    priors: Mapping[ChangeType, float],
+    priors: Optional[Mapping[ChangeType, float]],
     index: InvertedIndex,
     mu: float,
 ) -> TermDistribution:
@@ -186,11 +186,13 @@ def feedback_model(
 
     Each feedback document's unsmoothed model is weighted by how well the
     document explains the observed change, averaged over change types.
-    Empty change-type sets are dropped and the priors renormalized over the
-    rest (proportionally, which is uniform for the default equal priors).
+    Empty change-type sets are dropped and the priors, equal when None, are
+    renormalized over the rest (proportionally, so equal ones stay equal).
     """
     if not feedback.doc_ids:
         raise ValueError("cannot build a feedback model from an empty feedback set")
+    if priors is None:
+        priors = _UNIFORM_PRIORS
     active = [
         (change_type, change.terms_of(change_type))
         for change_type in (ChangeType.RETAIN, ChangeType.ADD, ChangeType.REMOVE)
@@ -279,10 +281,10 @@ def build_session_model(
     feedback sets. A session whose current query analyzes to nothing is an
     error; callers decide whether to skip it.
 
-    Each step's feedback set, keyed (t, m, mu), and feedback model, keyed
-    (t, m, mu, variant), come from stages (a fresh memo when None), so
-    models of the same session that differ only in lam, gamma or clip_terms
-    share them.
+    Each step's feedback set and feedback model come from stages (a fresh
+    memo when None), kept under their function and arguments, so models of
+    the same session that differ only in lam, gamma or clip_terms share
+    them.
     """
     q_n = session.current_query
     if not q_n.tokens:
@@ -291,7 +293,7 @@ def build_session_model(
         )
     if stages is None:
         stages = Stages()
-    m, mu, variant = params.m, params.mu, params.variant
+    mu = params.mu
     model = ZERO
     trace = SrmTrace(session_id=session.session_id)
     previous: Optional[AnalyzedText] = None
@@ -299,18 +301,14 @@ def build_session_model(
         if not q_t.tokens:
             continue
         change = classify_change(previous, q_t)
-        feedback = stages.get(
-            ("feedback", t, m, mu), lambda: select_feedback_docs(session, t, m, mu, index)
-        )
+        feedback = stages.get(select_feedback_docs, session, t, params.m, mu, index)
         lambda_t = 0.0
         if feedback.doc_ids:
             lambda_t = params.lam * generalized_jaccard_sim(q_t, q_n, index)
-            fm = stages.get(
-                ("feedback_model", t, m, mu, variant),
-                lambda: feedback_model(change, feedback, default_change_priors(), index, mu)
-                if variant == VARIANT_QUERY_CHANGE
-                else rm1_style_feedback_model(q_t, feedback, index, mu),
-            )
+            if params.variant == VARIANT_QUERY_CHANGE:
+                fm = stages.get(feedback_model, change, feedback, None, index, mu)
+            else:
+                fm = stages.get(rm1_style_feedback_model, q_t, feedback, index, mu)
             anchored = anchor_feedback(fm, q_t, q_n, params.lam, index)
         else:
             # No usable feedback: the anchored model degenerates to the

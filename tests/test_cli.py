@@ -145,7 +145,8 @@ class TestIndexCommand:
         assert rc == 2
         assert "d1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc_id", ["", "d 4", "d\t4", "d4\n", "d\u20034"])
+    # "d\ud800" is a lone surrogate, which a JSON escape gives and UTF-8 cannot encode.
+    @pytest.mark.parametrize("doc_id", ["", "d 4", "d\t4", "d4\n", "d\u20034", "d\ud800"])
     def test_doc_id_a_run_file_cannot_hold_rejected(self, tmp_path, capsys, doc_id):
         corpus = write_corpus(tmp_path, [CORPUS_DOCS[0], {"id": doc_id, "text": "jazz"}])
         out = tmp_path / "x.idx"
@@ -373,7 +374,7 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("session_id", ["", "s 1", "s1\t", "../escaped", "a/b", "a\\b",
-                                            ".", ".."])
+                                            ".", "..", "s\ud800"])
     def test_session_id_unfit_for_output_files_rejected(self, workspace, capsys, session_id):
         payload = json.loads(json.dumps(SESSIONS))
         payload["sessions"][0]["session_id"] = session_id

@@ -10,8 +10,9 @@ error line quotes the path of a bad config file.
 
 Input files whose ids are 5,000 characters long, or lists of 300 ids, get
 the same one short line: each id is cut, and a list shows its length and
-its first three ids. So does a line that names two 50-character ids: it
-cuts each of them shorter.
+its first three ids, cut shorter, so that 51-character ids fit too. So
+does a line that names two 50-character ids: it cuts each of them
+shorter.
 
 A snapshot that hypothesis mutates (wrong types, dropped, renamed,
 reordered or added keys, NaN and infinite counts, huge integers, a cut or
@@ -131,6 +132,8 @@ def test_bad_parameter_value_gets_one_short_error_line(case, directory):
 LONG = "x" * 5000
 MANY = [f"x{i:04}" for i in range(300)]
 X50, Y50 = "x" * 50, "y" * 50
+# Long ids that sort before MANY's, so a list of both shows them.
+W51 = [f"{'w' * 50}{i}" for i in range(4)]
 INDEX = ["index", "--corpus", "c.jsonl", "--out", "i.idx"]
 RUN = ["run", "--index", "i.idx", "--sessions", "s.json", "--out", "run.txt"]
 EVAL = ["eval", "--run", "r.run", "--sessions", "s.json", "--qrels", "q.txt"]
@@ -161,7 +164,7 @@ ID_CASES = {
     "session-id-a-list": (RUN, {"s.json": sessions({**session(), "session_id": ["s1"] * 3000})}),
     "session-id-a-long-int": (RUN, {"s.json": f'{{"sessions": [{{"session_id": {"9" * 4000}}}]}}'}),
     "session-id-with-whitespace": (RUN, {"s.json": sessions(session(LONG + " y"))}),
-    "duplicate-session-ids": (RUN, {"s.json": sessions(*map(session, MANY + MANY))}),
+    "duplicate-session-ids": (RUN, {"s.json": sessions(*map(session, 2 * (W51 + MANY)))}),
     "duplicate-impression": (RUN, {"s.json": sessions(session(impressions=[LONG, LONG]))}),
     "click-not-among-impressions": (RUN, {"s.json": sessions(session(clicks=[LONG]))}),
     "corpus-doc-id-with-whitespace": (INDEX, {"c.jsonl": corpus(LONG + " y")}),
@@ -177,7 +180,8 @@ ID_CASES = {
     "conflicting-qrels-grades": (EVAL, {"r.run": "s1 Q0 d1 1 -1.0 t\n",
                                         "q.txt": f"{LONG} 0 d1 1\n{LONG} 0 d1 2\n",
                                         "s.json": sessions(session())}),
-    "unknown-run-ids": (EVAL, {"r.run": "".join(f"{key} Q0 d1 1 -1.0 t\n" for key in MANY),
+    "unknown-run-ids": (EVAL, {"r.run": "".join(f"{key} Q0 d1 1 -1.0 t\n"
+                                                for key in W51 + MANY),
                                "s.json": sessions(session()), "q.txt": "t1 0 d1 1\n"}),
     "run-file-duplicate-doc": (EVAL, {"r.run": f"s1 Q0 {LONG} 1 -1.0 t\ns1 Q0 {LONG} 2 -2.0 t\n",
                                       "s.json": sessions(session()), "q.txt": "t1 0 d1 1\n"}),
