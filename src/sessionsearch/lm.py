@@ -39,9 +39,11 @@ class TermDistribution:
 
         Zero-weight terms are dropped; total mass must be positive.
         """
-        for term, weight in weights.items():
-            if weight < 0:
-                raise ValueError(f"negative weight for term {term!r}: {weight}")
+        # One C-level min first; a NaN min falls through to the scan too.
+        if not min(weights.values(), default=0.0) >= 0.0:
+            for term, weight in weights.items():
+                if weight < 0:
+                    raise ValueError(f"negative weight for term {shown(term)}: {shown(weight)}")
         total = math.fsum(weights.values())
         if total <= 0:
             raise ValueError("cannot normalize a distribution with no positive mass")
@@ -90,9 +92,7 @@ def interpolate(
         return dist_b
     if weight_b == 0.0:
         return dist_a
-    weights: dict[str, float] = {}
-    for term, p in dist_a.items():
-        weights[term] = weight_a * p
+    weights = {term: weight_a * p for term, p in dist_a.items()}
     for term, p in dist_b.items():
         weights[term] = weights.get(term, 0.0) + weight_b * p
     return TermDistribution.from_weights(weights)
@@ -320,9 +320,10 @@ def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
     """
     if p_dist.is_zero:
         raise ValueError("KL divergence needs a non-empty reference distribution")
+    q_probs = q_dist._probs
     total = 0.0
     for term, p in p_dist.items():
-        q = q_dist.get(term)
+        q = q_probs.get(term, 0.0)
         if q <= 0.0:
             return math.inf
         total += p * math.log(p / q)

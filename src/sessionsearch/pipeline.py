@@ -7,7 +7,10 @@ repeated runs are byte-identical.
 
 A session's stages are kept in a Stages memo under their function and
 arguments (see score_session_full), so StagedScorer, which tune uses,
-redoes at each grid point only the stages whose arguments changed.
+redoes at each grid point only the stages whose arguments changed: a
+point that changes gamma alone reuses each step's anchored model, which
+is keyed by lambda, and reranks through the kept candidate matching,
+which holds the candidates in doc_id order.
 """
 
 from __future__ import annotations
@@ -157,16 +160,17 @@ def score_session_full(
 
     stages is this session's memo (a fresh one when None), which keeps each
     stage under its function and arguments: the first pass, qa_ranking,
-    the RM3 feedback first pass, build_session_model's and rm3_model's
-    feedback stages and, when stages is given (tune, which scores the
-    session again), candidate_matching, which the rerank then goes through.
+    the RM3 feedback first pass, build_session_model's stages (those keyed
+    by lambda among them) and rm3_model's, and, when stages is given (tune,
+    which scores the session again), candidate_matching, which the rerank
+    then goes through.
     Without stages (run) the rerank scores once, directly, which is cheaper
     than matching for one model. The rest runs every call.
     """
     q_n = session.current_query
     if not q_n.tokens:
         raise ValueError(
-            f"session {session.session_id!r}: current query has no analyzable terms"
+            f"session {shown(session.session_id)}: current query has no analyzable terms"
         )
     scored_again = stages is not None
     if stages is None:

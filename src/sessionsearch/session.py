@@ -11,6 +11,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -65,6 +66,21 @@ class Session:
     history: tuple[SessionStep, ...]
     current_raw: str
     current_query: AnalyzedText
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # The dataclass's field hash, kept: every Stages key that reads a
+        # session hashes it, and field by field it walks every step.
+        return hash((self.session_id, self.topic_id, self.history, self.current_raw,
+                     self.current_query))
+
+    def __getstate__(self) -> dict:
+        # A str hash holds only in the process that made it, so pickle and
+        # copy leave the kept one behind.
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
     @property
     def queries(self) -> list[AnalyzedText]:
@@ -129,7 +145,9 @@ class Stages:
             return self._memo[key]
         except KeyError:
             value = self._memo[key] = stage(*args)
-            self._keys[id(value)] = key
+            # A stage may return a kept result (anchoring at weight 1 returns
+            # its feedback model): that result keeps its first key.
+            self._keys.setdefault(id(value), key)
             return value
 
 

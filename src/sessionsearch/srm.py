@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 from typing import AbstractSet, Mapping, Optional
 
 from .analysis import AnalyzedText
 from .baselines import rm1_model
-from .index import InvertedIndex
+from .index import InvertedIndex, shown
 from .lm import (
     RankedList,
     TermDistribution,
@@ -268,6 +269,12 @@ def srm_update(
     return interpolate(gamma_t, prior, 1.0 - gamma_t, anchored)
 
 
+def top_terms(model: TermDistribution) -> tuple[tuple[str, float], ...]:
+    """The model's ten most probable (term, probability) pairs, ties by
+    term: a StepTrace's top_terms."""
+    return tuple(rank_documents(model.items())[:10])
+
+
 def build_session_model(
     session: Session,
     params: SrmParams,
@@ -281,15 +288,19 @@ def build_session_model(
     feedback sets. A session whose current query analyzes to nothing is an
     error; callers decide whether to skip it.
 
-    Each step's feedback set and feedback model come from stages (a fresh
-    memo when None), kept under their function and arguments, so models of
-    the same session that differ only in lam, gamma or clip_terms share
-    them.
+    Each step's stages come from stages (a fresh memo when None), kept
+    under their function and arguments: the feedback set and feedback
+    model, which models of one session that differ only in lam, gamma or
+    clip_terms share; the similarity lambda_t scales; and the anchored
+    model (anchor_feedback, or query_mle without feedback) with its
+    top_terms, which are keyed by lam and shared across gamma and
+    clip_terms. The divergence, gamma_t, the update and the clip run every
+    call.
     """
     q_n = session.current_query
     if not q_n.tokens:
         raise ValueError(
-            f"session {session.session_id!r}: current query has no analyzable terms"
+            f"session {shown(session.session_id)}: current query has no analyzable terms"
         )
     if stages is None:
         stages = Stages()
@@ -304,20 +315,19 @@ def build_session_model(
         feedback = stages.get(select_feedback_docs, session, t, params.m, mu, index)
         lambda_t = 0.0
         if feedback.doc_ids:
-            lambda_t = params.lam * generalized_jaccard_sim(q_t, q_n, index)
+            lambda_t = params.lam * stages.get(generalized_jaccard_sim, q_t, q_n, index)
             if params.variant == VARIANT_QUERY_CHANGE:
                 fm = stages.get(feedback_model, change, feedback, None, index, mu)
             else:
                 fm = stages.get(rm1_style_feedback_model, q_t, feedback, index, mu)
-            anchored = anchor_feedback(fm, q_t, q_n, params.lam, index)
+            anchored = stages.get(anchor_feedback, fm, q_t, q_n, params.lam, index)
         else:
             # No usable feedback: the anchored model degenerates to the
             # query's own MLE model.
-            anchored = query_mle(q_t)
+            anchored = stages.get(query_mle, q_t)
         kl = math.inf if model.is_zero else kl_divergence(anchored, model)
         gamma_t = self_clarity_gamma(anchored, model, params.gamma)
         model = srm_update(model, anchored, gamma_t)
-        top = rank_documents(anchored.items())[:10]
         trace.records.append(
             StepTrace(
                 step=t,
@@ -327,7 +337,7 @@ def build_session_model(
                 lambda_t=lambda_t,
                 gamma_t=gamma_t,
                 kl=kl,
-                top_terms=tuple(top),
+                top_terms=stages.get(top_terms, anchored),
             )
         )
         previous = q_t
@@ -341,20 +351,26 @@ class CandidateMatching:
     grid points) without intersecting each document's terms with each
     model's.
 
-    Holds, per candidate, the (term, tf) pairs its document shares with
-    the terms models have held so far (a model with new terms adds theirs
-    in one pass over the candidates), and each ranking made, keyed by mu
-    and the model's exact items. rerank returns a kept ranking itself, so
-    callers must not mutate it.
+    Holds the candidates in doc_id order, each with its first-pass score,
+    its length and the (term, tf) pairs its document shares with the terms
+    models have held so far (a model with new terms adds theirs in one pass
+    over the candidates), and each ranking made, keyed by mu and the
+    model's exact items. A model's ranking is then one stable sort by
+    score, which leaves equal scores in doc_id order. rerank returns a
+    kept ranking itself, so callers must not mutate it.
     """
 
-    __slots__ = ("candidates", "index", "_docs", "_matched_terms", "_positions",
-                 "_pairs", "_matched", "_rankings")
+    __slots__ = ("candidates", "index", "_ids", "_first_pass", "_docs", "_lengths",
+                 "_matched_terms", "_positions", "_pairs", "_matched", "_rankings")
 
     def __init__(self, candidates: RankedList, index: InvertedIndex):
         self.candidates = candidates
         self.index = index
-        self._docs = [index.doc_table[doc_id] for doc_id, _ in candidates]
+        ordered = sorted(candidates, key=itemgetter(0))
+        self._ids = [doc_id for doc_id, _ in ordered]
+        self._first_pass = [ql for _, ql in ordered]
+        self._docs = list(map(index.doc_table.__getitem__, self._ids))
+        self._lengths = [doc.length for doc in self._docs]
         self._matched_terms: set[str] = set()
         # The distinct (term, tf) pairs, each with its position in _pairs,
         # and per candidate the positions of the pairs its document holds.
@@ -386,13 +402,20 @@ class CandidateMatching:
             score = cross_entropy_scorer(model, self.index.stats, mu)
             weights = score.weights
             # A matched term outside the model adds 0.0, which leaves
-            # fsum's correctly rounded sum as it was.
+            # fsum's correctly rounded sum as it was; fsum of one summand
+            # is that summand, as scores() adds it.
             table = [score.summand(term, tf) if term in weights else 0.0
                      for term, tf in self._pairs]
-            scores = score.scores(self._docs, ([table[i] for i in positions]
-                                               for positions in self._matched))
-            ranking = self._rankings[key] = rank_documents(
-                [(doc_id, ql + value) for (doc_id, ql), value in zip(self.candidates, scores)])
+            if score.required:
+                scores = map(add, self._first_pass, score.scores(
+                    self._docs, ([table[i] for i in positions] for positions in self._matched)))
+            else:
+                bases = {length: score.base(length) for length in set(self._lengths)}
+                scores = [ql + (bases[length] + math.fsum([table[i] for i in positions]))
+                          for ql, length, positions
+                          in zip(self._first_pass, self._lengths, self._matched)]
+            ranking = self._rankings[key] = sorted(zip(self._ids, scores), key=itemgetter(1),
+                                                   reverse=True)
         return ranking
 
 

@@ -30,7 +30,15 @@ direct srm.rerank of the same candidates and model bit for bit, and a
 model with a word the corpus lacks must leave every candidate at -inf. A
 model that adds a word no earlier model held (FOREIGN, and a corpus term,
 from a non-candidate document when there is one) must also rerank through
-the kept matching bit for bit as directly.
+the kept matching bit for bit as directly. Its explicit examples hold twin
+documents (one text under two ids), which tie and must stay in doc_id
+order, and a history query equal to the current query, where lambda = 1
+makes anchor_feedback return the feedback model itself.
+
+Two more tests pin those cases: a kept matching made from candidates out
+of doc_id order ranks tied twins in doc_id order, as the direct rerank
+does; and at lambda = 1 the memo keeps the feedback model under its own
+key and the anchoring's, and later points score as a fresh memo would.
 """
 
 import math
@@ -45,7 +53,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import oracle  # noqa: E402
 from conftest import instance_index, instance_session  # noqa: E402
 
-from sessionsearch import pipeline  # noqa: E402
+from sessionsearch import pipeline, srm  # noqa: E402
 from sessionsearch.evalkit import Qrels, grid_tune  # noqa: E402
 from sessionsearch.lm import TermDistribution, top_k_by_query_likelihood  # noqa: E402
 from sessionsearch.pipeline import (  # noqa: E402
@@ -56,7 +64,7 @@ from sessionsearch.pipeline import (  # noqa: E402
     score_session_full,
 )
 from sessionsearch.session import Stages, select_feedback_docs  # noqa: E402
-from sessionsearch.srm import rerank  # noqa: E402
+from sessionsearch.srm import CandidateMatching, rerank  # noqa: E402
 
 TOLERANCE = 1e-9
 NEG_INF = float("-inf")
@@ -427,9 +435,32 @@ UNSEEN_EXAMPLE = {
 }
 
 
+# dA and dB hold the same text under two ids, so every model ties them.
+TWIN_EXAMPLE = dict(UNSEEN_EXAMPLE, docs={
+    "dA": {"w0": 2, "w1": 1}, "dB": {"w0": 2, "w1": 1}, "dC": {"w1": 1, "w2": 3}},
+    steps=[{"query": ["w0"], "impressions": ["dA", "dC"], "clicks": ["dC"]}],
+    current=["w0", "w1"])
+
+# The one history query is the current query and has a click, so at
+# lambda = 1 the anchoring weight is exactly 1 and anchor_feedback returns
+# the feedback model itself: the memo keeps one object under two keys.
+REPEAT_EXAMPLE = dict(UNSEEN_EXAMPLE, docs={
+    "d0": {"w0": 2, "w1": 1}, "d1": {"w1": 2, "w2": 1}, "d2": {"w2": 3}},
+    steps=[{"query": ["w0", "w1"], "impressions": ["d0", "d1"], "clicks": ["d0"]}],
+    current=["w0", "w1"])
+REPEAT_POINTS = [{"lam": 1.0, "gamma": 0.3, "clip_terms": 100, "m": 2},
+                 {"lam": 0.5, "gamma": 0.3, "clip_terms": 100, "m": 2},
+                 {"lam": 1.0, "gamma": 1.0, "clip_terms": 2, "m": 2}]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(instance=instances(), method=st.sampled_from(RERANKED),
        points=st.lists(grid_points(), min_size=2, max_size=5))
+@hypothesis.example(instance=TWIN_EXAMPLE, method="srm-qc",
+                    points=[{"lam": 0.5, "gamma": 0.3, "clip_terms": 100, "m": 2},
+                            {"lam": 0.8, "gamma": 0.0, "clip_terms": 2, "m": 2}])
+@hypothesis.example(instance=REPEAT_EXAMPLE, method="srm-qc", points=REPEAT_POINTS)
+@hypothesis.example(instance=REPEAT_EXAMPLE, method="srm-rm1", points=REPEAT_POINTS)
 @hypothesis.example(instance=UNSEEN_EXAMPLE, method="srm-qc",
                     points=[{"lam": 0.5, "gamma": 0.3, "clip_terms": 100, "m": 2},
                             {"lam": 1.0, "gamma": 0.0, "clip_terms": 2, "m": 2}])
@@ -463,3 +494,50 @@ def test_staged_rerank_equals_direct_rerank_bit_for_bit(instance, method, points
             assert hexed(rerank(candidates, widened, index, mu, matching)) == hexed(
                 rerank(candidates, widened, index, mu))
             terms.add(word)
+
+
+def test_a_kept_matching_ranks_tied_candidates_in_doc_id_order():
+    index = instance_index(TWIN_EXAMPLE)
+    # Not in doc_id order: the twins dA and dB tie under every model.
+    candidates = [("dB", -4.0), ("dC", -4.5), ("dA", -4.0)]
+    matching = CandidateMatching(candidates, index)
+    for weights, tied in (({"w0": 0.5, "w1": 0.5}, ["dA", "dB"]), ({"w1": 1.0}, ["dA", "dB"]),
+                          ({"w0": 0.5, FOREIGN: 0.5}, ["dA", "dB", "dC"])):
+        model = TermDistribution.from_weights(weights)
+        kept = rerank(candidates, model, index, 10.0, matching)
+        assert hexed(kept) == hexed(rerank(candidates, model, index, 10.0))
+        assert [doc_id for doc_id, _ in kept if doc_id in tied] == tied
+        assert len({score for doc_id, score in kept if doc_id in tied}) == 1
+        assert rerank(candidates, model, index, 10.0, matching) is kept
+
+
+@pytest.mark.parametrize("method", ["srm-qc", "srm-rm1"])
+def test_an_anchored_model_that_is_its_feedback_model_keeps_one_object(monkeypatch, method):
+    index = instance_index(REPEAT_EXAMPLE)
+    session = instance_session(REPEAT_EXAMPLE)
+    configs = [RunConfig(method=method, mu=REPEAT_EXAMPLE["params"]["mu"], **point)
+               for point in REPEAT_POINTS]
+    direct = [score_session_full(session, index, config) for config in configs]
+    anchorings = []  # per point, (lambda, feedback model, anchored model) of each anchoring
+    real = srm.anchor_feedback
+
+    def recording(fm, q_t, q_n, lam, index):
+        anchored = real(fm, q_t, q_n, lam, index)
+        anchorings[-1].append((lam, fm, anchored))
+        return anchored
+
+    monkeypatch.setattr(srm, "anchor_feedback", recording)
+    stages = Stages()
+    for config, plain in zip(configs, direct):
+        anchorings.append([])
+        staged = score_session_full(session, index, config, stages)
+        assert hexed(staged.ranking) == hexed(plain.ranking)
+        assert staged.trace.to_dict() == plain.trace.to_dict()
+        assert staged.model.as_dict() == plain.model.as_dict()
+    first, second, third = anchorings
+    assert first and {lam for lam, _, _ in first} == {1.0}
+    assert all(anchored is fm for _, fm, anchored in first)
+    assert second and {lam for lam, _, _ in second} == {0.5}
+    assert all(anchored is not fm for _, fm, anchored in second)
+    # The second lambda = 1 point finds every anchored model kept.
+    assert third == []

@@ -47,6 +47,15 @@ class TestTermDistribution:
         with pytest.raises(ValueError):
             TermDistribution.from_weights({"a": -0.5, "b": 1.5})
 
+    def test_from_weights_names_the_first_negative_term_in_one_short_line(self):
+        # A NaN ahead of the negative weight makes min() return the NaN.
+        weights = {"n": math.nan, "a" * 200: -0.5, "b": -1.0, "c": 1.5}
+        with pytest.raises(ValueError) as excinfo:
+            TermDistribution.from_weights(weights)
+        line = str(excinfo.value)
+        assert "\n" not in line and len(line) <= 120
+        assert line.startswith("negative weight for term 'aaa") and line.endswith(": -0.5")
+
     def test_from_weights_rejects_no_mass(self):
         with pytest.raises(ValueError):
             TermDistribution.from_weights({"a": 0.0})

@@ -127,3 +127,16 @@ def test_analyzer_is_the_only_default_argument(fn):
                 if p.default is not inspect.Parameter.empty]
     assert defaults == ["analyzer"]
     assert fn.__defaults__ == (analyze,)
+
+
+@pytest.mark.parametrize("method", ["srm-qc", "srm-rm1"])
+def test_a_gamma_only_point_keeps_the_anchored_models(monkeypatch, club_index, method):
+    calls = rebind(monkeypatch)
+    session = make_session([(["jazz"], ["d1", "d3"], ["d1"])], ["jazz", "club"])
+    scorer = pipeline.StagedScorer()
+    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.3, gamma=0.3))
+    calls.clear()
+    # The anchoring reads lambda alone: another gamma remixes the kept
+    # anchored models and reranks, and anchors nothing.
+    assert scorer(session, club_index, pipeline.RunConfig(method=method, lam=0.3, gamma=0.5))
+    assert calls == {"pipeline.build_session_model", "pipeline.rerank"}

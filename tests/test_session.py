@@ -1,8 +1,10 @@
 """Query-change classification, pseudo information needs, feedback selection,
 and session file parsing."""
 
+import copy
 import json
 import math
+import pickle
 import re
 
 import pytest
@@ -179,6 +181,28 @@ class TestQueriesUpTo:
         assert [q.tokens for q in session.queries_up_to(3)] == [("a",), ("b",), ("c",)]
         with pytest.raises(ValueError):
             session.queries_up_to(4)
+
+
+class TestSessionHash:
+    def test_hash_is_the_field_hash_and_is_kept(self):
+        session = make_session([(["a"], ["d1"], ["d1"])], ["b"])
+        fields = (session.session_id, session.topic_id, session.history, session.current_raw,
+                  session.current_query)
+        assert hash(session) == hash(fields)
+        assert vars(session)["_hash"] == hash(fields)
+        twin = make_session([(["a"], ["d1"], ["d1"])], ["b"])
+        assert twin == session and hash(twin) == hash(session)
+        assert {session: 1}[twin] == 1
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda s: pickle.loads(pickle.dumps(s))])
+    def test_a_kept_hash_is_not_copied_or_pickled(self, duplicate):
+        # A str hash holds only in the process that made it.
+        session = make_session([(["a"], ["d1"], ["d1"])], ["b"])
+        hash(session)
+        twin = duplicate(session)
+        assert "_hash" not in vars(twin)
+        assert twin == session and hash(twin) == hash(session)
 
 
 class TestLoadSessions:

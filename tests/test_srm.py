@@ -19,6 +19,7 @@ from sessionsearch.lm import (
     query_mle,
     top_k_by_query_likelihood,
 )
+from sessionsearch.pipeline import RunConfig, score_session_full
 from sessionsearch.session import ChangeType, FeedbackSet, FeedbackSource, QueryChange
 from sessionsearch.srm import (
     SrmParams,
@@ -314,6 +315,18 @@ class TestBuildSessionModel:
         session = make_session([(["a"], [], [])], [])
         with pytest.raises(ValueError):
             build_session_model(session, self.params(), tiny_index)
+
+    @pytest.mark.parametrize("score", ["build_session_model", "score_session_full"])
+    def test_empty_current_query_line_cuts_a_long_session_id(self, tiny_index, score):
+        session = make_session([(["a"], [], [])], [], session_id="s" * 200)
+        with pytest.raises(ValueError) as excinfo:
+            if score == "build_session_model":
+                build_session_model(session, self.params(), tiny_index)
+            else:
+                score_session_full(session, tiny_index, RunConfig(method="srm-qc"))
+        line = str(excinfo.value)
+        assert "\n" not in line and len(line) <= 120
+        assert line.startswith("session 'sss") and line.endswith("no analyzable terms")
 
     def test_single_feedback_doc_makes_variants_identical(self, tiny_index):
         session = make_session([(["a", "b"], ["d2"], ["d2"])], ["a", "c"])
