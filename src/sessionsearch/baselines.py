@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 from .analysis import AnalyzedText
 from .index import DocumentRecord, InvertedIndex
+from .inputs import shown
 from .lm import (
     LogLikelihoodScorer,
     TermDistribution,
@@ -21,7 +22,8 @@ from .lm import (
     query_likelihood_doc_weights,
     query_mle,
 )
-from .session import Session, Stages
+from .session import Session
+from .stages import Stages
 
 
 def rm1_model(
@@ -54,7 +56,7 @@ def rm3_model(
     clip_terms.
     """
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+        raise ValueError(f"lambda must be in [0, 1], got {shown(lam)}")
     if stages is None:
         stages = Stages()
     fm = stages.get(rm1_model, query, tuple(feedback_doc_ids), index, mu)
@@ -70,7 +72,7 @@ def qa_score(
 ) -> float:
     """Query-aggregation score of one document for a session: qa_scorer's
     score of doc."""
-    return qa_scorer(session, index, mu, decay)(doc)
+    return qa_scorer(session, index, mu, decay).scores((doc,))[0]
 
 
 def qa_scorer(
@@ -85,7 +87,7 @@ def qa_scorer(
     first-pass ranker uses.
     """
     if not 0.0 < decay <= 1.0:
-        raise ValueError(f"decay must be in (0, 1], got {decay}")
+        raise ValueError(f"decay must be in (0, 1], got {shown(decay)}")
     # sum_t decay^(n-t) ln p(q_t|d) = sum_w (sum_t decay^(n-t) c_t(w)) ln p(w|d):
     # one scorer over the decayed term counts.
     queries = session.queries

@@ -22,8 +22,8 @@ import sys
 from pathlib import Path
 
 from . import evalkit, pipeline
-from .index import (PAIRED, InvertedIndex, build_index, load_json, read_corpus_jsonl,
-                    shown, shown_ids)
+from .index import InvertedIndex, build_index, read_corpus_jsonl
+from .inputs import PAIRED, load_json, shown, shown_ids
 from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")

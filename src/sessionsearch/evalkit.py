@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .index import PAIRED, open_text, shown
+from .inputs import PAIRED, open_text, shown, shown_ids
 from .pipeline import TUNABLE_FIELDS
 
 RankedDocs = Sequence[str]
@@ -318,7 +318,7 @@ def grid_tune(
         raise ValueError("grid search needs at least one value for every grid")
     unknown = set(grids) - set(TUNABLE_FIELDS)
     if unknown:
-        raise ValueError(f"cannot tune over unknown parameters: {sorted(unknown)}")
+        raise ValueError(f"cannot tune over unknown parameters: {shown_ids(sorted(unknown))}")
     keys = [key for key in TUNABLE_FIELDS if key in grids]
     value_lists = [sorted(distinct_grid_values(f"{key!r} grid", grids[key])) for key in keys]
 

@@ -8,12 +8,12 @@ floored so callers can rank or fail loudly as they see fit.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analysis import AnalyzedText
-from .index import DocumentRecord, CollectionStats, InvertedIndex, shown
+from .index import DocumentRecord, CollectionStats, InvertedIndex
+from .inputs import shown
 
 NEG_INF = float("-inf")
 
@@ -119,13 +119,6 @@ def query_mle(query: AnalyzedText) -> TermDistribution:
     return TermDistribution.from_weights(query.counts())
 
 
-def doc_mle(doc: DocumentRecord) -> TermDistribution:
-    """Unsmoothed language model of one document."""
-    if doc.length == 0:
-        raise ValueError(f"document {doc.doc_id!r} has no analyzed tokens")
-    return TermDistribution.from_weights(doc.term_counts)
-
-
 def smoothed_prob(
     term: str, doc: DocumentRecord, stats: CollectionStats, mu: float
 ) -> float:
@@ -137,7 +130,7 @@ def smoothed_prob(
     denom = doc.length + mu
     if denom <= 0:
         raise ValueError(
-            f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={mu}"
+            f"cannot smooth over an empty document ({shown(doc.doc_id)}) with mu={mu}"
         )
     tf = doc.term_counts.get(term, 0)
     cf = stats.collection_tf.get(term, 0)
@@ -223,35 +216,30 @@ class LogLikelihoodScorer:
             self._bases[length] = self._constant - self._weight_total * math.log(length + self._mu)
         return self._bases[length]
 
-    def scores(
-        self, docs: Iterable[DocumentRecord], matched: Optional[Iterable[list[float]]] = None
-    ) -> list[float]:
-        """The score of each document, in order. matched, when given, holds
-        each document's summands, in the same order (srm.CandidateMatching
-        gathers them ahead)."""
+    def scores(self, docs: Iterable[DocumentRecord]) -> list[float]:
+        """The score of each document, in order."""
         weights = self.weights
         if not weights:
             return [0.0 for _ in docs]
         bases, summands, required, mu = self._bases, self._summands, self.required, self._mu
         out = []
-        for doc, values in zip(docs, repeat(None) if matched is None else matched):
+        for doc in docs:
             base = bases.get(doc.length)
             if base is None:
                 if doc.length + mu <= 0:
-                    raise ValueError(
-                        f"cannot smooth over an empty document ({doc.doc_id!r}) with mu={mu}")
+                    raise ValueError(f"cannot smooth over an empty document "
+                                     f"({shown(doc.doc_id)}) with mu={mu}")
                 base = self.base(doc.length)
             counts = doc.term_counts
             if required and not all(map(counts.get, required)):
                 out.append(NEG_INF)
                 continue
-            if values is None:
-                values = []
-                # Intersecting two key views walks the smaller one: the
-                # document's terms or the scored terms, whichever are fewer.
-                for term in counts.keys() & weights.keys():
-                    value = summands.get((term, counts[term]))
-                    values.append(self.summand(term, counts[term]) if value is None else value)
+            values = []
+            # Intersecting two key views walks the smaller one: the
+            # document's terms or the scored terms, whichever are fewer.
+            for term in counts.keys() & weights.keys():
+                value = summands.get((term, counts[term]))
+                values.append(self.summand(term, counts[term]) if value is None else value)
             out.append(base + (values[0] if len(values) == 1 else math.fsum(values)))
         return out
 
@@ -294,23 +282,9 @@ class LogLikelihoodScorer:
         mu, lengths = self._mu, list(map(index.lengths.__getitem__, alone))
         if lengths and min(lengths) + mu <= 0:
             doc_id = next(d for d in ids or alone if index.lengths[d] + mu <= 0)
-            raise ValueError(f"cannot smooth over an empty document ({doc_id!r}) with mu={mu}")
+            raise ValueError(f"cannot smooth over an empty document ({shown(doc_id)}) with mu={mu}")
         bases = {length: self.base(length) for length in set(lengths)}
         return list(zip(alone, map(add, map(bases.__getitem__, lengths), alone.values())))
-
-    def __call__(self, doc: DocumentRecord) -> float:
-        return self.scores((doc,))[0]
-
-
-def query_log_likelihood(
-    query: AnalyzedText, doc: DocumentRecord, stats: CollectionStats, mu: float
-) -> float:
-    """Sum of log smoothed probabilities of the query tokens given the doc.
-
-    Order-invariant in the query tokens (multiset semantics). Empty query
-    scores 0. A token with zero probability yields -inf.
-    """
-    return LogLikelihoodScorer(query.counts().items(), stats, mu)(doc)
 
 
 def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
@@ -345,13 +319,6 @@ def cross_entropy_scorer(
     if mu <= 0:
         raise ValueError(f"cross-entropy scoring requires mu > 0, got {mu}")
     return LogLikelihoodScorer(model.items(), stats, mu)
-
-
-def cross_entropy_score(
-    model: TermDistribution, doc: DocumentRecord, stats: CollectionStats, mu: float
-) -> float:
-    """cross_entropy_scorer(model, stats, mu) applied to one document."""
-    return cross_entropy_scorer(model, stats, mu)(doc)
 
 
 def generalized_jaccard_sim(
@@ -445,8 +412,8 @@ def mix_doc_models(
 ) -> TermDistribution:
     """Weighted mixture of unsmoothed document models.
 
-    Each document's model is read as count / length, the float doc_mle
-    holds: the fsum of a document's integer counts is exactly its length.
+    Each document's model is read as count / length, the float its
+    normalized counts hold: the fsum of integer counts is exactly its length.
     """
     weights: dict[str, float] = {}
     for doc_id, doc_weight in doc_weights.items():
@@ -455,7 +422,7 @@ def mix_doc_models(
         doc = index.doc(doc_id)
         length = doc.length
         if length == 0:
-            raise ValueError(f"document {doc.doc_id!r} has no analyzed tokens")
+            raise ValueError(f"document {shown(doc.doc_id)} has no analyzed tokens")
         for term, count in doc.term_counts.items():
             weights[term] = weights.get(term, 0.0) + doc_weight * (count / length)
     return TermDistribution.from_weights(weights)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .baselines import qa_scorer, rm3_model
-from .index import InvertedIndex, shown
+from .index import InvertedIndex
+from .inputs import shown
 from .lm import (
     RankedList,
     TermDistribution,
@@ -30,7 +31,7 @@ from .lm import (
     rank_documents,
     top_k_by_query_likelihood,
 )
-from .session import Session, Stages, pseudo_info_need
+from .session import Session, pseudo_info_need
 from .srm import (
     SrmParams,
     SrmTrace,
@@ -40,6 +41,7 @@ from .srm import (
     build_session_model,
     rerank,
 )
+from .stages import Stages
 
 logger = logging.getLogger(__name__)
 

@@ -2,7 +2,7 @@
 
 A session is a sequence of history steps (query, shown results, clicks)
 followed by the current query that is to be served. Dwell times are parsed
-and stored but take no part in any computation.
+and stored but take no part in any computation. The stage memo is in stages.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze, term_memo
-from .index import PAIRED, InvertedIndex, json_field, load_json, shown, shown_ids, valid_id
+from .index import InvertedIndex
+from .inputs import PAIRED, json_field, load_json, shown, shown_ids, valid_id
 from .lm import LogLikelihoodScorer, rank_documents
 
 
@@ -119,38 +120,6 @@ class FeedbackSet:
     source: FeedbackSource
 
 
-class Stages:
-    """One session's stage results: get(stage, *args) keeps stage(*args)
-    under the stage, a module-level function that reads only its
-    arguments, and those arguments. An argument that is a result kept here
-    (a first pass's unhashable candidate list) is keyed by its own key.
-
-    Every lookup returns the same object, so callers must not mutate what
-    they get: a kept ranking (query aggregation's) is the list every later
-    point gets back, and a kept srm.CandidateMatching holds the (term, tf)
-    pairs of every model scored through it and one ranking per model.
-    """
-
-    __slots__ = ("_memo", "_keys")
-
-    def __init__(self):
-        self._memo: dict = {}
-        # id of each kept result -> its key; the memo keeps the result alive.
-        self._keys: dict[int, tuple] = {}
-
-    def get(self, stage: Callable, *args):
-        """stage(*args), computed on the first call with these arguments."""
-        key = (stage, tuple([self._keys.get(id(arg), arg) for arg in args]))
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = stage(*args)
-            # A stage may return a kept result (anchoring at weight 1 returns
-            # its feedback model): that result keeps its first key.
-            self._keys.setdefault(id(value), key)
-            return value
-
-
 def classify_change(
     previous: Optional[AnalyzedText], current: AnalyzedText
 ) -> QueryChange:
@@ -236,7 +205,7 @@ def load_sessions(
     Expected shape: {"sessions": [{"session_id", "topic_id", "steps"?:
     [{"query", "impressions"?, "clicks"?: [{"doc", "dwell"?}]}], "current_query"}]},
     ids, queries, impressions and clicked docs strings, each session id an
-    index.valid_id with file_name=True, and each dwell absent, null or a
+    inputs.valid_id with file_name=True, and each dwell absent, null or a
     finite number >= 0. Violations, and a session id used twice, raise
     ValueError naming the file, the session and the field. All queries
     share one analysis.term_memo scope.

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import AbstractSet, Mapping, Optional
 
 from .analysis import AnalyzedText
 from .baselines import rm1_model
-from .index import InvertedIndex, shown
+from .index import InvertedIndex
+from .inputs import shown
 from .lm import (
+    NEG_INF,
     RankedList,
     TermDistribution,
     ZERO,
@@ -39,10 +41,10 @@ from .session import (
     FeedbackSet,
     QueryChange,
     Session,
-    Stages,
     classify_change,
     select_feedback_docs,
 )
+from .stages import Stages
 
 VARIANT_QUERY_CHANGE = "qc"
 VARIANT_RM1 = "rm1"
@@ -72,11 +74,11 @@ class SrmParams:
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+            raise ValueError(f"gamma must be in [0, 1], got {shown(self.gamma)}")
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
+            raise ValueError(f"lambda must be in [0, 1], got {shown(self.lam)}")
         if self.variant not in (VARIANT_QUERY_CHANGE, VARIANT_RM1):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"unknown variant {shown(self.variant)}")
 
 
 @dataclass
@@ -407,8 +409,9 @@ class CandidateMatching:
             table = [score.summand(term, tf) if term in weights else 0.0
                      for term, tf in self._pairs]
             if score.required:
-                scores = map(add, self._first_pass, score.scores(
-                    self._docs, ([table[i] for i in positions] for positions in self._matched)))
+                # A required term (cf = 0, as mu > 0) is in no document, so
+                # every candidate scores its first pass plus -inf.
+                scores = [NEG_INF] * len(self._ids)
             else:
                 bases = {length: score.base(length) for length in set(self._lengths)}
                 scores = [ql + (bases[length] + math.fsum([table[i] for i in positions]))

@@ -4,6 +4,7 @@ import pytest
 
 from sessionsearch.analysis import AnalyzedText, whitespace_analyze
 from sessionsearch.index import CollectionStats, DocumentRecord, build_index
+from sessionsearch.lm import LogLikelihoodScorer, TermDistribution
 from sessionsearch.session import Click, Session, SessionStep
 from sessionsearch.srm import SrmParams
 
@@ -53,6 +54,21 @@ def instance_params(instance, clip_terms=100):
 def text(*tokens):
     """AnalyzedText from already-normalized tokens."""
     return AnalyzedText(tuple(tokens))
+
+
+def score_one(scorer, doc):
+    """A scorer's score of one document."""
+    return scorer.scores([doc])[0]
+
+
+def log_likelihood(query, doc, stats, mu):
+    """The package's sum of ln p_mu(token|doc) over the query's tokens."""
+    return score_one(LogLikelihoodScorer(query.counts().items(), stats, mu), doc)
+
+
+def doc_model(doc):
+    """The unsmoothed language model of one document."""
+    return TermDistribution.from_weights(doc.term_counts)
 
 
 def make_session(history_specs, current_tokens, session_id="s1", topic_id="t1"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from sessionsearch.index import open_text, shown
+from sessionsearch.inputs import open_text, shown
 
 
 def write_run_file(

@@ -5,13 +5,13 @@ import random
 import pytest
 
 import oracle
-from conftest import make_session, text
+from conftest import doc_model, log_likelihood, make_session, text
 
 from sessionsearch import baselines, pipeline
 from sessionsearch.analysis import whitespace_analyze
 from sessionsearch.baselines import qa_score, rm1_model, rm3_model
 from sessionsearch.index import build_index
-from sessionsearch.lm import doc_mle, query_log_likelihood, query_mle
+from sessionsearch.lm import query_mle
 from sessionsearch.pipeline import RunConfig, StagedScorer
 
 
@@ -25,7 +25,7 @@ def ratio_index():
 class TestRm1:
     def test_single_doc_equals_its_mle(self, tiny_index):
         fm = rm1_model(text("a"), ["d1"], tiny_index, 10.0)
-        reference = doc_mle(tiny_index.doc("d1"))
+        reference = doc_model(tiny_index.doc("d1"))
         for term, p in reference.items():
             assert fm.get(term) == pytest.approx(p, abs=1e-12)
 
@@ -33,16 +33,16 @@ class TestRm1:
         # Both docs contain "b" once; with mu=0 their likelihoods for "b"
         # are 1/3 and 1/2, so weights are 0.4 and 0.6.
         fm = rm1_model(text("b"), ["d1", "d2"], tiny_index, 0.0)
-        d1 = doc_mle(tiny_index.doc("d1"))
-        d2 = doc_mle(tiny_index.doc("d2"))
+        d1 = doc_model(tiny_index.doc("d1"))
+        d2 = doc_model(tiny_index.doc("d2"))
         for term in set(d1.support()) | set(d2.support()):
             expected = 0.4 * d1.get(term) + 0.6 * d2.get(term)
             assert fm.get(term) == pytest.approx(expected, abs=1e-12)
 
     def test_unmatchable_query_falls_back_to_uniform_weights(self, tiny_index):
         fm = rm1_model(text("zzz"), ["d1", "d2"], tiny_index, 0.0)
-        d1 = doc_mle(tiny_index.doc("d1"))
-        d2 = doc_mle(tiny_index.doc("d2"))
+        d1 = doc_model(tiny_index.doc("d1"))
+        d2 = doc_model(tiny_index.doc("d2"))
         for term in set(d1.support()) | set(d2.support()):
             expected = 0.5 * d1.get(term) + 0.5 * d2.get(term)
             assert fm.get(term) == pytest.approx(expected, abs=1e-12)
@@ -110,7 +110,7 @@ class TestQueryAggregation:
     def test_single_query_session_all_variants_equal_plain_ql(self, tiny_index):
         session = make_session([], ["a", "b"])
         doc = tiny_index.doc("d1")
-        plain = query_log_likelihood(text("a", "b"), doc, tiny_index.stats, 2500.0)
+        plain = log_likelihood(text("a", "b"), doc, tiny_index.stats, 2500.0)
         assert qa_score(session, doc, tiny_index, 2500.0) == plain
         assert qa_score(session, doc, tiny_index, 2500.0, decay=0.92) == plain
         assert qa_score(session, doc, tiny_index, 2500.0, decay=1.0) == plain
@@ -118,22 +118,22 @@ class TestQueryAggregation:
     def test_decay_one_sums_per_query_scores(self, tiny_index):
         session = make_session([(["a"], [], [])], ["b"])
         doc = tiny_index.doc("d1")
-        expected = query_log_likelihood(
+        expected = log_likelihood(
             text("a"), doc, tiny_index.stats, 100.0
-        ) + query_log_likelihood(text("b"), doc, tiny_index.stats, 100.0)
+        ) + log_likelihood(text("b"), doc, tiny_index.stats, 100.0)
         got = qa_score(session, doc, tiny_index, 100.0, decay=1.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_uniform_concatenates_queries(self, tiny_index):
         session = make_session([(["a"], [], [])], ["a", "b"])
         doc = tiny_index.doc("d2")
-        expected = query_log_likelihood(text("a", "a", "b"), doc, tiny_index.stats, 100.0)
+        expected = log_likelihood(text("a", "a", "b"), doc, tiny_index.stats, 100.0)
         assert qa_score(session, doc, tiny_index, 100.0, decay=1.0) == expected
 
     def test_decay_weights_older_queries_down(self, tiny_index):
         session = make_session([(["a"], [], []), (["b"], [], [])], ["b"])
         doc = tiny_index.doc("d1")
-        ql = lambda tokens: query_log_likelihood(text(*tokens), doc, tiny_index.stats, 100.0)
+        ql = lambda tokens: log_likelihood(text(*tokens), doc, tiny_index.stats, 100.0)
         expected = 0.92**2 * ql(["a"]) + 0.92 * ql(["b"]) + ql(["b"])
         got = qa_score(session, doc, tiny_index, 100.0, decay=0.92)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -141,7 +141,7 @@ class TestQueryAggregation:
     def test_empty_history_query_contributes_nothing(self, tiny_index):
         session = make_session([([], [], [])], ["a"])
         doc = tiny_index.doc("d1")
-        plain = query_log_likelihood(text("a"), doc, tiny_index.stats, 100.0)
+        plain = log_likelihood(text("a"), doc, tiny_index.stats, 100.0)
         assert qa_score(session, doc, tiny_index, 100.0, decay=0.5) == plain
 
     def test_unindexed_term_is_ignored(self, tiny_index):

@@ -1,15 +1,19 @@
-"""No package module imports a name it never uses, and no private
+"""No package module imports a name it never uses, no private
 module-level function, class or assigned name goes unreferenced in the
-package.
+package, and no public module-level function or class goes unreferenced
+by the package, the bench scripts and the acceptance tests.
 
-A private definition counts as referenced when any statement of any package
-module other than its own definition names it.
+A definition counts as referenced when any statement of any package module
+other than its own definition names it. A public function or class also
+counts as referenced when a bench script or tests/test_acceptance.py names
+it: those call the package from outside and must not change.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sessionsearch"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sessionsearch"
 
 
 def read_names(node):
@@ -52,20 +56,29 @@ def defined_names(stmt):
             if isinstance(node, ast.Name)]
 
 
-def dead_code(sources):
+def dead_code(sources, outside=None):
     """One finding per unused import and per unreferenced private
     module-level function, class or assigned name, for sources mapping a
-    module's file name to its text."""
+    module's file name to its text. When outside, the texts of the files
+    outside the package whose references count, is given, also one per
+    unreferenced public module-level function or class."""
     trees = {name: ast.parse(text, filename=name) for name, text in sorted(sources.items())}
     findings = [f"{name}:{line}: unused import {bound}"
                 for name, tree in trees.items()
                 for line, bound in unused_imports(tree)]
-    statements = [(name, stmt) for name, tree in trees.items() for stmt in tree.body]
-    for name, stmt in statements:
+    outside_references = {name for text in outside or ()
+                          for name in references(ast.parse(text))}
+    statements = [(name, stmt, set(references(stmt)))
+                  for name, tree in trees.items() for stmt in tree.body]
+    for name, stmt, _ in statements:
+        public = (outside is not None
+                  and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not stmt.name.startswith("_"))
         for defined in defined_names(stmt):
-            if (defined.startswith("_") and not defined.startswith("__")
-                    and not any(defined in references(other)
-                                for _, other in statements if other is not stmt)):
+            private = defined.startswith("_") and not defined.startswith("__")
+            if public and defined in outside_references or not (public or private):
+                continue
+            if not any(defined in named for _, other, named in statements if other is not stmt):
                 findings.append(f"{name}:{stmt.lineno}: {defined} is never referenced")
     return findings
 
@@ -74,10 +87,16 @@ def package_sources():
     return {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
 
 
+def outside_sources():
+    """The texts of the bench scripts and of the acceptance tests."""
+    paths = [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    return [path.read_text(encoding="utf-8") for path in paths]
+
+
 def test_package_has_no_unused_import_or_unreferenced_private_definition():
     sources = package_sources()
     assert "srm.py" in sources
-    assert dead_code(sources) == []
+    assert dead_code(sources, outside_sources()) == []
 
 
 def test_planted_unused_import_and_unreferenced_private_function_are_found():
@@ -108,3 +127,16 @@ def test_init_import_is_checked_and_reference_from_another_module_counts_as_use(
         "b.py": "from .a import _helper\n\n\ndef f():\n    return _helper()\n",
     }
     assert dead_code(sources) == ["__init__.py:1: unused import unused_here"]
+
+
+def test_planted_public_leftover_is_found_unless_the_bench_or_acceptance_names_it():
+    sources = package_sources()
+    sources["leftover.py"] = ("def public_leftover():\n    return 1\n\n\n"
+                              "class PublicLeftover:\n    pass\n\n\nVALUE = 1\n")
+    assert dead_code(sources, outside_sources()) == [
+        "leftover.py:1: public_leftover is never referenced",
+        "leftover.py:5: PublicLeftover is never referenced",
+    ]
+    outside = ["from sessionsearch import leftover\n\nleftover.public_leftover()\n",
+               "from sessionsearch.leftover import PublicLeftover\n"]
+    assert dead_code(sources, outside_sources() + outside) == []

@@ -63,8 +63,9 @@ from sessionsearch.pipeline import (  # noqa: E402
     score_session,
     score_session_full,
 )
-from sessionsearch.session import Stages, select_feedback_docs  # noqa: E402
+from sessionsearch.session import select_feedback_docs  # noqa: E402
 from sessionsearch.srm import CandidateMatching, rerank  # noqa: E402
+from sessionsearch.stages import Stages  # noqa: E402
 
 TOLERANCE = 1e-9
 NEG_INF = float("-inf")

@@ -22,7 +22,7 @@ from sessionsearch.evalkit import (
     session_metrics,
     write_run_file,
 )
-from sessionsearch.index import shown
+from sessionsearch.inputs import shown
 from sessionsearch.pipeline import RunConfig
 
 # Independent hand computation for the nDCG spot check: grades in rank
@@ -470,6 +470,14 @@ class TestGridTune:
             grid_tune(
                 self.sessions(), self.QRELS, None, RunConfig(), {"depth": [10]}, ranking_fn
             )
+
+    def test_long_unknown_parameter_names_are_cut_to_one_short_line(self):
+        grids = {letter * 50: [10] for letter in "wxyz"}
+        with pytest.raises(ValueError) as raised:
+            grid_tune(self.sessions(), self.QRELS, None, RunConfig(), grids, ranking_fn)
+        cut = ", ".join(shown(letter * 50, 20) for letter in "wxy")
+        assert str(raised.value) == f"cannot tune over unknown parameters: 4 ({cut}, …)"
+        assert len(str(raised.value)) <= 120
 
     def test_a_list_returned_again_is_scored_once_per_session(self, monkeypatch):
         # One list is returned at lam 0.3 and 0.7 in both sessions, whose

@@ -10,16 +10,17 @@ from types import MappingProxyType
 
 import pytest
 
+from conftest import log_likelihood
+
 from sessionsearch.analysis import AnalyzedText, analyze, whitespace_analyze
 from sessionsearch.index import (
     DocumentRecord,
     InvertedIndex,
     build_index,
-    json_field,
     read_corpus_jsonl,
-    shown,
 )
-from sessionsearch.lm import query_log_likelihood, top_k_by_query_likelihood
+from sessionsearch.inputs import json_field, shown
+from sessionsearch.lm import top_k_by_query_likelihood
 
 
 def test_hand_counted_two_doc_fixture(tiny_index):
@@ -141,8 +142,8 @@ def test_save_load_round_trip(tmp_path, club_docs):
     # Scores, not just structures, must survive the round trip bit for bit.
     query = AnalyzedText(("jazz", "club"))
     for doc_id in built.doc_table:
-        before = query_log_likelihood(query, built.doc(doc_id), built.stats, 2500.0)
-        after = query_log_likelihood(query, loaded.doc(doc_id), loaded.stats, 2500.0)
+        before = log_likelihood(query, built.doc(doc_id), built.stats, 2500.0)
+        after = log_likelihood(query, loaded.doc(doc_id), loaded.stats, 2500.0)
         assert before == after
 
 

@@ -5,22 +5,24 @@ import random
 
 import pytest
 
+from conftest import doc_model, log_likelihood
+
 from sessionsearch.analysis import AnalyzedText
 from sessionsearch.index import build_index
 from sessionsearch.analysis import whitespace_analyze
+from sessionsearch.inputs import shown
 from sessionsearch.lm import (
     NEG_INF,
     ZERO,
+    LogLikelihoodScorer,
     TermDistribution,
     clip_distribution,
-    cross_entropy_score,
-    doc_mle,
+    cross_entropy_scorer,
     generalized_jaccard_sim,
     interpolate,
     kl_divergence,
     mix_doc_models,
     query_likelihood_doc_weights,
-    query_log_likelihood,
     query_mle,
     rank_documents,
     smoothed_prob,
@@ -126,7 +128,7 @@ class TestMle:
             query_mle(q())
 
     def test_doc_mle(self, tiny_index):
-        dist = doc_mle(tiny_index.doc("d1"))
+        dist = mix_doc_models({"d1": 1.0}, tiny_index)
         assert dist.get("a") == pytest.approx(2 / 3, abs=1e-15)
         assert dist.get("b") == pytest.approx(1 / 3, abs=1e-15)
 
@@ -177,28 +179,28 @@ class TestSmoothedProb:
             smoothed_prob("a", doc, tiny_index.stats, mu)
         assert str(raised.value) == message
         with pytest.raises(ValueError) as raised:
-            query_log_likelihood(q("a"), doc, tiny_index.stats, mu)
+            log_likelihood(q("a"), doc, tiny_index.stats, mu)
         assert str(raised.value) == message
 
 
 class TestQueryLogLikelihood:
     def test_hand_value(self, tiny_index):
         doc = tiny_index.doc("d1")
-        got = query_log_likelihood(q("a", "b", "a"), doc, tiny_index.stats, 0.0)
+        got = log_likelihood(q("a", "b", "a"), doc, tiny_index.stats, 0.0)
         assert got == pytest.approx(2 * math.log(2 / 3) + math.log(1 / 3), abs=1e-12)
 
     def test_order_invariant(self, tiny_index):
         doc = tiny_index.doc("d1")
-        forward = query_log_likelihood(q("a", "b", "a"), doc, tiny_index.stats, 50.0)
-        shuffled = query_log_likelihood(q("b", "a", "a"), doc, tiny_index.stats, 50.0)
+        forward = log_likelihood(q("a", "b", "a"), doc, tiny_index.stats, 50.0)
+        shuffled = log_likelihood(q("b", "a", "a"), doc, tiny_index.stats, 50.0)
         assert forward == pytest.approx(shuffled, abs=1e-12)
 
     def test_unknown_term_gives_neg_inf(self, tiny_index):
         doc = tiny_index.doc("d1")
-        assert query_log_likelihood(q("zzz"), doc, tiny_index.stats, 2500.0) == NEG_INF
+        assert log_likelihood(q("zzz"), doc, tiny_index.stats, 2500.0) == NEG_INF
 
     def test_empty_query_scores_zero(self, tiny_index):
-        assert query_log_likelihood(q(), tiny_index.doc("d1"), tiny_index.stats, 10.0) == 0.0
+        assert log_likelihood(q(), tiny_index.doc("d1"), tiny_index.stats, 10.0) == 0.0
 
 
 class TestKlDivergence:
@@ -234,20 +236,21 @@ class TestCrossEntropyScore:
     def test_hand_value(self, tiny_index):
         # d1: tf(a)=2, tf(b)=1, len 3; mu=5: p(a)=(2+5*0.4)/8, p(b)=(1+5*0.4)/8.
         model = TermDistribution.from_weights({"a": 1.0, "b": 1.0})
-        got = cross_entropy_score(model, tiny_index.doc("d1"), tiny_index.stats, 5.0)
+        got = cross_entropy_scorer(model, tiny_index.stats, 5.0).scores([tiny_index.doc("d1")])[0]
         expected = 0.5 * math.log(4 / 8) + 0.5 * math.log(3 / 8)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_model_term_gives_neg_inf(self, tiny_index):
         model = TermDistribution.from_weights({"zzz": 1.0})
-        assert cross_entropy_score(model, tiny_index.doc("d1"), tiny_index.stats, 5.0) == NEG_INF
+        scorer = cross_entropy_scorer(model, tiny_index.stats, 5.0)
+        assert scorer.scores([tiny_index.doc("d1")]) == [NEG_INF]
 
     def test_rejects_zero_model_and_bad_mu(self, tiny_index):
         with pytest.raises(ValueError):
-            cross_entropy_score(ZERO, tiny_index.doc("d1"), tiny_index.stats, 5.0)
+            cross_entropy_scorer(ZERO, tiny_index.stats, 5.0)
         model = TermDistribution.from_weights({"a": 1.0})
         with pytest.raises(ValueError):
-            cross_entropy_score(model, tiny_index.doc("d1"), tiny_index.stats, 0.0)
+            cross_entropy_scorer(model, tiny_index.stats, 0.0)
 
 
 class TestGeneralizedJaccard:
@@ -333,7 +336,7 @@ def test_rank_documents_orders_and_breaks_ties():
 
 def test_mix_doc_models_single_doc(club_index):
     mixed = mix_doc_models({"d3": 1.0}, club_index)
-    reference = doc_mle(club_index.doc("d3"))
+    reference = doc_model(club_index.doc("d3"))
     assert sorted(mixed.support()) == sorted(reference.support())
     for term, p in reference.items():
         assert mixed.get(term) == pytest.approx(p, abs=1e-12)
@@ -342,3 +345,24 @@ def test_mix_doc_models_single_doc(club_index):
 def test_mix_doc_models_skips_zero_weight(club_index):
     mixed = mix_doc_models({"d3": 1.0, "d5": 0.0}, club_index)
     assert "climbing" not in mixed.support()
+
+
+def test_a_long_doc_id_is_cut_in_each_empty_document_line():
+    # Each path that meets an empty document names it through shown, so a
+    # 200-character id leaves one line of at most 120 characters.
+    doc_id = "e" * 200
+    index = build_index([("d1", "a"), (doc_id, "")], analyzer=whitespace_analyze)
+    doc = index.doc(doc_id)
+    scorer = LogLikelihoodScorer([("a", 1.0)], index.stats, 0.0)
+    calls = [
+        lambda: smoothed_prob("a", doc, index.stats, 0.0),
+        lambda: scorer.scores([doc]),
+        lambda: scorer.term_at_a_time(index, [doc_id]),
+        lambda: mix_doc_models({doc_id: 1.0}, index),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        message = str(raised.value)
+        assert shown(doc_id) in message
+        assert "\n" not in message and len(message) <= 120

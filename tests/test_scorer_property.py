@@ -31,7 +31,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import make_session  # noqa: E402
+from conftest import make_session, score_one  # noqa: E402
 from sessionsearch.analysis import AnalyzedText, whitespace_analyze  # noqa: E402
 from sessionsearch.baselines import qa_score, qa_scorer  # noqa: E402
 from sessionsearch.index import CollectionStats, DocumentRecord, build_index  # noqa: E402
@@ -172,13 +172,13 @@ def test_scorer_equals_term_by_term_reference(token_lists, pairs, mu):
     docs, stats = build_corpus(token_lists)
     reused = LogLikelihoodScorer(pairs, stats, mu)
     for doc in docs:
-        got = outcome(reused, doc)
+        got = outcome(score_one, reused, doc)
         assert agrees(got, outcome(reference, pairs, doc, stats, mu))
         if not pairs:
             assert got == 0.0
         # A scorer reused over many documents gives exactly what a fresh one
         # gives.
-        assert got == outcome(LogLikelihoodScorer(pairs, stats, mu), doc)
+        assert got == outcome(score_one, LogLikelihoodScorer(pairs, stats, mu), doc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -202,7 +202,7 @@ def test_batch_scores_equal_the_split_sum_bit_for_bit(token_lists, pairs, mu, da
         if not pairs:
             assert got == [0.0] * len(order)
     for doc in docs:
-        got = outcome(score, doc)
+        got = outcome(score_one, score, doc)
         assert repr(got) == repr(outcome(split_reference, pairs, doc, stats, mu))
         assert agrees(got, outcome(reference, pairs, doc, stats, mu))
 
@@ -228,7 +228,7 @@ def test_documents_swapping_equal_terms_score_equal(
     docs, stats = build_corpus([with_x, with_y, ["a", "b", "c", "d", "e"]])
     pairs = [("x", weight)] + list(zip(between, other_weights)) + [("y", weight)]
     score = LogLikelihoodScorer(pairs, stats, mu)
-    assert score(docs[0]) == score(docs[1])
+    assert score_one(score, docs[0]) == score_one(score, docs[1])
 
 
 def test_swapped_terms_tie_that_term_order_summation_breaks():
@@ -238,7 +238,7 @@ def test_swapped_terms_tie_that_term_order_summation_breaks():
     pairs = [("x", 1), ("b", 2), ("y", 1)]
     assert reference(pairs, docs[0], stats, 2500.0) != reference(pairs, docs[1], stats, 2500.0)
     score = LogLikelihoodScorer(pairs, stats, 2500.0)
-    assert score(docs[0]) == score(docs[1])
+    assert score_one(score, docs[0]) == score_one(score, docs[1])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -260,7 +260,7 @@ def test_first_pass_equals_scorer_bit_for_bit(token_lists, query, mu):
                 if set(doc.term_counts) & set(scorable.tokens)}
     assert {doc_id for doc_id, _ in ranked} == matching
     for doc_id, got in ranked:
-        assert got == score(index.doc(doc_id))
+        assert got == score_one(score, index.doc(doc_id))
 
 
 @st.composite
@@ -290,7 +290,7 @@ def test_first_pass_top_k_equals_brute_force_ranking(token_lists, query, mu, k):
     query_text = AnalyzedText(tuple(query))
     pairs = known_terms_only(query_text, index.stats).counts().items()
     brute = sorted(
-        ((doc_id, LogLikelihoodScorer(pairs, index.stats, mu)(doc))
+        ((doc_id, score_one(LogLikelihoodScorer(pairs, index.stats, mu), doc))
          for doc_id, doc in index.doc_table.items()
          if any(term in doc.term_counts for term, _ in pairs)),
         key=lambda pair: (-pair[1], pair[0]),
@@ -309,8 +309,8 @@ def test_a_reused_scorer_scores_as_fresh_ones_in_any_order(token_lists, models):
     reused = [LogLikelihoodScorer(pairs, stats, mu) for pairs, mu in models]
     for doc in docs + docs[::-1]:
         for score, (pairs, mu) in zip(reused, models):
-            got = outcome(score, doc)
-            fresh = outcome(LogLikelihoodScorer(pairs, stats, mu), doc)
+            got = outcome(score_one, score, doc)
+            fresh = outcome(score_one, LogLikelihoodScorer(pairs, stats, mu), doc)
             assert repr(got) == repr(fresh)
             assert agrees(got, outcome(reference, pairs, doc, stats, mu))
 
@@ -338,7 +338,7 @@ def test_qa_at_decay_one_scores_as_the_concatenated_query(token_lists, queries, 
 
     for doc in index.doc_table.values():
         got = outcome(qa_score, session, doc, index, mu, 1.0)
-        assert bits(got) == bits(outcome(uniform, doc))
+        assert bits(got) == bits(outcome(score_one, uniform, doc))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -376,20 +376,20 @@ def test_qa_term_at_a_time_over_candidates_equals_the_scorer(
 def test_empty_document_with_zero_mu_rejected():
     docs, stats = build_corpus([["a", "b"], []])
     with pytest.raises(ValueError, match="empty document"):
-        LogLikelihoodScorer([("a", 1)], stats, 0.0)(docs[1])
+        score_one(LogLikelihoodScorer([("a", 1)], stats, 0.0), docs[1])
     # No terms, nothing to smooth: the empty sum, as before.
-    assert LogLikelihoodScorer([], stats, 0.0)(docs[1]) == 0.0
+    assert score_one(LogLikelihoodScorer([], stats, 0.0), docs[1]) == 0.0
 
 
 def test_term_absent_from_corpus_scores_neg_inf():
     docs, stats = build_corpus([["a", "b"], ["b"]])
     score = LogLikelihoodScorer([("a", 0.5), ("zzz", 0.5)], stats, 2500.0)
-    assert [score(doc) for doc in docs] == [NEG_INF, NEG_INF]
+    assert score.scores(docs) == [NEG_INF, NEG_INF]
 
 
 def test_zero_mu_is_the_unsmoothed_estimate():
     docs, stats = build_corpus([["a", "a", "b"], ["b", "c"]])
     score = LogLikelihoodScorer([("a", 2), ("b", 1)], stats, 0.0)
-    assert score(docs[0]) == pytest.approx(2 * math.log(2 / 3) + math.log(1 / 3), rel=RELATIVE)
+    assert score_one(score, docs[0]) == pytest.approx(2 * math.log(2 / 3) + math.log(1 / 3), rel=RELATIVE)
     # "a" is in the collection but not in the second document.
-    assert score(docs[1]) == NEG_INF
+    assert score_one(score, docs[1]) == NEG_INF

@@ -7,15 +7,15 @@ import random
 import pytest
 
 import oracle
-from conftest import instance_index, instance_params, instance_session, make_session, text
+from conftest import (doc_model, instance_index, instance_params, instance_session,
+                      make_session, text)
 
 from sessionsearch.analysis import whitespace_analyze
 from sessionsearch.index import build_index
 from sessionsearch.lm import (
     TermDistribution,
     ZERO,
-    cross_entropy_score,
-    doc_mle,
+    cross_entropy_scorer,
     query_mle,
     top_k_by_query_likelihood,
 )
@@ -106,7 +106,7 @@ class TestFeedbackModel:
     def test_single_doc_equals_its_mle(self, tiny_index):
         change = QueryChange(frozenset({"a"}), frozenset({"b"}), frozenset({"c"}))
         fm = feedback_model(change, feedback("d1"), default_change_priors(), tiny_index, 10.0)
-        reference = doc_mle(tiny_index.doc("d1"))
+        reference = doc_model(tiny_index.doc("d1"))
         assert sorted(fm.support()) == sorted(reference.support())
         for term, p in reference.items():
             assert fm.get(term) == pytest.approx(p, abs=1e-12)
@@ -116,8 +116,8 @@ class TestFeedbackModel:
         # model is the plain average of the two document models.
         change = QueryChange(frozenset(), frozenset({"zzz"}), frozenset())
         fm = feedback_model(change, feedback("d1", "d2"), default_change_priors(), tiny_index, 10.0)
-        d1 = doc_mle(tiny_index.doc("d1"))
-        d2 = doc_mle(tiny_index.doc("d2"))
+        d1 = doc_model(tiny_index.doc("d1"))
+        d2 = doc_model(tiny_index.doc("d2"))
         for term in set(d1.support()) | set(d2.support()):
             expected = 0.5 * d1.get(term) + 0.5 * d2.get(term)
             assert fm.get(term) == pytest.approx(expected, abs=1e-12)
@@ -171,19 +171,19 @@ class TestFeedbackModel:
 
 class TestAnchorFeedback:
     def test_lambda_zero_gives_exact_query_model(self, tiny_index):
-        fm = doc_mle(tiny_index.doc("d2"))
+        fm = doc_model(tiny_index.doc("d2"))
         anchored = anchor_feedback(fm, text("a", "b"), text("a", "b"), 0.0, tiny_index)
         assert anchored.as_dict() == query_mle(text("a", "b")).as_dict()
 
     def test_lambda_one_same_query_returns_fm_unchanged(self, tiny_index):
-        fm = doc_mle(tiny_index.doc("d2"))
+        fm = doc_model(tiny_index.doc("d2"))
         anchored = anchor_feedback(fm, text("a"), text("a"), 1.0, tiny_index)
         assert anchored is fm
 
     def test_hand_mixture_at_half_similarity(self, tiny_index):
         # q_t = "a", q_n = "a a": generalized Jaccard is exactly 1/2, so
         # lambda = 0.8 scales to 0.4 and the mix is 0.6 query + 0.4 feedback.
-        fm = doc_mle(tiny_index.doc("d2"))  # {b: 1/2, c: 1/2}
+        fm = doc_model(tiny_index.doc("d2"))  # {b: 1/2, c: 1/2}
         anchored = anchor_feedback(fm, text("a"), text("a", "a"), 0.8, tiny_index)
         assert anchored.get("a") == pytest.approx(0.6, abs=1e-12)
         assert anchored.get("b") == pytest.approx(0.2, abs=1e-12)
@@ -191,7 +191,7 @@ class TestAnchorFeedback:
 
     def test_monotone_anchoring(self, tiny_index):
         # More lambda moves the anchored model further from the query model.
-        fm = doc_mle(tiny_index.doc("d2"))
+        fm = doc_model(tiny_index.doc("d2"))
         q_t = text("a", "b")
         base = query_mle(q_t)
         distances = []
@@ -285,7 +285,7 @@ class TestBuildSessionModel:
         # steps is the clicked doc's MLE, so the final model is exactly that.
         session = make_session([(["a"], ["d1"], ["d1"])], ["a"])
         model, trace = build_session_model(session, self.params(lam=1.0), tiny_index)
-        reference = doc_mle(tiny_index.doc("d1"))
+        reference = doc_model(tiny_index.doc("d1"))
         assert trace.records[0].gamma_t == 0.0
         assert trace.records[1].kl == pytest.approx(0.0, abs=1e-12)
         assert trace.records[1].gamma_t == pytest.approx(0.5, abs=1e-12)
@@ -375,7 +375,7 @@ class TestBuildSessionModel:
 class TestRm1StyleFeedbackModel:
     def test_single_doc_equals_its_mle(self, tiny_index):
         fm = rm1_style_feedback_model(text("a"), feedback("d1"), tiny_index, 10.0)
-        reference = doc_mle(tiny_index.doc("d1"))
+        reference = doc_model(tiny_index.doc("d1"))
         for term, p in reference.items():
             assert fm.get(term) == pytest.approx(p, abs=1e-12)
 
@@ -410,11 +410,12 @@ class TestRerank:
         candidates = top_k_by_query_likelihood(q_n, club_index, 50.0, 10)
         model = query_mle(q_n)
         ranked = rerank(candidates, model, club_index, 50.0)
+        scorer = cross_entropy_scorer(model, club_index.stats, 50.0)
         expected = sorted(
             (
                 (
                     doc_id,
-                    ql + cross_entropy_score(model, club_index.doc(doc_id), club_index.stats, 50.0),
+                    ql + scorer.scores([club_index.doc(doc_id)])[0],
                 )
                 for doc_id, ql in candidates
             ),
