@@ -1,15 +1,17 @@
 """Text analysis: tokenization, stopword removal, and stemming.
 
 Queries and documents share this one chain so that term statistics line up.
-The stemmer is a self-contained Porter-family suffix stripper whose pass
-repeats until it changes nothing. Its exact outputs are pinned by golden
-tests and by a frozen copy of the earlier, linear-scan stemmer
-(tests/stem_reference.py), so treat any change to them as breaking. Steps
-2-4 file their rules by the last two letters of the suffix, longest first,
-so a step does one dict lookup and tests only the few suffixes that end as
-the word does. The measure m and the vowel test read a form of the stem in
-which each character is marked consonant or vowel, made with one
-str.translate.
+The tokenizer splits a text into runs of ASCII [a-z0-9] with one byte-table
+pass over its ASCII encoding. The stemmer is a self-contained
+Porter-family suffix stripper whose pass repeats until it changes nothing.
+Its exact outputs are pinned by golden tests and by a frozen copy of the
+earlier, linear-scan stemmer (tests/stem_reference.py), so treat any change
+to them as breaking. Steps 1 and 5 test the word's last letter before any
+suffix. Steps 2-4 file their rules by the last two letters of the suffix,
+longest first, so a step does one dict lookup and tests only the few
+suffixes that end as the word does. The measure m and the vowel test read a
+form of the stem in which each character is marked consonant or vowel, made
+with one str.translate.
 
 Inside a term_memo() scope, analyze maps each distinct raw token to its
 term (or to "dropped") once and looks it up after that: a token's analysis
@@ -23,7 +25,6 @@ so custom analyzers such as whitespace_analyze are unaffected.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -48,7 +49,9 @@ will just don should now d ll m o re ve y ain aren couldn didn doesn hadn
 hasn haven isn ma mightn mustn needn shan shouldn wasn weren won wouldn
 """.split())
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Byte -> itself for ASCII [a-z0-9], a space for every other byte.
+_TOKEN_BYTES = bytes(code if chr(code) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32
+                     for code in range(256))
 
 
 class _ConsonantUnlessListed(dict):
@@ -130,37 +133,39 @@ _STEP4 = _by_last_two((suffix, "") for suffix in [
 
 
 def _porter_pass(w: str) -> str:
+    # Steps 1 and 5 test the last letter before any suffix, since most words
+    # end in none of s, d, g, y, e and l. w is never empty: no step empties it.
+
     # Step 1a: plurals.
-    if w.endswith("sses"):
-        w = w[:-2]
-    elif w.endswith("ies"):
-        w = w[:-2]
-    elif w.endswith("ss"):
-        pass
-    elif w.endswith("s"):
-        w = w[:-1]
+    if w[-1] == "s":
+        if w.endswith("sses"):
+            w = w[:-2]
+        elif w.endswith("ies"):
+            w = w[:-2]
+        elif not w.endswith("ss"):
+            w = w[:-1]
 
     # Step 1b: -eed / -ed / -ing.
-    if w.endswith("eed"):
-        if _measure(w[:-3]) > 0:
-            w = w[:-1]
-    else:
-        stripped = None
-        if w.endswith("ed") and _has_vowel(w[:-2]):
-            stripped = w[:-2]
-        elif w.endswith("ing") and _has_vowel(w[:-3]):
-            stripped = w[:-3]
-        if stripped is not None:
-            w = stripped
-            if w.endswith(("at", "bl", "iz")):
-                w += "e"
-            elif _ends_double_consonant(w) and w[-1] not in "lsz":
+    stripped = None
+    if w[-1] == "d":
+        if w.endswith("eed"):
+            if _measure(w[:-3]) > 0:
                 w = w[:-1]
-            elif _measure(w) == 1 and _ends_cvc(w):
-                w += "e"
+        elif w.endswith("ed") and _has_vowel(w[:-2]):
+            stripped = w[:-2]
+    elif w[-1] == "g" and w.endswith("ing") and _has_vowel(w[:-3]):
+        stripped = w[:-3]
+    if stripped is not None:
+        w = stripped
+        if w.endswith(("at", "bl", "iz")):
+            w += "e"
+        elif _ends_double_consonant(w) and w[-1] not in "lsz":
+            w = w[:-1]
+        elif _measure(w) == 1 and _ends_cvc(w):
+            w += "e"
 
     # Step 1c: terminal y.
-    if w.endswith("y") and _has_vowel(w[:-1]):
+    if w[-1] == "y" and _has_vowel(w[:-1]):
         w = w[:-1] + "i"
 
     # Steps 2-4: suffix tables, longest match wins, one rule per step.
@@ -184,14 +189,15 @@ def _porter_pass(w: str) -> str:
             break
 
     # Step 5a: terminal e.
-    if w.endswith("e"):
+    if w[-1] == "e":
         stem = w[:-1]
         m = _measure(stem)
         if m > 1 or (m == 1 and not _ends_cvc(stem)):
             w = stem
 
-    # Step 5b: terminal double l.
-    if w.endswith("ll") and _measure(w[:-1]) > 1:
+    # Step 5b: terminal double l. Its own if, not an elif of 5a: a word
+    # that 5a shortens can end in "ll" ("giselle" -> "gisell" -> "gisel").
+    if w[-1] == "l" and w.endswith("ll") and _measure(w[:-1]) > 1:
         w = w[:-1]
 
     return w
@@ -217,8 +223,14 @@ def stem(word: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase, then split into runs of ASCII [a-z0-9]: every other
+    character, "é" and the other non-ASCII letters too, separates tokens.
+
+    The ASCII encoding turns each non-ASCII code point (a lone surrogate
+    too) into "?", which the byte table, like every byte outside [a-z0-9],
+    turns into a space.
+    """
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 @dataclass(frozen=True)
@@ -237,7 +249,9 @@ class AnalyzedText:
 
     @cached_property
     def _tally(self) -> Counter:
-        # Tallied once per instance: scoring asks for it once per document.
+        # Tallied once per instance: the query models and scorers ask for a
+        # query's counts at each session step. build_index counts documents
+        # from their sorted tokens instead.
         return Counter(self.tokens)
 
 
@@ -282,8 +296,9 @@ def analyze(text: str) -> AnalyzedText:
     terms = _scope_terms.get()
     if terms is None:
         terms = _Terms()
-    analyzed = map(terms.__getitem__, tokenize(text))
-    return AnalyzedText(tuple(term for term in analyzed if term is not None))
+    # filter(None, ...) drops only the None of a dropped token: a term is
+    # never "", because stem leaves every non-empty word non-empty.
+    return AnalyzedText(tuple(filter(None, map(terms.__getitem__, tokenize(text)))))
 
 
 def whitespace_analyze(text: str) -> AnalyzedText:

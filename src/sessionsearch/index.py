@@ -228,7 +228,9 @@ def build_index(
             if not valid_id(doc_id):
                 raise ValueError(f"doc id {shown(doc_id)} {_BAD_ID}")
             analyzed = analyzer(text)
-            counts = dict(sorted(analyzed.counts().items()))
+            # Counter keeps first-occurrence order, so sorted tokens give
+            # the count map in term order without a sort of its pairs.
+            counts = dict(Counter(sorted(analyzed.tokens)))
             doc_table[doc_id] = DocumentRecord(doc_id, counts, analyzed.length)
     return InvertedIndex(dict(sorted(doc_table.items())))
 

@@ -10,7 +10,9 @@ class Stages:
     """One session's stage results: get(stage, *args) keeps stage(*args)
     under the stage, a module-level function that reads only its
     arguments, and those arguments. An argument that is a result kept here
-    (a first pass's unhashable candidate list) is keyed by its own key.
+    (a first pass's unhashable candidate list) is keyed by a token private
+    to that result, so a key never nests the keys of the results it reads,
+    and a lookup hashes only its own arguments.
 
     Every lookup returns the same object, so callers must not mutate what
     they get: a kept ranking (query aggregation's) is the list every later
@@ -22,8 +24,11 @@ class Stages:
 
     def __init__(self):
         self._memo: dict = {}
-        # id of each kept result -> its key; the memo keeps the result alive.
-        self._keys: dict[int, tuple] = {}
+        # id of each kept result -> its token, an object() equal only to
+        # itself, so it cannot equal any argument a caller passes (a bare
+        # serial number could equal an int argument). The memo keeps the
+        # result alive, so its id is not reused while it is mapped.
+        self._keys: dict[int, object] = {}
 
     def get(self, stage: Callable, *args):
         """stage(*args), computed on the first call with these arguments."""
@@ -33,6 +38,6 @@ class Stages:
         except KeyError:
             value = self._memo[key] = stage(*args)
             # A stage may return a kept result (anchoring at weight 1 returns
-            # its feedback model): that result keeps its first key.
-            self._keys.setdefault(id(value), key)
+            # its feedback model): that result keeps its first token.
+            self._keys.setdefault(id(value), object())
             return value
