@@ -115,10 +115,9 @@ def ndcg_at_k(ranking: RankedDocs, grades: Mapping[str, int], k: int) -> float:
     ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
     if not ideal:
         return 0.0
-    idcg = sum(
-        _gain(grade) / math.log2(rank + 1)
-        for rank, grade in enumerate(ideal[:k], start=1)
-    )
+    idcg = 0.0
+    for rank, grade in enumerate(ideal[:k], start=1):
+        idcg += _gain(grade) / math.log2(rank + 1)
     return dcg / idcg
 
 

@@ -108,8 +108,18 @@ def clip_distribution(dist: TermDistribution, max_terms: int) -> TermDistributio
         raise ValueError(f"max_terms must be positive, got {max_terms}")
     if len(dist) <= max_terms:
         return dist
-    kept = rank_documents(dist.items())[:max_terms]
-    return TermDistribution.from_weights(dict(kept))
+    return TermDistribution.from_weights(dict(top_ranked(dist, max_terms)))
+
+
+def top_ranked(dist: TermDistribution, k: int) -> RankedList:
+    """rank_documents(dist.items())[:k]: the k most probable (term,
+    probability) pairs, ties by term. Only the terms at or above the k-th
+    highest probability are ranked, which holds every tie at the cut."""
+    probs = dist._probs
+    if len(probs) <= k:
+        return rank_documents(probs.items())
+    kth = sorted(probs.values(), reverse=True)[k - 1]
+    return rank_documents([item for item in probs.items() if item[1] >= kth])[:k]
 
 
 def query_mle(query: AnalyzedText) -> TermDistribution:
@@ -139,14 +149,26 @@ def smoothed_prob(
     return tf / denom
 
 
+def background_mass(cf: int, stats: CollectionStats, mu: float) -> float:
+    """mu * P(term|C) of a term with collection frequency cf."""
+    return mu * cf / stats.total_tokens
+
+
 def _background_mass(term: str, cf: int, stats: CollectionStats, mu: float) -> float:
-    """mu * P(term|C), which a log needs finite and > 0: a mu so small or so
-    large that it rounds to 0 or overflows raises ValueError naming mu."""
-    mass = mu * cf / stats.total_tokens
+    """background_mass, which a log needs finite and > 0: a mu so small or
+    so large that it rounds to 0 or overflows raises ValueError naming mu."""
+    mass = background_mass(cf, stats, mu)
     if not 0.0 < mass < math.inf:
         extreme = "small" if mass == 0.0 else "large"
         raise ValueError(f"mu={shown(mu)} is too {extreme}: mu * P({shown(term)}|C) is {mass}")
     return mass
+
+
+def log_ratio(tf: int, background: Optional[float]) -> float:
+    """ln(1 + tf / background), what tf >= 1 occurrences of a term with
+    background mass mu * P(term|C) add to a matched sum per unit of weight;
+    ln tf for a term without background mass (None)."""
+    return math.log(tf) if background is None else math.log1p(tf / background)
 
 
 class LogLikelihoodScorer:
@@ -164,18 +186,17 @@ class LogLikelihoodScorer:
     over each term's postings: the first pass and query aggregation's
     candidates use it, and it gives the float scores() would. The scorer
     computes base(length), the first two parts, once per length and
-    summand(term, tf), p_w ln(1 + tf / (mu P(w|C))), once per (term, tf),
-    and keeps both:
-    a kept value is the same expression evaluated in the same order, so the
-    float a fresh one would be. A term without background mass (cf = 0, or
-    any term when mu = 0) is in .required: a document without it scores
-    -inf, and one with it gets p_w ln tf, so mu = 0 is the unsmoothed
-    estimate. The summands are added with math.fsum, which is correctly
-    rounded and so independent of their order: documents equal in exact
-    arithmetic (same length, same multiset of summands) score bit-equal. A
-    single summand, its own fsum, is added as it is. Like smoothed_prob, an
-    empty document with mu = 0 raises ValueError naming it, unless no terms
-    are scored (an empty sum, 0).
+    summand(term, tf), p_w * log_ratio(tf, mu P(w|C)), once per (term, tf),
+    and keeps both: a kept value is the same expression evaluated in the
+    same order, so the float a fresh one would be. A term without
+    background mass (cf = 0, or any term when mu = 0) is in .required: a
+    document without it scores -inf, and one with it gets p_w ln tf, so
+    mu = 0 is the unsmoothed estimate. The summands are added with
+    math.fsum, which is correctly rounded and so independent of their
+    order: documents equal in exact arithmetic (same length, same multiset
+    of summands) score bit-equal. A single summand, its own fsum, is added
+    as it is. Like smoothed_prob, an empty document with mu = 0 raises
+    ValueError naming it, unless no terms are scored (an empty sum, 0).
     """
 
     __slots__ = ("weights", "required", "_background", "_summands", "_bases", "_mu",
@@ -205,9 +226,8 @@ class LogLikelihoodScorer:
         try:
             return self._summands[term, tf]
         except KeyError:
-            background = self._background.get(term)
-            ratio = math.log(tf) if background is None else math.log1p(tf / background)
-            value = self._summands[term, tf] = self.weights[term] * ratio
+            value = self._summands[term, tf] = self.weights[term] * log_ratio(
+                tf, self._background.get(term))
             return value
 
     def base(self, length: int) -> float:

@@ -26,15 +26,18 @@ from .lm import (
     RankedList,
     TermDistribution,
     ZERO,
+    background_mass,
     clip_distribution,
     cross_entropy_scorer,
     generalized_jaccard_sim,
     interpolate,
     kl_divergence,
+    log_ratio,
     mix_doc_models,
     query_mle,
     rank_documents,
     smoothed_prob,
+    top_ranked,
 )
 from .session import (
     ChangeType,
@@ -145,7 +148,9 @@ def change_likelihood(
         raise ValueError("change likelihood of an empty term set is undefined")
     doc = index.doc(doc_id)
     if change_type is ChangeType.REMOVE:
-        mass = sum(smoothed_prob(term, doc, index.stats, 0.0) for term in sorted(change_terms))
+        mass = 0.0
+        for term in sorted(change_terms):
+            mass += smoothed_prob(term, doc, index.stats, 0.0)
         return max(0.0, 1.0 - mass)
     likelihood = 1.0
     for term in sorted(change_terms):
@@ -257,7 +262,13 @@ def self_clarity_gamma(
     """
     if prior.is_zero:
         return 0.0
-    return gamma * math.exp(-kl_divergence(anchored, prior))
+    return clarity_weight(gamma, kl_divergence(anchored, prior))
+
+
+def clarity_weight(gamma: float, kl: float) -> float:
+    """gamma * exp(-kl): self_clarity_gamma's weight from its divergence,
+    exactly 0 at kl = inf."""
+    return gamma * math.exp(-kl)
 
 
 def srm_update(
@@ -274,7 +285,7 @@ def srm_update(
 def top_terms(model: TermDistribution) -> tuple[tuple[str, float], ...]:
     """The model's ten most probable (term, probability) pairs, ties by
     term: a StepTrace's top_terms."""
-    return tuple(rank_documents(model.items())[:10])
+    return tuple(top_ranked(model, 10))
 
 
 def build_session_model(
@@ -296,8 +307,11 @@ def build_session_model(
     clip_terms share; the similarity lambda_t scales; and the anchored
     model (anchor_feedback, or query_mle without feedback) with its
     top_terms, which are keyed by lam and shared across gamma and
-    clip_terms. The divergence, gamma_t, the update and the clip run every
-    call.
+    clip_terms. The divergence of the anchored model from a prior that is
+    itself kept (the previous anchored model, after a step with gamma_t =
+    0) is kept too, as it is the same at every gamma; the divergence from
+    a fresh, gamma-specific mixture, gamma_t, the update and the clip run
+    every call.
     """
     q_n = session.current_query
     if not q_n.tokens:
@@ -327,8 +341,13 @@ def build_session_model(
             # No usable feedback: the anchored model degenerates to the
             # query's own MLE model.
             anchored = stages.get(query_mle, q_t)
-        kl = math.inf if model.is_zero else kl_divergence(anchored, model)
-        gamma_t = self_clarity_gamma(anchored, model, params.gamma)
+        if model.is_zero:
+            kl = math.inf
+        elif stages.holds(model):
+            kl = stages.get(kl_divergence, anchored, model)
+        else:
+            kl = kl_divergence(anchored, model)
+        gamma_t = clarity_weight(params.gamma, kl)
         model = srm_update(model, anchored, gamma_t)
         trace.records.append(
             StepTrace(
@@ -356,14 +375,16 @@ class CandidateMatching:
     Holds the candidates in doc_id order, each with its first-pass score,
     its length and the (term, tf) pairs its document shares with the terms
     models have held so far (a model with new terms adds theirs in one pass
-    over the candidates), and each ranking made, keyed by mu and the
-    model's exact items. A model's ranking is then one stable sort by
-    score, which leaves equal scores in doc_id order. rerank returns a
-    kept ranking itself, so callers must not mutate it.
+    over the candidates), per mu each pair's lm.log_ratio, so that a
+    model's summand of a pair is its weight times the kept ratio, and each
+    ranking made, keyed by mu and the model's exact items. A model's
+    ranking is then one stable sort by score, which leaves equal scores in
+    doc_id order. rerank returns a kept ranking itself, so callers must not
+    mutate it.
     """
 
     __slots__ = ("candidates", "index", "_ids", "_first_pass", "_docs", "_lengths",
-                 "_matched_terms", "_positions", "_pairs", "_matched", "_rankings")
+                 "_matched_terms", "_positions", "_pairs", "_matched", "_ratios", "_rankings")
 
     def __init__(self, candidates: RankedList, index: InvertedIndex):
         self.candidates = candidates
@@ -379,6 +400,8 @@ class CandidateMatching:
         self._positions: dict[tuple[str, int], int] = {}
         self._pairs: list[tuple[str, int]] = []
         self._matched: list[tuple[int, ...]] = [()] * len(candidates)
+        # Per mu, the log-ratio of each pair in _pairs, in its order.
+        self._ratios: dict[float, list[float]] = {}
         self._rankings: dict[tuple, RankedList] = {}
 
     def _match(self, terms: AbstractSet[str]) -> None:
@@ -395,6 +418,21 @@ class CandidateMatching:
                                     for term in found)
         self._pairs = list(positions)
 
+    def _log_ratios(self, mu: float) -> list[float]:
+        """lm.log_ratio of each pair at mu, aligned with _pairs: the pairs
+        matched since the last call at mu are added."""
+        ratios = self._ratios.setdefault(mu, [])
+        if len(ratios) < len(self._pairs):
+            stats = self.index.stats
+            fresh = self._pairs[len(ratios):]
+            masses = [background_mass(stats.collection_tf[term], stats, mu) for term, _ in fresh]
+            # A matched term is in the corpus and mu > 0. A mass that rounds
+            # to 0 gives NaN, which no table reads: cross_entropy_scorer
+            # refuses every model that holds the term at this mu.
+            ratios.extend(log_ratio(tf, mass) if mass else math.nan
+                          for (_, tf), mass in zip(fresh, masses))
+        return ratios
+
     def rerank(self, model: TermDistribution, mu: float) -> RankedList:
         """rerank(self.candidates, model, self.index, mu), bit for bit."""
         key = (mu, tuple(model.items()))
@@ -403,18 +441,20 @@ class CandidateMatching:
             self._match(model.support())
             score = cross_entropy_scorer(model, self.index.stats, mu)
             weights = score.weights
-            # A matched term outside the model adds 0.0, which leaves
-            # fsum's correctly rounded sum as it was; fsum of one summand
-            # is that summand, as scores() adds it.
-            table = [score.summand(term, tf) if term in weights else 0.0
-                     for term, tf in self._pairs]
+            # weight * ratio is score.summand(term, tf), the same expression.
+            # A matched term outside the model adds 0.0, which leaves fsum's
+            # correctly rounded sum as it was; fsum of one summand is that
+            # summand, as scores() adds it.
+            table = [weights[term] * ratio if term in weights else 0.0
+                     for (term, _), ratio in zip(self._pairs, self._log_ratios(mu))]
             if score.required:
                 # A required term (cf = 0, as mu > 0) is in no document, so
                 # every candidate scores its first pass plus -inf.
                 scores = [NEG_INF] * len(self._ids)
             else:
                 bases = {length: score.base(length) for length in set(self._lengths)}
-                scores = [ql + (bases[length] + math.fsum([table[i] for i in positions]))
+                summand = table.__getitem__
+                scores = [ql + (bases[length] + math.fsum(map(summand, positions)))
                           for ql, length, positions
                           in zip(self._first_pass, self._lengths, self._matched)]
             ranking = self._rankings[key] = sorted(zip(self._ids, scores), key=itemgetter(1),

@@ -41,3 +41,7 @@ class Stages:
             # its feedback model): that result keeps its first token.
             self._keys.setdefault(id(value), object())
             return value
+
+    def holds(self, value) -> bool:
+        """Whether value is a result kept here (and so keyed by its token)."""
+        return id(value) in self._keys

@@ -9,6 +9,21 @@ from sessionsearch.session import Click, Session, SessionStep
 from sessionsearch.srm import SrmParams
 
 
+# Steps 1 and 3 have no feedback of their own (step 3 reuses step 2's click).
+# Step 2's anchored model holds w1, which step 1's lacks: KL is infinite,
+# gamma_t = 0, and the prior of step 3 is step 2's anchored model itself,
+# whose divergence is finite. Step 3's gamma_t > 0 (when gamma > 0) mixes a
+# fresh prior for the current query, whose divergence is gamma's own.
+DIVERGENCE_EXAMPLE = {
+    "docs": {"d0": {"w0": 2, "w1": 1}, "d1": {"w1": 1, "w2": 2}, "d2": {"w2": 1, "w3": 2}},
+    "steps": [{"query": ["w0"], "impressions": [], "clicks": []},
+              {"query": ["w0", "w1"], "impressions": ["d0", "d1"], "clicks": ["d0"]},
+              {"query": ["w1"], "impressions": ["d1"], "clicks": []}],
+    "current": ["w0", "w1"],
+    "params": {"gamma": 0.5, "lam": 0.5, "m": 2, "mu": 10.0},
+}
+
+
 def instance_index(instance):
     """Index the toy corpus; doc text is the sorted expansion of its counts."""
     docs = []

@@ -37,8 +37,15 @@ makes anchor_feedback return the feedback model itself.
 
 Two more tests pin those cases: a kept matching made from candidates out
 of doc_id order ranks tied twins in doc_id order, as the direct rerank
-does; and at lambda = 1 the memo keeps the feedback model under its own
+does (and a pair matched for a model the scorer refused at a tiny mu does
+not stop the next model); and at lambda = 1 the memo keeps the feedback model under its own
 key and the anchoring's, and later points score as a fresh memo would.
+
+A last one walks a lambda x gamma grid under one shared Stages on a session
+whose divergence is infinite at step 2 and finite at step 3, so a
+divergence from a kept prior (shared across gamma) and one from a fresh
+mixture (gamma's own) both run; rankings and traces must equal plain
+scoring's.
 """
 
 import math
@@ -51,7 +58,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import oracle  # noqa: E402
-from conftest import instance_index, instance_session  # noqa: E402
+from conftest import DIVERGENCE_EXAMPLE, instance_index, instance_session  # noqa: E402
 
 from sessionsearch import pipeline, srm  # noqa: E402
 from sessionsearch.evalkit import Qrels, grid_tune  # noqa: E402
@@ -512,6 +519,21 @@ def test_a_kept_matching_ranks_tied_candidates_in_doc_id_order():
         assert rerank(candidates, model, index, 10.0, matching) is kept
 
 
+def test_a_kept_matching_skips_a_pair_whose_background_mass_rounds_to_zero():
+    # At the smallest mu, w1's mass mu * 1/8 rounds to 0 and w0's (7/8) does
+    # not: the model holding w1 is refused, and its matched pair must not
+    # stop a later model at that mu from scoring as the direct rerank does.
+    index = instance_index({"docs": {"d0": {"w0": 4, "w1": 1}, "d1": {"w0": 3}}})
+    candidates = [("d0", 0.0), ("d1", 0.0)]
+    matching = CandidateMatching(candidates, index)
+    mu = 5e-324
+    with pytest.raises(ValueError, match="is too small"):
+        rerank(candidates, TermDistribution.from_weights({"w1": 1.0}), index, mu, matching)
+    model = TermDistribution.from_weights({"w0": 1.0})
+    assert hexed(rerank(candidates, model, index, mu, matching)) == hexed(
+        rerank(candidates, model, index, mu))
+
+
 @pytest.mark.parametrize("method", ["srm-qc", "srm-rm1"])
 def test_an_anchored_model_that_is_its_feedback_model_keeps_one_object(monkeypatch, method):
     index = instance_index(REPEAT_EXAMPLE)
@@ -542,3 +564,19 @@ def test_an_anchored_model_that_is_its_feedback_model_keeps_one_object(monkeypat
     assert all(anchored is not fm for _, fm, anchored in second)
     # The second lambda = 1 point finds every anchored model kept.
     assert third == []
+
+
+@pytest.mark.parametrize("method", ["srm-qc", "srm-rm1"])
+def test_a_divergence_kept_across_gamma_scores_as_a_fresh_one(method):
+    index = instance_index(DIVERGENCE_EXAMPLE)
+    session = instance_session(DIVERGENCE_EXAMPLE)
+    stages = Stages()
+    for lam in (0.0, 0.5, 1.0):
+        for gamma in (0.0, 0.3, 1.0):
+            config = RunConfig(method=method, lam=lam, gamma=gamma, mu=10.0, m=2)
+            staged = score_session_full(session, index, config, stages)
+            plain = score_session_full(session, index, config)
+            assert hexed(staged.ranking) == hexed(plain.ranking)
+            assert staged.trace.to_dict() == plain.trace.to_dict()
+            kls = [record.kl for record in plain.trace.records]
+            assert math.isinf(kls[1]) and math.isfinite(kls[2])

@@ -5,12 +5,19 @@ The package is stdlib only, so another interpreter needs no pytest: each
 python3.N on PATH (N = 11 and upward) that answers with a version other
 than the running one runs the seed-7 workload of test_run_digests in a
 subprocess with PYTHONPATH=src (the index, every method's run file, the
-model and trace dumps, and the five tune grids), and this process compares
-what it wrote with the pinned digests. A float format, a math function or
-an ordering that changed between interpreter versions fails here. Without
-another interpreter on PATH the test skips and says so.
+model and trace dumps, the metrics report and the five tune grids), and
+this process compares what it wrote with the pinned digests. A float
+format, a math function or an ordering that changed between interpreter
+versions fails here. Without another interpreter on PATH the test skips
+and says so.
+
+One such change needs no other interpreter to be seen: from CPython 3.12
+on, builtin sum() adds floats with compensated summation, where 3.11 adds
+them left to right, so a float sum() writes other last digits under each.
+An ast check admits sum() in the package only at its integer sums.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -26,6 +33,7 @@ from test_run_digests import (
     DUMP_SHA256,
     GEN_PATH,
     INDEX_SHA256,
+    REPORT_SHA256,
     RUN_SHA256,
     TUNE_GRIDS,
     directory_digest,
@@ -63,6 +71,11 @@ def workload():
         commands.append((["run", *INPUTS, "--method", method,
                           "--out", f"run.{method}.dumped.txt", *flags],
                          {f"{method}{flag}": digest for flag, digest in dumps.items()}))
+    for method, digest in sorted(REPORT_SHA256.items()):
+        commands.append((["run", *INPUTS, "--qrels", "qrels.txt", "--method", method,
+                          "--out", f"run.{method}.reported.txt",
+                          "--report", f"report.{method}.json"],
+                         {f"report.{method}.json": digest}))
     for method, (flags, digest) in sorted(TUNE_GRIDS.items()):
         commands.append((["tune", *INPUTS, "--qrels", "qrels.txt", "--method", method,
                           *flags, "--out", f"best.{method}.json"],
@@ -117,3 +130,29 @@ def test_another_interpreter_writes_the_pinned_outputs(version, path, tmp_path):
     pinned = {name: digest for _, outputs in commands for name, digest in outputs.items()}
     differing = sorted(name for name, digest in pinned.items() if digest_of(cwd / name) != digest)
     assert differing == [], f"CPython {version} ({path}) wrote other bytes"
+
+
+# The package's builtin sum() calls, each over ints: (module, call as unparsed).
+INTEGER_SUMS = [
+    ("evalkit.py", "sum((1 for grade in grades.values() if grade > 0))"),
+    ("index.py", "sum(self.lengths.values())"),
+    ("index.py", "sum(values)"),
+]
+
+
+def builtin_sums(source):
+    """The unparsed text of each call to a bare name sum in source."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+def test_the_sum_check_sees_a_float_sum():
+    source = "def mass(xs):\n    return sum(x / 2 for x in xs)\n"
+    assert builtin_sums(source) == ["sum((x / 2 for x in xs))"]
+
+
+def test_builtin_sum_adds_only_integers():
+    found = [(path.name, call) for path in sorted((ROOT / "src" / "sessionsearch").glob("*.py"))
+             for call in builtin_sums(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == INTEGER_SUMS

@@ -27,6 +27,7 @@ from sessionsearch.lm import (
     rank_documents,
     smoothed_prob,
     top_k_by_query_likelihood,
+    top_ranked,
 )
 
 
@@ -332,6 +333,32 @@ class TestDocWeights:
 def test_rank_documents_orders_and_breaks_ties():
     ranked = rank_documents([("b", 1.0), ("c", 2.0), ("a", 1.0)])
     assert ranked == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
+
+
+class TestTopRanked:
+    def test_ties_straddling_the_cut_are_broken_by_term(self):
+        # Four terms tie at the 3rd-highest probability: a cut at 3 keeps
+        # one of them and a cut at 4 two, the lowest by term.
+        dist = TermDistribution({"z": 0.3, "d": 0.1, "b": 0.1, "e": 0.1, "c": 0.1, "a": 0.25,
+                                 "f": 0.05})
+        assert top_ranked(dist, 3) == [("z", 0.3), ("a", 0.25), ("b", 0.1)]
+        assert top_ranked(dist, 4) == [("z", 0.3), ("a", 0.25), ("b", 0.1), ("c", 0.1)]
+        for k in range(1, 9):
+            assert top_ranked(dist, k) == rank_documents(dist.items())[:k]
+
+    def test_k_or_fewer_terms_are_all_ranked(self):
+        dist = TermDistribution({"b": 0.25, "c": 0.5, "a": 0.25})
+        expected = [("c", 0.5), ("a", 0.25), ("b", 0.25)]
+        assert top_ranked(dist, 3) == expected
+        assert top_ranked(dist, 10) == expected
+
+    def test_equals_the_full_ranking_on_random_distributions(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            weights = {f"t{i}": float(rng.randint(1, 4)) for i in range(rng.randint(1, 30))}
+            dist = TermDistribution.from_weights(weights)
+            k = rng.randint(1, 12)
+            assert top_ranked(dist, k) == rank_documents(dist.items())[:k]
 
 
 def test_mix_doc_models_single_doc(club_index):

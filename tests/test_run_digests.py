@@ -1,6 +1,6 @@
 """Byte-identity guard: the index snapshot, the run file of every method, the
-model and trace dumps of two methods, and the tune output of five grids, on
-one generated input.
+model and trace dumps of two methods, the metrics report of one, and the
+tune output of five grids, on one generated input.
 
 The input comes from the benchmark's own generator (bench/gen.py, loaded
 read-only and without writing bytecode): seed 7, 400 documents, 36
@@ -58,6 +58,11 @@ DUMP_SHA256 = {
     "rm3-qprime": {
         "--dump-model": "62f182bddd8bab51327290dadf5bfccd397c6e7fa4ab69a28e8ce4ecd78c81f6",
     },
+}
+
+# run --qrels --report: the report's per-session and mean metrics.
+REPORT_SHA256 = {
+    "srm-qc": "3b0dd14605a8cdd9294e9104f5e03a20960c4e9149f02ff537837e50262b14d5",
 }
 
 # tune grids, each with the best.json SHA-256 it writes.
@@ -135,6 +140,17 @@ def test_model_and_trace_dumps_are_byte_identical(generated, method):
                  "--method", method, "--out", str(out), *flags]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[method]
     assert {flag: directory_digest(path) for flag, path in dirs.items()} == DUMP_SHA256[method]
+
+
+@pytest.mark.parametrize("method", sorted(REPORT_SHA256))
+def test_metrics_report_is_byte_identical(generated, method):
+    out, report = generated / f"run.{method}.reported.txt", generated / f"report.{method}.json"
+    assert main(["run", "--index", str(generated / "index.json"),
+                 "--sessions", str(generated / "sessions.json"),
+                 "--qrels", str(generated / "qrels.txt"), "--method", method,
+                 "--out", str(out), "--report", str(report)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[method]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256[method]
 
 
 @pytest.mark.parametrize("method", sorted(TUNE_GRIDS))

@@ -20,7 +20,10 @@ a length part and an fsum over the matched terms. These tests require:
 - bit-equal scores from query aggregation at decay 1 and a scorer over the
   known terms of the concatenated session queries;
 - bit-equal scores, and the same ValueError, from query aggregation's
-  term-at-a-time pass over a candidate list and the scorer's own loop.
+  term-at-a-time pass over a candidate list and the scorer's own loop;
+- bit-equal summands from a kept candidate matching's log-ratios, times
+  the model weight, and the scorer, with models at two mu values taking
+  turns, so each mu's ratios are extended by pairs the other matched.
 """
 
 import math
@@ -38,11 +41,14 @@ from sessionsearch.index import CollectionStats, DocumentRecord, build_index  # 
 from sessionsearch.lm import (  # noqa: E402
     NEG_INF,
     LogLikelihoodScorer,
+    TermDistribution,
+    cross_entropy_scorer,
     known_terms_only,
     smoothed_prob,
     top_k_by_query_likelihood,
 )
 from sessionsearch.session import pseudo_info_need  # noqa: E402
+from sessionsearch.srm import CandidateMatching  # noqa: E402
 
 VOCABULARY = ("a", "b", "c", "d", "e")
 # Model terms may also name words no document contains.
@@ -313,6 +319,31 @@ def test_a_reused_scorer_scores_as_fresh_ones_in_any_order(token_lists, models):
             fresh = outcome(score_one, LogLikelihoodScorer(pairs, stats, mu), doc)
             assert repr(got) == repr(fresh)
             assert agrees(got, outcome(reference, pairs, doc, stats, mu))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(token_lists=corpora(), models=st.lists(weights.filter(bool), min_size=2, max_size=6),
+       two_mus=st.lists(st.one_of(st.sampled_from([0.5, 10.0, 2500.0]),
+                                  st.floats(1e-3, 5000.0, allow_nan=False)),
+                        min_size=2, max_size=2, unique=True))
+def test_a_matchings_kept_ratios_give_the_scorers_summands(token_lists, models, two_mus):
+    index = build_index(
+        [(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(token_lists)],
+        analyzer=whitespace_analyze,
+    )
+    matching = CandidateMatching([(doc_id, 0.0) for doc_id in index.doc_table], index)
+    for turn, pairs in enumerate(models):
+        mu = two_mus[turn % 2]
+        model = TermDistribution.from_weights(dict(pairs))
+        matching.rerank(model, mu)
+        score = cross_entropy_scorer(model, index.stats, mu)
+        # A model scored before returns its kept ranking and builds no
+        # table; the ratios the next table reads are these.
+        ratios = matching._log_ratios(mu)
+        assert len(ratios) == len(matching._pairs)
+        for (term, tf), ratio in zip(matching._pairs, ratios):
+            if term in score.weights:
+                assert (score.weights[term] * ratio).hex() == score.summand(term, tf).hex()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -7,6 +7,9 @@ reaches exactly the methods its PARAMS row names.
   leaves out.
 - A session's memo holds no reference to itself: scoring makes no
   reference cycle, so the memo is freed as soon as it is dropped.
+- Across a lambda x gamma grid the memo keeps the divergence of an
+  anchored model from its prior only where that prior is itself kept,
+  once per pair; a fresh, gamma-specific mixture's is computed each time.
 - A tunable field outside a method's PARAMS row leaves that method's
   rankings bit for bit as they were on oracle.random_toy_instance's
   instances; a field inside the row changes them on some instance.
@@ -17,12 +20,13 @@ import gc
 import importlib
 import inspect
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 import oracle
-from conftest import instance_index, instance_session, make_session
+from conftest import DIVERGENCE_EXAMPLE, instance_index, instance_session, make_session
 
 from sessionsearch.pipeline import (
     METHODS,
@@ -32,6 +36,8 @@ from sessionsearch.pipeline import (
     score_session,
     score_session_full,
 )
+from sessionsearch import srm
+from sessionsearch.stages import Stages
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sessionsearch"
 
@@ -114,6 +120,39 @@ def test_a_sessions_memo_holds_no_reference_to_itself(club_index, method):
         assert scorer(session, club_index, RunConfig(method=method, lam=0.7, gamma=0.5))
         assert score_session_full(session, club_index, RunConfig(method=method)).ranking
         del scorer
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_memo_keeps_divergences_from_kept_priors_only(monkeypatch):
+    index = instance_index(DIVERGENCE_EXAMPLE)
+    session = instance_session(DIVERGENCE_EXAMPLE)
+    stages = Stages()
+    calls = []  # (through the memo, prior kept, anchored, prior) of each divergence
+    real = srm.kl_divergence
+
+    def recording(anchored, prior):
+        through_memo = sys._getframe(1).f_code is Stages.get.__code__
+        calls.append((through_memo, stages.holds(prior), anchored, prior))
+        return real(anchored, prior)
+
+    monkeypatch.setattr(srm, "kl_divergence", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        for lam in (0.2, 0.5, 0.8):
+            for gamma in (0.3, 0.5, 0.7):
+                config = RunConfig(method="srm-qc", lam=lam, gamma=gamma, mu=10.0, m=2)
+                assert score_session_full(session, index, config, stages).ranking
+        kept = [(anchored, prior) for memo, held, anchored, prior in calls if memo]
+        fresh = [held for memo, held, _, _ in calls if not memo]
+        # Per lambda, steps 2 and 3 divide by a kept prior; step 4's prior
+        # is a mixture made at each of the nine points.
+        assert len(kept) == 6 and len({(id(a), id(p)) for a, p in kept}) == 6
+        assert all(held for memo, held, _, _ in calls if memo)
+        assert fresh == [False] * 9
+        del stages, calls, kept
         assert gc.collect() == 0
     finally:
         gc.enable()
