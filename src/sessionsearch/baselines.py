@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .analysis import AnalyzedText
 from .index import DocumentRecord, InvertedIndex
-from .inputs import shown
+from .inputs import InputError
 from .lm import (
     LogLikelihoodScorer,
     TermDistribution,
@@ -56,7 +56,7 @@ def rm3_model(
     clip_terms.
     """
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {shown(lam)}")
+        raise InputError("lambda must be in [0, 1], got {lam}", lam=lam)
     if stages is None:
         stages = Stages()
     fm = stages.get(rm1_model, query, tuple(feedback_doc_ids), index, mu)
@@ -87,7 +87,7 @@ def qa_scorer(
     first-pass ranker uses.
     """
     if not 0.0 < decay <= 1.0:
-        raise ValueError(f"decay must be in (0, 1], got {shown(decay)}")
+        raise InputError("decay must be in (0, 1], got {decay}", decay=decay)
     # sum_t decay^(n-t) ln p(q_t|d) = sum_w (sum_t decay^(n-t) c_t(w)) ln p(w|d):
     # one scorer over the decayed term counts.
     queries = session.queries

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import evalkit, pipeline
 from .index import InvertedIndex, build_index, read_corpus_jsonl
-from .inputs import PAIRED, load_json, shown, shown_ids
+from .inputs import InputError, load_json, shown_ids
 from .session import load_sessions
 
 logger = logging.getLogger("sessionsearch")
@@ -40,61 +40,60 @@ def _write_json(path: Path, payload) -> None:
 def _require_file(path: str, role: str) -> Path:
     resolved = Path(path)
     if not resolved.is_file():
-        raise FileNotFoundError(f"{role} file not found: {path}")
+        raise InputError("{role!s} file not found: {path}", path, role=role)
     return resolved
 
 
-def _coerce(where: str, field_name: str, value, text: bool = False):
+def _coerce(where: str, field_name: str, value, text: bool = False, path=None):
     """value as the field's type: a flag's text through int() or float(), or a
-    config file's JSON value, which must already be of the field's kind."""
+    config file's JSON value, which must already be of the field's kind.
+    where names the flag, or the field of the config file at path."""
     kind = _TYPES[field_name]
     if text or kind is str:
         if isinstance(value, str):
             with contextlib.suppress(ValueError):  # int()'s digit limit too
                 return kind(value)
-        noun = "a string" if kind is str else "an integer" if kind is int else "a number"
-        raise ValueError(f"{where} must be {noun}, got {shown(value)}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number, got {shown(value)}")
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{where} must be an integer, got {shown(value)}")
-        return int(value)
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer past the float range
-        raise ValueError(f"{where} is out of float range") from None
+    # type(), not isinstance(): JSON true and false load as bool, not int.
+    elif type(value) is int or type(value) is float and (kind is float or value.is_integer()):
+        try:
+            return kind(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise InputError("{where!s} is out of float range", path, where=where) from None
+    noun = "an integer" if kind is int and (text or type(value) is float) else "a number"
+    raise InputError("{where!s} must be {noun!s}, got {value}", path, where=where,
+                     noun="a string" if kind is str else noun, value=value)
 
 
-def _grid(where: str, field_name: str, value, text: bool = False) -> list:
+def _grid(where: str, field_name: str, value, text: bool = False, path=None) -> list:
     """A flag's comma-separated text or a config file's JSON list as the grid
     of one field: each item through _coerce, at least one, none repeated."""
     items = [item for item in value.split(",") if item.strip()] if text else value
     if not items:
-        raise ValueError(f"{where} has no grid values")
-    return evalkit.distinct_grid_values(where, [_coerce(where, field_name, v, text) for v in items])
+        raise InputError("{where!s} has no grid values", path, where=where)
+    return evalkit.distinct_grid_values(
+        where, [_coerce(where, field_name, v, text, path) for v in items], path)
 
 
 def _load_config_file(path: str, allow_grids: bool) -> tuple[dict, dict]:
     """Read a JSON config; returns (scalar values, grid lists)."""
     raw = load_json(_require_file(path, "config"))
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+        raise InputError("config must be a JSON object", path)
     scalars: dict = {}
     grids: dict = {}
     for key, value in raw.items():
         field_name = _CONFIG_KEYS.get(key)
-        where = f"{path}: field {key!r}"
         if field_name is None:
-            raise ValueError(f"{path}: unknown config field {shown(key)}")
+            raise InputError("unknown config field {key}", path, key=key)
+        where = f"field {key!r}"  # a known key: its repr is short
         if isinstance(value, list):
             if not allow_grids:
-                raise ValueError(f"{where} is a list; grids are for tune only")
+                raise InputError("{where!s} is a list; grids are for tune only", path, where=where)
             if field_name not in pipeline.TUNABLE_FIELDS:
-                raise ValueError(f"{where} cannot be tuned over")
-            grids[field_name] = _grid(where, field_name, value)
+                raise InputError("{where!s} cannot be tuned over", path, where=where)
+            grids[field_name] = _grid(where, field_name, value, path=path)
         else:
-            scalars[field_name] = _coerce(where, field_name, value)
+            scalars[field_name] = _coerce(where, field_name, value, path=path)
     return scalars, grids
 
 
@@ -188,10 +187,8 @@ def _load_qrels(path: str, sessions) -> evalkit.Qrels:
     qrels = evalkit.Qrels.from_trec_file(_require_file(path, "qrels"))
     for session in sessions:
         if session.current_query.tokens and session.topic_id not in qrels.grades_by_topic:
-            raise ValueError(
-                f"{path}: unknown topic {shown(session.topic_id, PAIRED)} "
-                f"of session {shown(session.session_id, PAIRED)}"
-            )
+            raise InputError("unknown topic {topic} of session {session}", path,
+                             topic=session.topic_id, session=session.session_id)
     return qrels
 
 
@@ -292,10 +289,8 @@ def cmd_tune(args) -> int:
         if raw is not None:
             grids[field_name] = _grid(flag, field_name, raw, text=True)
     if not grids:
-        raise ValueError(
-            f"no grid given; pass value lists via {'/'.join(f for f, _ in grid_flags)} "
-            "or list-valued config fields"
-        )
+        raise InputError("no grid given; pass value lists via {flags!s} or list-valued config "
+                         "fields", flags="/".join(f for f, _ in grid_flags))
     base = _effective_config(args, file_scalars)
     # RunConfig range-checks each grid value here, before any input is read.
     for field_name, values in grids.items():
@@ -307,9 +302,7 @@ def cmd_tune(args) -> int:
                        base.method, field_name)
     sessions = load_sessions(_require_file(args.sessions, "sessions"))
     if not any(session.current_query.tokens for session in sessions):
-        raise ValueError(
-            f"{args.sessions}: no sessions with an analyzable current query to tune on"
-        )
+        raise InputError("no sessions with an analyzable current query to tune on", args.sessions)
     qrels = _load_qrels(args.qrels, sessions)
     with _loaded_index(args.index, sessions) as index:
         best, table = evalkit.grid_tune(
@@ -339,7 +332,7 @@ def cmd_eval(args) -> int:
     scored = [s for s in sessions if s.current_query.tokens]
     unknown = sorted(set(rankings) - {s.session_id for s in scored})
     if unknown:
-        raise ValueError(f"{args.run}: ids {args.sessions} cannot serve: {shown_ids(unknown)}")
+        raise InputError("ids no session can serve: {ids!s}", args.run, ids=shown_ids(unknown))
     qrels = _load_qrels(args.qrels, scored)
 
     ordered = [
@@ -361,7 +354,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and exc.filename is not None and exc.filename2 is None:
+            # str(exc)'s text, with a path that InputError can cut.
+            exc = InputError("[Errno {errno}] {reason!s}: {path!r}", exc.filename,
+                             errno=exc.errno, reason=exc.strerror)
+        print(exc.line() if isinstance(exc, InputError) else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .inputs import PAIRED, open_text, shown, shown_ids
+from .inputs import InputError, open_text, shown_ids
 from .pipeline import TUNABLE_FIELDS
 
 RankedDocs = Sequence[str]
@@ -24,6 +24,9 @@ RankedDocs = Sequence[str]
 # Highest qrels grade. Gains are 2^grade - 1: three docs at grade 1023
 # overflow the ideal DCG and make nDCG NaN; at 64 no topic size can.
 MAX_GRADE = 64
+
+# The error line of a qrels or run-file line that has too few or too many columns.
+_COLUMNS = "expected {expected} columns, got {got}"
 
 # int() would also read "1_0" as 10 and non-ASCII digits such as a
 # fullwidth "1"; grades are plain ASCII integers.
@@ -54,29 +57,24 @@ class Qrels:
                     continue
                 parts = line.split()
                 if len(parts) != 4:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected 4 columns, got {len(parts)}"
-                    )
+                    raise InputError(_COLUMNS, path, lineno, expected=4, got=len(parts))
                 topic_id, _, doc_id, grade_str = parts
                 try:  # int() also refuses more digits than sys.get_int_max_str_digits()
                     grade = int(grade_str) if _GRADE.fullmatch(grade_str) else None
                 except ValueError:
                     grade = None
                 if grade is None:
-                    raise ValueError(
-                        f"{path}: line {lineno}: grade {shown(grade_str)} is not an integer"
-                    )
+                    raise InputError("grade {grade} is not an integer", path, lineno,
+                                     grade=grade_str)
                 if grade > MAX_GRADE:
-                    raise ValueError(
-                        f"{path}: line {lineno}: grade {shown(grade)} is above {MAX_GRADE}"
-                    )
+                    raise InputError("grade {grade} is above {most}", path, lineno, grade=grade,
+                                     most=MAX_GRADE)
                 first_grade, first_line = judged.setdefault((topic_id, doc_id), (grade, lineno))
                 if first_grade != grade:
-                    raise ValueError(
-                        f"{path}: line {lineno}: topic {shown(topic_id, PAIRED)} doc "
-                        f"{shown(doc_id, PAIRED)} has grade {shown(grade)}, "
-                        f"but line {first_line} gave it grade {shown(first_grade)}"
-                    )
+                    raise InputError("topic {topic} doc {doc} has grade {grade}, but line "
+                                     "{first} gave it grade {first_grade}", path, lineno,
+                                     topic=topic_id, doc=doc_id, grade=grade, first=first_line,
+                                     first_grade=first_grade)
                 grades.setdefault(topic_id, {})[doc_id] = max(0, grade)
         return cls(grades)
 
@@ -84,7 +82,7 @@ class Qrels:
         try:
             return self.grades_by_topic[topic_id]
         except KeyError:
-            raise ValueError(f"unknown topic {shown(topic_id)} in qrels") from None
+            raise InputError("unknown topic {topic} in qrels", topic=topic_id) from None
 
     def max_grade(self) -> int:
         top = 0
@@ -106,7 +104,7 @@ def ndcg_at_k(ranking: RankedDocs, grades: Mapping[str, int], k: int) -> float:
     docs score 0.
     """
     if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+        raise InputError("k must be positive, got {k}", k=k)
     dcg = 0.0
     for rank, doc_id in enumerate(ranking[:k], start=1):
         grade = grades.get(doc_id, 0)
@@ -137,9 +135,9 @@ def nerr_at_k(
 ) -> float:
     """Expected reciprocal rank at k, normalized by the ideal ERR at k."""
     if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+        raise InputError("k must be positive, got {k}", k=k)
     if g_max < max(grades.values(), default=0):
-        raise ValueError(f"g_max {g_max} is below the highest grade in qrels")
+        raise InputError("g_max {g_max} is below the highest grade in qrels", g_max=g_max)
     observed = [grades.get(doc_id, 0) for doc_id in ranking[:k]]
     ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
     ideal_err = _err_at_k(ideal, k, g_max) if ideal else 0.0
@@ -244,30 +242,28 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                 continue
             parts = line.split()
             if len(parts) != 6:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 6 columns, got {len(parts)}"
-                )
+                raise InputError(_COLUMNS, path, lineno, expected=6, got=len(parts))
             key, _, doc_id, rank_str, score_str, _ = parts
             try:  # ASCII digits only, as for grades, and no more than int() reads
                 rank = int(rank_str) if rank_str.isascii() and rank_str.isdigit() else 0
             except ValueError:
                 rank = 0
             if rank < 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: rank {shown(rank_str)} is not a positive integer"
-                )
+                raise InputError("rank {rank} is not a positive integer", path, lineno,
+                                 rank=rank_str)
             try:
                 score = float(score_str)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad score {shown(score_str)}") from exc
+                raise InputError("bad score {score}", path, lineno, score=score_str) from exc
             ranked, doc_lines = keys.get(key) or keys.setdefault(key, ({}, {}))
             if rank in ranked:
-                raise ValueError(f"{path}: line {lineno}: repeated rank {shown(rank)} under key "
-                                 f"{shown(key)} (first on line {doc_lines[ranked[rank][0]]})")
+                raise InputError("repeated rank {rank} under key {key} (first on line {first})",
+                                 path, lineno, rank=rank, key=key,
+                                 first=doc_lines[ranked[rank][0]])
             first = doc_lines.setdefault(doc_id, lineno)
             if first != lineno:
-                raise ValueError(f"{path}: line {lineno}: duplicate doc {shown(doc_id, PAIRED)} "
-                                 f"under key {shown(key, PAIRED)} (first on line {first})")
+                raise InputError("duplicate doc {doc} under key {key} (first on line {first})",
+                                 path, lineno, doc=doc_id, key=key, first=first)
             ranked[rank] = (doc_id, score)
     rankings: dict[str, list[tuple[str, float]]] = {}
     for key in list(keys):
@@ -276,12 +272,14 @@ def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     return rankings
 
 
-def distinct_grid_values(label: str, values: Sequence) -> Sequence:
-    """values, unless one repeats (a repeated grid value repeats a grid point)."""
+def distinct_grid_values(label: str, values: Sequence, path=None) -> Sequence:
+    """values, unless one repeats (a repeated grid value repeats a grid point):
+    label names the grid, in the config file at path when given."""
     seen = set()
     for value in values:
         if value in seen:
-            raise ValueError(f"{label}: duplicate grid value {shown(value)}")
+            raise InputError("{label!s}: duplicate grid value {value}", path, label=label,
+                             value=value)
         seen.add(value)
     return values
 
@@ -317,7 +315,8 @@ def grid_tune(
         raise ValueError("grid search needs at least one value for every grid")
     unknown = set(grids) - set(TUNABLE_FIELDS)
     if unknown:
-        raise ValueError(f"cannot tune over unknown parameters: {shown_ids(sorted(unknown))}")
+        raise InputError("cannot tune over unknown parameters: {names!s}",
+                         names=shown_ids(sorted(unknown)))
     keys = [key for key in TUNABLE_FIELDS if key in grids]
     value_lists = [sorted(distinct_grid_values(f"{key!r} grid", grids[key])) for key in keys]
 

@@ -26,14 +26,14 @@ from pathlib import Path
 from typing import Callable, ItemsView, Iterable, Iterator, Mapping
 
 from .analysis import AnalyzedText, analyze, term_memo
-from .inputs import PAIRED, load_json, open_text, parse_json, shown, valid_id
+from .inputs import InputError, load_json, open_text, parse_json, valid_id
 
 SNAPSHOT_MAGIC = "sessionsearch-index"
 SNAPSHOT_VERSION = 2
 
 
-# Why a doc id fails valid_id, for error lines.
-_BAD_ID = "is empty, has whitespace or is not UTF-8"
+# The error line of a doc id that fails valid_id.
+_BAD_ID = "doc id {doc} is empty, has whitespace or is not UTF-8"
 
 
 @dataclass(frozen=True)
@@ -174,22 +174,22 @@ class InvertedIndex:
         derived; ValueError names file and doc."""
         raw = load_json(path)
         if not isinstance(raw, dict) or raw.get("magic") != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: not an index snapshot (bad magic header)")
+            raise InputError("not an index snapshot (bad magic header)", path)
         version = raw.get("version")
         if type(version) is not int or version != SNAPSHOT_VERSION:  # type(): 2.0 == 2
-            raise ValueError(f"{path}: snapshot version {shown(version)} is not "
-                             f"{SNAPSHOT_VERSION}; rebuild it with the index command")
+            raise InputError("snapshot version {version} is not {expected}; rebuild it with the "
+                             "index command", path, version=version, expected=SNAPSHOT_VERSION)
         docs = raw.get("docs")
         if not isinstance(docs, dict):
-            raise ValueError(f"{path}: snapshot has no 'docs' object")
+            raise InputError("snapshot has no 'docs' object", path)
         doc_table = {}
         previous = None
         for doc_id, counts in docs.items():
             if not valid_id(doc_id):
-                raise ValueError(f"{path}: doc id {shown(doc_id)} {_BAD_ID}")
+                raise InputError(_BAD_ID, path, doc=doc_id)
             if previous is not None and doc_id <= previous:
-                raise ValueError(f"{path}: doc {shown(doc_id, PAIRED)}: not in doc_id order "
-                                 f"(it follows {shown(previous, PAIRED)})")
+                raise InputError("doc {doc}: not in doc_id order (it follows {previous})", path,
+                                 doc=doc_id, previous=previous)
             try:
                 if type(counts) is not dict:
                     raise ValueError("not a JSON object")
@@ -203,7 +203,7 @@ class InvertedIndex:
                 if list(counts) != sorted(counts):  # keys are distinct: in strict order
                     raise ValueError("counts are not in term order")
             except ValueError as exc:
-                raise ValueError(f"{path}: doc {shown(doc_id)}: {exc}") from None
+                raise InputError.within(exc, "doc {doc}", path, doc=doc_id) from None
             previous = doc_id
             doc_table[doc_id] = DocumentRecord(doc_id, counts, length)
         return cls(doc_table)
@@ -224,9 +224,9 @@ def build_index(
     with term_memo():
         for doc_id, text in docs:
             if doc_id in doc_table:
-                raise ValueError(f"duplicate doc_id: {shown(doc_id)}")
+                raise InputError("duplicate doc_id: {doc}", doc=doc_id)
             if not valid_id(doc_id):
-                raise ValueError(f"doc id {shown(doc_id)} {_BAD_ID}")
+                raise InputError(_BAD_ID, doc=doc_id)
             analyzed = analyzer(text)
             # Counter keeps first-occurrence order, so sorted tokens give
             # the count map in term order without a sort of its pairs.
@@ -249,14 +249,14 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
                 continue
             obj = parse_json(line, path, lineno)
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ValueError(f"{path}: line {lineno}: expected an object with 'id' and 'text'")
+                raise InputError("expected an object with 'id' and 'text'", path, lineno)
             doc_id, text = obj["id"], obj["text"]
             if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise ValueError(f"{path}: line {lineno}: 'id' and 'text' must be strings")
+                raise InputError("'id' and 'text' must be strings", path, lineno)
             if not valid_id(doc_id):
-                raise ValueError(f"{path}: line {lineno}: doc id {shown(doc_id)} {_BAD_ID}")
+                raise InputError(_BAD_ID, path, lineno, doc=doc_id)
             first = first_line.setdefault(doc_id, lineno)
             if first != lineno:
-                raise ValueError(f"{path}: line {lineno}: duplicate doc id {shown(doc_id)} "
-                                 f"(first on line {first})")
+                raise InputError("duplicate doc id {doc} (first on line {first})", path, lineno,
+                                 doc=doc_id, first=first)
             yield doc_id, text

@@ -13,11 +13,14 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analysis import AnalyzedText
 from .index import DocumentRecord, CollectionStats, InvertedIndex
-from .inputs import shown
+from .inputs import InputError
 
 NEG_INF = float("-inf")
 
 RankedList = list[tuple[str, float]]
+
+# The error line of a document that mu = 0 cannot smooth.
+_EMPTY_DOCUMENT = "cannot smooth over an empty document ({doc}) with mu={mu}"
 
 
 class TermDistribution:
@@ -43,7 +46,8 @@ class TermDistribution:
         if not min(weights.values(), default=0.0) >= 0.0:
             for term, weight in weights.items():
                 if weight < 0:
-                    raise ValueError(f"negative weight for term {shown(term)}: {shown(weight)}")
+                    raise InputError("negative weight for term {term}: {weight}", term=term,
+                                     weight=weight)
         total = math.fsum(weights.values())
         if total <= 0:
             raise ValueError("cannot normalize a distribution with no positive mass")
@@ -105,7 +109,7 @@ def clip_distribution(dist: TermDistribution, max_terms: int) -> TermDistributio
     deterministic.
     """
     if max_terms <= 0:
-        raise ValueError(f"max_terms must be positive, got {max_terms}")
+        raise InputError("max_terms must be positive, got {max_terms}", max_terms=max_terms)
     if len(dist) <= max_terms:
         return dist
     return TermDistribution.from_weights(dict(top_ranked(dist, max_terms)))
@@ -139,9 +143,7 @@ def smoothed_prob(
     """
     denom = doc.length + mu
     if denom <= 0:
-        raise ValueError(
-            f"cannot smooth over an empty document ({shown(doc.doc_id)}) with mu={mu}"
-        )
+        raise InputError(_EMPTY_DOCUMENT, doc=doc.doc_id, mu=mu)
     tf = doc.term_counts.get(term, 0)
     cf = stats.collection_tf.get(term, 0)
     if mu > 0 and cf:
@@ -159,8 +161,8 @@ def _background_mass(term: str, cf: int, stats: CollectionStats, mu: float) -> f
     so large that it rounds to 0 or overflows raises ValueError naming mu."""
     mass = background_mass(cf, stats, mu)
     if not 0.0 < mass < math.inf:
-        extreme = "small" if mass == 0.0 else "large"
-        raise ValueError(f"mu={shown(mu)} is too {extreme}: mu * P({shown(term)}|C) is {mass}")
+        raise InputError("mu={mu} is too {extreme!s}: mu * P({term}|C) is {mass}", mu=mu,
+                         extreme="small" if mass == 0.0 else "large", term=term, mass=mass)
     return mass
 
 
@@ -247,8 +249,7 @@ class LogLikelihoodScorer:
             base = bases.get(doc.length)
             if base is None:
                 if doc.length + mu <= 0:
-                    raise ValueError(f"cannot smooth over an empty document "
-                                     f"({shown(doc.doc_id)}) with mu={mu}")
+                    raise InputError(_EMPTY_DOCUMENT, doc=doc.doc_id, mu=mu)
                 base = self.base(doc.length)
             counts = doc.term_counts
             if required and not all(map(counts.get, required)):
@@ -302,7 +303,7 @@ class LogLikelihoodScorer:
         mu, lengths = self._mu, list(map(index.lengths.__getitem__, alone))
         if lengths and min(lengths) + mu <= 0:
             doc_id = next(d for d in ids or alone if index.lengths[d] + mu <= 0)
-            raise ValueError(f"cannot smooth over an empty document ({shown(doc_id)}) with mu={mu}")
+            raise InputError(_EMPTY_DOCUMENT, doc=doc_id, mu=mu)
         bases = {length: self.base(length) for length in set(lengths)}
         return list(zip(alone, map(add, map(bases.__getitem__, lengths), alone.values())))
 
@@ -337,7 +338,7 @@ def cross_entropy_scorer(
     if model.is_zero:
         raise ValueError("cannot score with an empty model")
     if mu <= 0:
-        raise ValueError(f"cross-entropy scoring requires mu > 0, got {mu}")
+        raise InputError("cross-entropy scoring requires mu > 0, got {mu}", mu=mu)
     return LogLikelihoodScorer(model.items(), stats, mu)
 
 
@@ -442,7 +443,7 @@ def mix_doc_models(
         doc = index.doc(doc_id)
         length = doc.length
         if length == 0:
-            raise ValueError(f"document {shown(doc.doc_id)} has no analyzed tokens")
+            raise InputError("document {doc} has no analyzed tokens", doc=doc.doc_id)
         for term, count in doc.term_counts.items():
             weights[term] = weights.get(term, 0.0) + doc_weight * (count / length)
     return TermDistribution.from_weights(weights)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .baselines import qa_scorer, rm3_model
 from .index import InvertedIndex
-from .inputs import shown
+from .inputs import InputError
 from .lm import (
     RankedList,
     TermDistribution,
@@ -105,14 +105,16 @@ class RunConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {shown(self.method)} "
-                             "(the run command's --help lists the methods)")
+            raise InputError("unknown method {method} (the run command's --help lists the "
+                             "methods)", method=self.method)
         for param in PARAMS:
             value = getattr(self, param.field)
             if type(getattr(RunConfig, param.field)) is int and type(value) is not int:
-                raise ValueError(f"{param.field} must be an integer, got {shown(value)}")
+                raise InputError("{field!s} must be an integer, got {value}", field=param.field,
+                                 value=value)
             if not param.valid(value):
-                raise ValueError(f"{param.field} must be {param.expected}, got {shown(value)}")
+                raise InputError("{field!s} must be {expected!s}, got {value}", field=param.field,
+                                 expected=param.expected, value=value)
 
     def srm_params(self) -> SrmParams:
         variant = VARIANT_QUERY_CHANGE if self.method == METHOD_SRM_QC else VARIANT_RM1
@@ -171,9 +173,8 @@ def score_session_full(
     """
     q_n = session.current_query
     if not q_n.tokens:
-        raise ValueError(
-            f"session {shown(session.session_id)}: current query has no analyzable terms"
-        )
+        raise InputError("session {session}: current query has no analyzable terms",
+                         session=session.session_id)
     scored_again = stages is not None
     if stages is None:
         stages = Stages()

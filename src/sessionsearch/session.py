@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 
 from .analysis import AnalyzedText, analyze, term_memo
 from .index import InvertedIndex
-from .inputs import PAIRED, json_field, load_json, shown, shown_ids, valid_id
+from .inputs import InputError, json_field, load_json, shown_ids, valid_id
 from .lm import LogLikelihoodScorer, rank_documents
 
 
@@ -51,13 +51,12 @@ class SessionStep:
         seen = set()
         for doc_id in self.impressions:
             if doc_id in seen:
-                raise ValueError(f"duplicate impression {shown(doc_id)}")
+                raise InputError("duplicate impression {doc}", doc=doc_id)
             seen.add(doc_id)
         for click in self.clicks:
             if click.doc_id not in seen:
-                raise ValueError(
-                    f"clicked doc {shown(click.doc_id, PAIRED)} does not appear in the impressions"
-                )
+                raise InputError("clicked doc {doc} does not appear in the impressions",
+                                 doc=click.doc_id)
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class Session:
         """Queries q_1..q_t, where step len(history)+1 is the current query."""
         n = len(self.history) + 1
         if not 1 <= t <= n:
-            raise ValueError(f"step {t} out of range 1..{n}")
+            raise InputError("step {t} out of range 1..{n}", t=t, n=n)
         return self.queries[:t]
 
 
@@ -169,11 +168,9 @@ def select_feedback_docs(
     statistics and are skipped. No impressions at all yields an empty set.
     """
     if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
-    n = len(session.history) + 1
-    if not 1 <= t <= n:
-        raise ValueError(f"step {t} out of range 1..{n}")
-    steps = session.history[: min(t, len(session.history))]
+        raise InputError("m must be positive, got {m}", m=m)
+    queries = session.queries_up_to(t)
+    steps = session.history[:t]
 
     clicked: dict[str, None] = {}
     for step in steps:
@@ -191,7 +188,7 @@ def select_feedback_docs(
     if not pool:
         return FeedbackSet((), FeedbackSource.PSEUDO)
 
-    info_need = pseudo_info_need(session.queries_up_to(t))
+    info_need = pseudo_info_need(queries)
     score = LogLikelihoodScorer(info_need.counts().items(), index.stats, mu)
     scored = rank_documents(zip(pool, score.scores(map(index.doc_table.__getitem__, pool))))
     return FeedbackSet(tuple(doc_id for doc_id, _ in scored[:m]), FeedbackSource.PSEUDO)
@@ -212,20 +209,21 @@ def load_sessions(
     """
     raw = load_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("sessions"), list):
-        raise ValueError(f"{path}: expected a top-level object with a 'sessions' list")
+        raise InputError("expected a top-level object with a 'sessions' list", path)
     sessions = []
     with term_memo():
         for pos, entry in enumerate(raw["sessions"]):
             try:
                 sessions.append(_parse_session(entry, analyzer))
             except ValueError as exc:
-                has_id = isinstance(entry, dict) and "session_id" in entry
-                label = shown(entry["session_id"], PAIRED) if has_id else f"#{pos}"
-                raise ValueError(f"{path}: session {label}: {exc}") from exc
+                if isinstance(entry, dict) and "session_id" in entry:
+                    raise InputError.within(exc, "session {session}", path,
+                                            session=entry["session_id"]) from exc
+                raise InputError.within(exc, "session #{pos}", path, pos=pos) from exc
     counts = Counter(session.session_id for session in sessions)
     repeated = sorted(session_id for session_id, count in counts.items() if count > 1)
     if repeated:
-        raise ValueError(f"{path}: duplicate session ids: {shown_ids(repeated)}")
+        raise InputError("duplicate session ids: {ids!s}", path, ids=shown_ids(repeated))
     return sessions
 
 

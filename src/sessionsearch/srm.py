@@ -20,7 +20,7 @@ from typing import AbstractSet, Mapping, Optional
 from .analysis import AnalyzedText
 from .baselines import rm1_model
 from .index import InvertedIndex
-from .inputs import shown
+from .inputs import InputError
 from .lm import (
     NEG_INF,
     RankedList,
@@ -77,11 +77,11 @@ class SrmParams:
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {shown(self.gamma)}")
+            raise InputError("gamma must be in [0, 1], got {gamma}", gamma=self.gamma)
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {shown(self.lam)}")
+            raise InputError("lambda must be in [0, 1], got {lam}", lam=self.lam)
         if self.variant not in (VARIANT_QUERY_CHANGE, VARIANT_RM1):
-            raise ValueError(f"unknown variant {shown(self.variant)}")
+            raise InputError("unknown variant {variant}", variant=self.variant)
 
 
 @dataclass
@@ -315,9 +315,8 @@ def build_session_model(
     """
     q_n = session.current_query
     if not q_n.tokens:
-        raise ValueError(
-            f"session {shown(session.session_id)}: current query has no analyzable terms"
-        )
+        raise InputError("session {session}: current query has no analyzable terms",
+                         session=session.session_id)
     if stages is None:
         stages = Stages()
     mu = params.mu

@@ -28,6 +28,13 @@ def average_precision(ranking, grades):
     return total / len(relevant)
 
 
+def mrr(ranking, grades):
+    """One over the rank of the first relevant doc (grade > 0) retrieved;
+    0 when none is."""
+    ranks = [rank for rank in range(1, len(ranking) + 1) if grades.get(ranking[rank - 1], 0) > 0]
+    return 1 / ranks[0] if ranks else 0.0
+
+
 def dcg_at_k(ranking, grades, k):
     """Discounted cumulative gain at k (Järvelin & Kekäläinen, TOIS 2002),
     with the gain 2^grade - 1 and the log2(rank + 1) discount of evalkit."""

@@ -436,14 +436,16 @@ class TestRunCommand:
         assert "bad.json" in err and "'query' must be a string" in err
         assert "absent.idx" not in err
 
-    def test_nan_dwell_rejected(self, workspace, capsys):
+    def test_nan_dwell_rejected(self, workspace, capsys, monkeypatch):
         # Python's json reads NaN; it was once kept as the click's dwell.
         payload = json.loads(json.dumps(SESSIONS))
         payload["sessions"][0]["steps"][0]["clicks"][0]["dwell"] = float("nan")
-        bad = write_sessions(workspace["dir"], payload, name="bad.json")
+        # A short relative path keeps the line whole (a long one is cut).
+        bad = write_sessions(workspace["dir"], payload, name="bad.json").name
+        monkeypatch.chdir(workspace["dir"])
         out = workspace["dir"] / "run.txt"
         rc = main([
-            "run", "--index", str(workspace["index"]), "--sessions", str(bad),
+            "run", "--index", str(workspace["index"]), "--sessions", bad,
             "--qrels", str(workspace["qrels"]), "--out", str(out), "--method", "srm-qc",
         ])
         assert rc == 2
@@ -687,13 +689,14 @@ class TestTuneCommand:
         assert label in err
         assert "absent" not in err
 
-    def test_conflicting_qrels_grades_rejected(self, workspace, capsys):
-        qrels = workspace["dir"] / "conflict_qrels.txt"
-        qrels.write_text(QRELS_TEXT + "t1 0 d1 0\n", encoding="utf-8")
+    def test_conflicting_qrels_grades_rejected(self, workspace, capsys, monkeypatch):
+        qrels = "conflict_qrels.txt"  # relative and short, so the line keeps it whole
+        (workspace["dir"] / qrels).write_text(QRELS_TEXT + "t1 0 d1 0\n", encoding="utf-8")
+        monkeypatch.chdir(workspace["dir"])
         rc = main([
             "tune", "--index", str(workspace["index"]),
             "--sessions", str(workspace["sessions"]),
-            "--qrels", str(qrels), "--lambda", "0.5",
+            "--qrels", qrels, "--lambda", "0.5",
         ])
         assert rc == 2
         err = capsys.readouterr().err
@@ -735,13 +738,16 @@ class TestTuneCommand:
         assert rc == 2
         assert "duplicate session ids: 1 ('s1')" in capsys.readouterr().err
 
-    def test_no_servable_session_rejected_before_qrels_and_index(self, workspace, capsys):
+    def test_no_servable_session_rejected_before_qrels_and_index(
+        self, workspace, capsys, monkeypatch
+    ):
         stopwords = write_sessions(
             workspace["dir"], {"sessions": [SESSIONS["sessions"][1]]}, name="stopwords.json"
-        )
+        ).name  # relative and short, so the line keeps it whole
+        monkeypatch.chdir(workspace["dir"])
         absent = workspace["dir"] / "absent"
         rc = main([
-            "tune", "--index", str(absent / "x.idx"), "--sessions", str(stopwords),
+            "tune", "--index", str(absent / "x.idx"), "--sessions", stopwords,
             "--qrels", str(absent / "q.txt"), "--lambda", "0.5",
         ])
         assert rc == 2
@@ -1268,7 +1274,9 @@ class TestParameterFlags:
         (["eval", "--depth", "x"], None, "--depth must be an integer, got 'x'"),
         (["eval", "--depth", LONG], None, "--depth must be an integer, got " + CUT),
     ])
-    def test_bad_value_gets_one_error_line_naming_it(self, tmp_path, capsys, argv, config, line):
+    def test_bad_value_gets_one_error_line_naming_it(
+        self, tmp_path, capsys, monkeypatch, argv, config, line
+    ):
         # No input exists: every value must be checked before any is read.
         absent = tmp_path / "absent"
         files = {"run": ["--index", "i", "--sessions", "s", "--out", "o"],
@@ -1276,10 +1284,11 @@ class TestParameterFlags:
                  "eval": ["--run", "r", "--sessions", "s", "--qrels", "q"]}[argv[0]]
         argv = [*argv, *[str(absent / a) if a[0] != "-" else a for a in files]]
         if config is not None:
-            path = tmp_path / "params.json"
-            path.write_text(json.dumps(config), encoding="utf-8")
-            argv += ["--config", str(path)]
-            line = f"{path}: {line}"
+            # A short relative path keeps the line whole (a long one is cut).
+            (tmp_path / "params.json").write_text(json.dumps(config), encoding="utf-8")
+            monkeypatch.chdir(tmp_path)
+            argv += ["--config", "params.json"]
+            line = f"params.json: {line}"
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
 

@@ -1,4 +1,5 @@
-"""Differential test: AP, nDCG@k and nERR@k against tests/metric_oracle.py.
+"""Differential test: AP, nDCG@k, nERR@k and MRR against tests/metric_oracle.py,
+and the report's metric bundle against the separate per-metric calls.
 
 Hypothesis draws rankings over a small pool of doc ids and grade maps that
 judge some of them, ranked or not, so that missed relevant docs, unjudged
@@ -13,7 +14,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import metric_oracle  # noqa: E402
 
-from sessionsearch.evalkit import average_precision, ndcg_at_k, nerr_at_k  # noqa: E402
+from sessionsearch.evalkit import (  # noqa: E402
+    average_precision,
+    mrr,
+    ndcg_at_k,
+    nerr_at_k,
+    session_metrics,
+)
 
 POOL = [f"d{i}" for i in range(9)]
 TOLERANCE = 1e-12
@@ -42,3 +49,20 @@ def test_metrics_match_their_definitions(case):
     assert nerr_at_k(ranking, grades, k, g_max) == pytest.approx(
         metric_oracle.nerr_at_k(ranking, grades, k, g_max), rel=0, abs=TOLERANCE
     )
+    assert mrr(ranking, grades) == pytest.approx(
+        metric_oracle.mrr(ranking, grades), rel=0, abs=TOLERANCE
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=judged_rankings(), depth=st.integers(1, len(POOL)))
+def test_session_metrics_equal_the_separate_calls_bit_for_bit(case, depth):
+    # depth may be shorter than the ranking, and k may pass its end.
+    ranking, grades, k, g_max = case
+    assert session_metrics(ranking, grades, k, depth, g_max) == {
+        f"ndcg@{k}": ndcg_at_k(ranking, grades, k),
+        "ndcg": ndcg_at_k(ranking, grades, depth),
+        f"nerr@{k}": nerr_at_k(ranking, grades, k, g_max),
+        "mrr": mrr(ranking, grades),
+        "map": average_precision(ranking, grades),
+    }
