@@ -96,6 +96,73 @@ def _gain(grade: int) -> float:
     return (2.0 ** grade) - 1.0
 
 
+def _check_cutoff(k: int) -> None:
+    if k <= 0:
+        raise InputError("k must be positive, got {k}", k=k)
+
+
+def _check_g_max(grades: Mapping[str, int], g_max: int) -> None:
+    if g_max < max(grades.values(), default=0):
+        raise InputError("g_max {g_max} is below the highest grade in qrels", g_max=g_max)
+
+
+# A metric reads (rank, grade) pairs in rank order: those of the relevant
+# (grade > 0) docs in a ranking, its hits, or those of the ideal ranking.
+Ranks = Sequence[tuple[int, int]]
+
+
+def _judged(ranking: RankedDocs, grades: Mapping[str, int]) -> tuple[Ranks, Ranks]:
+    """The hits of ranking, from one C-level scan of it, and the ideal
+    ranking: every relevant doc, by grade."""
+    relevant = {doc_id: grade for doc_id, grade in grades.items() if grade > 0}
+    hits = [(rank, relevant[ranking[rank - 1]]) for rank in
+            itertools.compress(itertools.count(1), map(relevant.__contains__, ranking))]
+    return hits, list(enumerate(sorted(relevant.values(), reverse=True), start=1))
+
+
+def _dcg(ranks: Ranks, k: int) -> float:
+    dcg = 0.0
+    for rank, grade in ranks:
+        if rank > k:
+            break
+        dcg += _gain(grade) / math.log2(rank + 1)
+    return dcg
+
+
+def _ndcg(hits: Ranks, ideal: Ranks, k: int) -> float:
+    return _dcg(hits, k) / _dcg(ideal, k) if ideal else 0.0
+
+
+def _err(ranks: Ranks, k: int, g_max: int) -> float:
+    # A grade-0 rank would add exactly 0.0 and multiply by exactly 1.0.
+    err = 0.0
+    not_satisfied = 1.0
+    denom = 2.0 ** g_max
+    for rank, grade in ranks:
+        if rank > k:
+            break
+        stop = _gain(grade) / denom
+        err += not_satisfied * stop / rank
+        not_satisfied *= 1.0 - stop
+    return err
+
+
+def _nerr(hits: Ranks, ideal: Ranks, k: int, g_max: int) -> float:
+    ideal_err = _err(ideal, k, g_max) if ideal else 0.0
+    return _err(hits, k, g_max) / ideal_err if ideal_err > 0.0 else 0.0
+
+
+def _mrr(hits: Ranks) -> float:
+    return 1.0 / hits[0][0] if hits else 0.0
+
+
+def _average_precision(hits: Ranks, ideal: Ranks) -> float:
+    precision_sum = 0.0
+    for found, (rank, _) in enumerate(hits, start=1):
+        precision_sum += found / rank
+    return precision_sum / len(ideal) if ideal else 0.0
+
+
 def ndcg_at_k(ranking: RankedDocs, grades: Mapping[str, int], k: int) -> float:
     """Normalized discounted cumulative gain at cutoff k.
 
@@ -103,81 +170,44 @@ def ndcg_at_k(ranking: RankedDocs, grades: Mapping[str, int], k: int) -> float:
     all judged docs sorted by grade, truncated at k. Topics with no relevant
     docs score 0.
     """
-    if k <= 0:
-        raise InputError("k must be positive, got {k}", k=k)
-    dcg = 0.0
-    for rank, doc_id in enumerate(ranking[:k], start=1):
-        grade = grades.get(doc_id, 0)
-        if grade > 0:
-            dcg += _gain(grade) / math.log2(rank + 1)
-    ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
-    if not ideal:
-        return 0.0
-    idcg = 0.0
-    for rank, grade in enumerate(ideal[:k], start=1):
-        idcg += _gain(grade) / math.log2(rank + 1)
-    return dcg / idcg
-
-
-def _err_at_k(graded: Sequence[int], k: int, g_max: int) -> float:
-    err = 0.0
-    not_satisfied = 1.0
-    denom = 2.0 ** g_max
-    for rank, grade in enumerate(graded[:k], start=1):
-        stop = _gain(grade) / denom
-        err += not_satisfied * stop / rank
-        not_satisfied *= 1.0 - stop
-    return err
+    _check_cutoff(k)
+    return _ndcg(*_judged(ranking, grades), k)
 
 
 def nerr_at_k(
     ranking: RankedDocs, grades: Mapping[str, int], k: int, g_max: int
 ) -> float:
     """Expected reciprocal rank at k, normalized by the ideal ERR at k."""
-    if k <= 0:
-        raise InputError("k must be positive, got {k}", k=k)
-    if g_max < max(grades.values(), default=0):
-        raise InputError("g_max {g_max} is below the highest grade in qrels", g_max=g_max)
-    observed = [grades.get(doc_id, 0) for doc_id in ranking[:k]]
-    ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
-    ideal_err = _err_at_k(ideal, k, g_max) if ideal else 0.0
-    if ideal_err <= 0.0:
-        return 0.0
-    return _err_at_k(observed, k, g_max) / ideal_err
+    _check_cutoff(k)
+    _check_g_max(grades, g_max)
+    return _nerr(*_judged(ranking, grades), k, g_max)
 
 
 def mrr(ranking: RankedDocs, grades: Mapping[str, int]) -> float:
     """Reciprocal rank of the first doc with grade > 0; 0 if none ranked."""
-    for rank, doc_id in enumerate(ranking, start=1):
-        if grades.get(doc_id, 0) > 0:
-            return 1.0 / rank
-    return 0.0
+    return _mrr(_judged(ranking, grades)[0])
 
 
 def average_precision(ranking: RankedDocs, grades: Mapping[str, int]) -> float:
     """Binary-relevance average precision against all judged relevant docs."""
-    total_relevant = sum(1 for grade in grades.values() if grade > 0)
-    if total_relevant == 0:
-        return 0.0
-    hits = 0
-    precision_sum = 0.0
-    for rank, doc_id in enumerate(ranking, start=1):
-        if grades.get(doc_id, 0) > 0:
-            hits += 1
-            precision_sum += hits / rank
-    return precision_sum / total_relevant
+    return _average_precision(*_judged(ranking, grades))
 
 
 def session_metrics(
     ranking: RankedDocs, grades: Mapping[str, int], k: int, depth: int, g_max: int
 ) -> dict[str, float]:
-    """The report's per-session metric bundle."""
+    """The report's per-session metric bundle, equal to the separate calls,
+    from one scan of the ranking and one sort of the ideal grades."""
+    _check_cutoff(k)
+    _check_cutoff(depth)
+    _check_g_max(grades, g_max)
+    hits, ideal = _judged(ranking, grades)
     return {
-        f"ndcg@{k}": ndcg_at_k(ranking, grades, k),
-        "ndcg": ndcg_at_k(ranking, grades, depth),
-        f"nerr@{k}": nerr_at_k(ranking, grades, k, g_max),
-        "mrr": mrr(ranking, grades),
-        "map": average_precision(ranking, grades),
+        f"ndcg@{k}": _ndcg(hits, ideal, k),
+        "ndcg": _ndcg(hits, ideal, depth),
+        f"nerr@{k}": _nerr(hits, ideal, k, g_max),
+        "mrr": _mrr(hits),
+        "map": _average_precision(hits, ideal),
     }
 
 
@@ -207,18 +237,47 @@ def build_report(
     }
 
 
+def _score_texts(scores: Sequence[float]) -> list[str]:
+    """repr of each score, computed once per run of equal adjacent scores.
+
+    A ranking is sorted by score, so equal scores sit together. Equal floats
+    have one repr, except 0.0 and -0.0, so a zero is always shown afresh;
+    NaN equals nothing, not even itself, so it is too. A score that is not
+    exactly a float (an int, a bool, a float subclass) can equal a float
+    and show otherwise, so it, and the score after it, are shown afresh.
+    """
+    texts: list[str] = []
+    append = texts.append
+    last = text = None
+    for score in scores:
+        if score != last or not score or score.__class__ is not float:
+            last = score if score.__class__ is float else None
+            text = repr(score)
+        append(text)
+    return texts
+
+
 def write_run_file(
     path: str | Path, rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str
 ) -> None:
     """Write rankings as 6-column TREC run lines: key Q0 doc rank score tag.
 
     The file is written one key's lines at a time, so no copy of the whole
-    file is ever built.
+    file is ever built. A key's lines are one join over its docs, ranks and
+    score texts; the rank strings are made once and shared by every key.
     """
+    ranks: list[str] = []
+    tail = f" {tag}\n"
     with open(path, "w", encoding="utf-8") as handle:
         for key, ranking in rankings.items():
-            handle.write("".join(f"{key} Q0 {doc_id} {rank} {score!r} {tag}\n"
-                                 for rank, (doc_id, score) in enumerate(ranking, start=1)))
+            if not ranking:
+                continue
+            if len(ranking) > len(ranks):
+                ranks.extend(map(str, range(len(ranks) + 1, len(ranking) + 1)))
+            doc_ids, scores = zip(*ranking)
+            head = f"{key} Q0 "
+            handle.write(head + (tail + head).join(
+                map(" ".join, zip(doc_ids, ranks, _score_texts(scores)))) + tail)
 
 
 def parse_run_file(path: str | Path) -> dict[str, list[tuple[str, float]]]:

@@ -326,6 +326,16 @@ def kl_divergence(p_dist: TermDistribution, q_dist: TermDistribution) -> float:
     return max(total, 0.0)
 
 
+def cross_entropy_weights(model: TermDistribution, mu: float) -> dict[str, float]:
+    """The {term: weight} that cross_entropy_scorer scores with; an empty
+    model or mu <= 0 raises ValueError."""
+    if model.is_zero:
+        raise ValueError("cannot score with an empty model")
+    if mu <= 0:
+        raise InputError("cross-entropy scoring requires mu > 0, got {mu}", mu=mu)
+    return dict(model.items())
+
+
 def cross_entropy_scorer(
     model: TermDistribution, stats: CollectionStats, mu: float
 ) -> LogLikelihoodScorer:
@@ -335,11 +345,7 @@ def cross_entropy_scorer(
     A document scores -inf when any model term has zero smoothed probability
     (absent from the corpus entirely).
     """
-    if model.is_zero:
-        raise ValueError("cannot score with an empty model")
-    if mu <= 0:
-        raise InputError("cross-entropy scoring requires mu > 0, got {mu}", mu=mu)
-    return LogLikelihoodScorer(model.items(), stats, mu)
+    return LogLikelihoodScorer(cross_entropy_weights(model, mu).items(), stats, mu)
 
 
 def generalized_jaccard_sim(

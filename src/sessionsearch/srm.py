@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import AbstractSet, Mapping, Optional
+from operator import itemgetter, mul
+from typing import AbstractSet, Collection, Mapping, Optional
 
 from .analysis import AnalyzedText
 from .baselines import rm1_model
@@ -26,9 +26,11 @@ from .lm import (
     RankedList,
     TermDistribution,
     ZERO,
+    _background_mass,
     background_mass,
     clip_distribution,
     cross_entropy_scorer,
+    cross_entropy_weights,
     generalized_jaccard_sim,
     interpolate,
     kl_divergence,
@@ -374,16 +376,19 @@ class CandidateMatching:
     Holds the candidates in doc_id order, each with its first-pass score,
     its length and the (term, tf) pairs its document shares with the terms
     models have held so far (a model with new terms adds theirs in one pass
-    over the candidates), per mu each pair's lm.log_ratio, so that a
-    model's summand of a pair is its weight times the kept ratio, and each
-    ranking made, keyed by mu and the model's exact items. A model's
-    ranking is then one stable sort by score, which leaves equal scores in
-    doc_id order. rerank returns a kept ranking itself, so callers must not
-    mutate it.
+    over the candidates); per mu each pair's lm.log_ratio, so that a
+    model's summand of a pair is its weight times the kept ratio, each
+    term's ln(mu P(w|C)) and each candidate length's ln(length + mu), from
+    which a model's constant and bases are built as LogLikelihoodScorer
+    builds them; and each ranking made, keyed by mu and the model's exact
+    items. A model's ranking is then one stable sort by score, which leaves
+    equal scores in doc_id order. rerank returns a kept ranking itself, so
+    callers must not mutate it.
     """
 
     __slots__ = ("candidates", "index", "_ids", "_first_pass", "_docs", "_lengths",
-                 "_matched_terms", "_positions", "_pairs", "_matched", "_ratios", "_rankings")
+                 "_matched_terms", "_positions", "_pairs", "_matched", "_ratios", "_log_masses",
+                 "_log_lengths", "_rankings")
 
     def __init__(self, candidates: RankedList, index: InvertedIndex):
         self.candidates = candidates
@@ -401,6 +406,10 @@ class CandidateMatching:
         self._matched: list[tuple[int, ...]] = [()] * len(candidates)
         # Per mu, the log-ratio of each pair in _pairs, in its order.
         self._ratios: dict[float, list[float]] = {}
+        # Per mu, {term: ln(mu P(term|C)), or None for a term the corpus
+        # lacks} and {length: ln(length + mu)}.
+        self._log_masses: dict[float, dict[str, Optional[float]]] = {}
+        self._log_lengths: dict[float, dict[int, float]] = {}
         self._rankings: dict[tuple, RankedList] = {}
 
     def _match(self, terms: AbstractSet[str]) -> None:
@@ -426,11 +435,24 @@ class CandidateMatching:
             fresh = self._pairs[len(ratios):]
             masses = [background_mass(stats.collection_tf[term], stats, mu) for term, _ in fresh]
             # A matched term is in the corpus and mu > 0. A mass that rounds
-            # to 0 gives NaN, which no table reads: cross_entropy_scorer
-            # refuses every model that holds the term at this mu.
+            # to 0 gives NaN, which no table reads: a model that holds the
+            # term is refused at this mu.
             ratios.extend(log_ratio(tf, mass) if mass else math.nan
                           for (_, tf), mass in zip(fresh, masses))
         return ratios
+
+    def _log_background(self, terms: Collection[str], mu: float) -> list[Optional[float]]:
+        """ln(mu P(w|C)) of each term at mu > 0, None for a term the corpus
+        lacks. A term's mass is checked by lm._background_mass when first
+        seen at mu, in the order given, so a bad mass raises the scorer's
+        error naming the same term."""
+        kept = self._log_masses.setdefault(mu, {})
+        stats = self.index.stats
+        for term in terms:
+            if term not in kept:
+                cf = stats.collection_tf.get(term, 0)
+                kept[term] = math.log(_background_mass(term, cf, stats, mu)) if cf else None
+        return list(map(kept.__getitem__, terms))
 
     def rerank(self, model: TermDistribution, mu: float) -> RankedList:
         """rerank(self.candidates, model, self.index, mu), bit for bit."""
@@ -438,20 +460,27 @@ class CandidateMatching:
         ranking = self._rankings.get(key)
         if ranking is None:
             self._match(model.support())
-            score = cross_entropy_scorer(model, self.index.stats, mu)
-            weights = score.weights
-            # weight * ratio is score.summand(term, tf), the same expression.
-            # A matched term outside the model adds 0.0, which leaves fsum's
-            # correctly rounded sum as it was; fsum of one summand is that
-            # summand, as scores() adds it.
-            table = [weights[term] * ratio if term in weights else 0.0
-                     for (term, _), ratio in zip(self._pairs, self._log_ratios(mu))]
-            if score.required:
-                # A required term (cf = 0, as mu > 0) is in no document, so
-                # every candidate scores its first pass plus -inf.
+            weights = cross_entropy_weights(model, mu)
+            logs = self._log_background(weights, mu)
+            if None in logs:
+                # A term the corpus lacks is in no document, so every
+                # candidate scores its first pass plus -inf.
                 scores = [NEG_INF] * len(self._ids)
             else:
-                bases = {length: score.base(length) for length in set(self._lengths)}
+                # weight * ratio is LogLikelihoodScorer.summand(term, tf),
+                # the same expression. A matched term outside the model adds
+                # 0.0, which leaves fsum's correctly rounded sum as it was;
+                # fsum of one summand is that summand, as scores() adds it.
+                table = [weights[term] * ratio if term in weights else 0.0
+                         for (term, _), ratio in zip(self._pairs, self._log_ratios(mu))]
+                # The scorer's constant and base(length), from kept logs.
+                constant = math.fsum(map(mul, weights.values(), logs))
+                total = math.fsum(weights.values())
+                if mu not in self._log_lengths:
+                    self._log_lengths[mu] = {length: math.log(length + mu)
+                                             for length in set(self._lengths)}
+                bases = {length: constant - total * log
+                         for length, log in self._log_lengths[mu].items()}
                 summand = table.__getitem__
                 scores = [ql + (bases[length] + math.fsum(map(summand, positions)))
                           for ql, length, positions

@@ -38,7 +38,9 @@ makes anchor_feedback return the feedback model itself.
 Two more tests pin those cases: a kept matching made from candidates out
 of doc_id order ranks tied twins in doc_id order, as the direct rerank
 does (and a pair matched for a model the scorer refused at a tiny mu does
-not stop the next model); and at lambda = 1 the memo keeps the feedback model under its own
+not stop the next model); a kept matching, which checks each term's mass
+once per mu, fails with the direct rerank's error, naming the same term,
+every time; and at lambda = 1 the memo keeps the feedback model under its own
 key and the anchoring's, and later points score as a fresh memo would.
 
 A last one walks a lambda x gamma grid under one shared Stages on a session
@@ -62,7 +64,7 @@ from conftest import DIVERGENCE_EXAMPLE, instance_index, instance_session  # noq
 
 from sessionsearch import pipeline, srm  # noqa: E402
 from sessionsearch.evalkit import Qrels, grid_tune  # noqa: E402
-from sessionsearch.lm import TermDistribution, top_k_by_query_likelihood  # noqa: E402
+from sessionsearch.lm import ZERO, TermDistribution, top_k_by_query_likelihood  # noqa: E402
 from sessionsearch.pipeline import (  # noqa: E402
     METHODS,
     RunConfig,
@@ -532,6 +534,28 @@ def test_a_kept_matching_skips_a_pair_whose_background_mass_rounds_to_zero():
     model = TermDistribution.from_weights({"w0": 1.0})
     assert hexed(rerank(candidates, model, index, mu, matching)) == hexed(
         rerank(candidates, model, index, mu))
+
+
+def test_a_kept_matching_fails_as_the_direct_rerank_every_time():
+    # At the smallest mu the masses of w1 and w2 (1/9 each) round to 0 and
+    # w0's (7/9) does not. Each model is scored twice, so the second call
+    # finds its terms' logs, or their refusal, kept.
+    index = instance_index({"docs": {"d0": {"w0": 4, "w1": 1, "w2": 1}, "d1": {"w0": 3}}})
+    candidates = [("d0", 0.0), ("d1", 0.0)]
+    matching = CandidateMatching(candidates, index)
+    models = [ZERO] + [TermDistribution.from_weights(weights) for weights in (
+        {"w0": 0.5, "w2": 0.5}, {"w0": 1.0}, {"w1": 0.5, "w2": 0.5}, {"w2": 0.5, "w1": 0.5},
+        {FOREIGN: 0.5, "w1": 0.5}, {FOREIGN: 0.5, "w0": 0.5})]
+
+    def outcome(model, mu, *matched):
+        try:
+            return hexed(rerank(candidates, model, index, mu, *matched))
+        except ValueError as exc:
+            return str(exc)
+
+    for mu in (5e-324, 0.0, 10.0) * 2:
+        for model in models:
+            assert outcome(model, mu, matching) == outcome(model, mu)
 
 
 @pytest.mark.parametrize("method", ["srm-qc", "srm-rm1"])

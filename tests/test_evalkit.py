@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import run_file_reference
 from conftest import make_session
 
 from sessionsearch import evalkit
@@ -328,6 +329,30 @@ class TestRunFiles:
         write_run_file(path, {}, "t")
         assert path.read_text(encoding="utf-8") == ""
         assert parse_run_file(path) == {}
+
+    def test_written_bytes_equal_the_reference_writers(self, tmp_path):
+        # Runs of equal scores, zeros of both signs side by side, NaNs (one
+        # object repeated, and fresh ones), infinities, scores equal to a
+        # float that show otherwise, an empty ranking between two keys, and
+        # keys longer than every key before them.
+        class Score(float):
+            def __repr__(self):
+                return f"Score({float.__repr__(self)})"
+
+        nan = float("nan")
+        scores = ([math.inf] * 3 + [0.5] + [-1.25] * 1500 + [nan, nan, float("nan"), -nan]
+                  + [0.0, -0.0, -0.0, 0.0, 0.0] + [-0.0] * 3 + [-math.inf] * 4)
+        rankings = {
+            "s1": [("a", 0.0), ("b", -0.0), ("c", -0.0), ("d", 0.0)],
+            "s2": [],
+            "s3": [(f"d{rank}", score) for rank, score in enumerate(scores)],
+            "s4": [("z", nan), ("y", nan), ("x", -2.0)],
+            "s6": [("a", 1.0), ("b", 1), ("c", True), ("d", Score(1.0)), ("e", 1.0)],
+            "s5": [(f"e{rank}", -3.0 - rank // 7) for rank in range(2000)],
+        }
+        write_run_file(tmp_path / "new.txt", rankings, "srm-qc")
+        run_file_reference.write_run_file(tmp_path / "old.txt", rankings, "srm-qc")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 def guard_rankings():

@@ -134,7 +134,6 @@ def test_another_interpreter_writes_the_pinned_outputs(version, path, tmp_path):
 
 # The package's builtin sum() calls, each over ints: (module, call as unparsed).
 INTEGER_SUMS = [
-    ("evalkit.py", "sum((1 for grade in grades.values() if grade > 0))"),
     ("index.py", "sum(self.lengths.values())"),
     ("index.py", "sum(values)"),
 ]
