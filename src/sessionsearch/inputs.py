@@ -13,11 +13,11 @@ from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
 
-# The width shown() cuts each of two ids to when they share an error line,
-# so that the line stays within LINE_WIDTH characters.
+# The width shown_ids cuts each listed id to, so that three of them fit on
+# an error line beside its text.
 PAIRED = 20
 # The most characters an `error:` line holds, "error: " included, when
-# cutting its path can make it so.
+# cutting its path, values and file name can make it so.
 LINE_WIDTH = 120
 
 _FORMATTER = string.Formatter()
@@ -26,11 +26,11 @@ _FORMATTER = string.Formatter()
 def shown(value, width: int = 40) -> str:
     """repr(value) for an error line, cut to width characters and '…'. An
     int past int()'s digit limit, which repr cannot write, shows its bit
-    length."""
+    length instead."""
     try:
         text = repr(value)
     except ValueError:
-        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        text = f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
     return text if len(text) <= width else text[:width] + "…"
 
 
@@ -44,12 +44,10 @@ def shown_ids(ids: Sequence) -> str:
 class InputError(ValueError):
     """A fault in an input or a value. The message is the path and "line N",
     each when given, then text, joined by ': ' (text may place the path
-    itself, as {path}). Each other {name} in text shows the value named so
-    through shown, cut to 40 characters, or to PAIRED when two or more
-    strings (ids) share the message; {name!s} and {name!r} show text the
-    program made (a flag, a field name, shown_ids of a list) whole. str()
-    holds the whole path; line() cuts it so that the printed line fits
-    LINE_WIDTH."""
+    itself, as {path}). Each other {name} in text shows its value through
+    shown; {name!s} and {name!r} show the program's own text (a flag, a field
+    name, shown_ids of a list) whole. str() shows values at 40 characters and
+    the whole path; line() cuts both to fit LINE_WIDTH."""
 
     def __init__(self, text: str, path=None, line: int = 0, **values):
         super().__init__(text)
@@ -66,21 +64,23 @@ class InputError(ValueError):
         return self._message(self.path)
 
     def line(self) -> str:
-        """'error: ' and the message, its path cut from the left to '…', but
-        not into its last separator and file name, as far as the line needs
-        to fit LINE_WIDTH."""
+        """'error: ' and the message, cut only as far as LINE_WIDTH needs: the
+        path from the left to '…' and its last separator and file name, then
+        every shown value to one width from 40 down to 8, then the file name."""
         path = str(self.path)
         name = len(path) - path.rfind(os.sep)  # the file name and its separator
-        keep = max(len(path) + LINE_WIDTH - len(f"error: {self}") - 1, name)
-        cut = self.path is not None and keep + 1 < len(path)
-        return f"error: {self._message('…' + path[-keep:] if cut else self.path)}"
+        for width, floor in [*((width, name) for width in range(40, 7, -1)), (8, 0)]:
+            line = f"error: {self._message(self.path, width)}"
+            keep = max(len(path) + LINE_WIDTH - len(line) - 1, floor)
+            if self.path is not None and keep + 1 < len(path):
+                line = f"error: {self._message('…' + path[len(path) - keep:], width)}"
+            if len(line) <= LINE_WIDTH:
+                break
+        return line
 
-    def _message(self, path) -> str:
+    def _message(self, path, width: int = 40) -> str:
         converted = {name: conversion for _, name, _, conversion in _FORMATTER.parse(self.text)}
-        ids = [value for name, value in self.values.items()
-               if type(value) is str and not converted.get(name)]
-        values = {name: value if converted.get(name) else
-                  shown(value, PAIRED if len(ids) > 1 and type(value) is str else 40)
+        values = {name: value if converted.get(name) else shown(value, width)
                   for name, value in self.values.items()}
         where = [] if path is None or "path" in converted else [str(path)]
         if self.line_number:

@@ -927,6 +927,7 @@ class TestBadInputFiles:
         assert sorted(d.rglob("*")) == before
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert len(err[0]) <= 120, err[0]
         return err[0]
 
     @pytest.mark.parametrize("role", ["sessions", "snapshot", "config", "corpus"])
@@ -995,8 +996,9 @@ class TestBadInputFiles:
          "line 2: repeated rank 1" + "0" * 39 + "… under key 's1' (first on line 1)"),
         ("long-grade-above-the-maximum", "qrels", "run", "t1 0 d1 1" + "0" * 4000 + "\n",
          "line 1: grade 1" + "0" * 39 + "… is above 64"),
+        # Shown at 40 it would pass 120 characters, so it is narrowed.
         ("long-conflicting-grade", "qrels", "run", "t1 0 d1 -1\nt1 0 d1 -1" + "0" * 4000 + "\n",
-         "line 2: topic 't1' doc 'd1' has grade -1" + "0" * 38
+         "line 2: topic 't1' doc 'd1' has grade -1" + "0" * 30
          + "…, but line 1 gave it grade -1"),
         ("long-config-string", "config", "run", '{"mu": "' + "x" * 100 + '"}',
          "field 'mu' must be a number, got '" + "x" * 39 + "…"),

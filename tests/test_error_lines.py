@@ -8,9 +8,12 @@ that every value reaches the line through its named fields, and through
 shown. Any other exception is raised with constant text. Planted sources
 show that a raw value is found.
 
-The rest checks what InputError decides: two ids on one line are cut to
-PAIRED, and a line that would pass 120 characters cuts its path from the
-left but keeps the file name, in the lines `cli.main` prints.
+The rest checks what InputError decides. Short values print whole. A
+line that would pass 120 characters is cut only as far as it needs: its
+path from the left to the file name, then every shown value to one width,
+then the file name, in the lines `cli.main` prints too. error_texts
+collects every InputError text and record for the property test in
+test_error_line_property.py.
 """
 
 import ast
@@ -23,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from sessionsearch import cli
-from sessionsearch.inputs import LINE_WIDTH, PAIRED, InputError, shown
+from sessionsearch.inputs import LINE_WIDTH, InputError, shown
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sessionsearch"
 HELPER = "InputError"
@@ -77,6 +80,28 @@ def package_sources() -> dict[str, str]:
     return {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
 
 
+def error_texts() -> tuple[list[str], list[str]]:
+    """Every InputError text and every InputError.within record of the
+    package, in source order, a module constant resolved to its string."""
+    texts, records = [], []
+    for name, source in sorted(package_sources().items()):
+        tree = ast.parse(source, filename=name)
+        constants = {node.targets[0].id: node.value.value for node in tree.body
+                     if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                     and isinstance(node.value, ast.Constant)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name) and func.id == HELPER:
+                found, text = texts, node.args[0]
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id == HELPER):
+                found, text = records, node.args[1]
+            else:
+                continue
+            found.append(text.value if isinstance(text, ast.Constant) else constants[text.id])
+    return texts, records
+
+
 def test_every_raised_value_goes_through_input_error():
     sources = package_sources()
     assert "index.py" in sources
@@ -106,17 +131,45 @@ def test_constants_line_numbers_and_helper_output_may_be_interpolated():
     assert raw_interpolations(source, "m.py") == []
 
 
-def test_two_ids_on_one_line_are_cut_to_paired():
+def test_long_values_are_cut_only_when_the_line_needs_it():
+    # Short values print byte for byte, in str() and in the line.
+    short = InputError("repeated rank {rank} under key {key} (first on line {first})",
+                       "r.run", 2, rank=1, key="s1", first=1)
+    assert str(short) == "r.run: line 2: repeated rank 1 under key 's1' (first on line 1)"
+    assert short.line() == f"error: {short}"
+    # Values that fit are shown at 40, two ids and ints alike.
     x, y = "x" * 50, "y" * 50
-    assert str(InputError("doc {doc}", doc=x)) == f"doc {shown(x)}"
+    for error in (InputError("doc {doc} under key {key}", doc=x, key=y),
+                  InputError("rank {rank} under key {key}", rank=10**50, key=y)):
+        assert error.line() == f"error: {error}"
     assert str(InputError("doc {doc} under key {key}", doc=x, key=y)) == (
-        f"doc {shown(x, PAIRED)} under key {shown(y, PAIRED)}")
-    # A number is no id: it keeps 40 characters, and the one string too.
-    assert str(InputError("rank {rank} under key {key}", rank=10**50, key=y)) == (
-        f"rank {shown(10**50)} under key {shown(y)}")
+        f"doc {shown(x)} under key {shown(y)}")
     # A field with a conversion is the program's own text, shown whole.
     assert str(InputError("{flag!s} must be a number, got {value}", flag="--mu", value=x)) == (
         f"--mu must be a number, got {shown(x)}")
+    # Two 30-character ids and two 45-digit grades: every value is cut to
+    # the widest width that fits, the grades too.
+    values = {"topic": "t" * 30, "doc": "d" * 30, "grade": -10**44, "first_grade": -2 * 10**44}
+    conflict = InputError("topic {topic} doc {doc} has grade {grade}, but line {first} gave it "
+                          "grade {first_grade}", "qrels.txt", 2, first=1, **values)
+    assert len(str(conflict)) == 214
+    at = [f"error: qrels.txt: line 2: topic {shown(values['topic'], width)} doc "
+          f"{shown(values['doc'], width)} has grade {shown(values['grade'], width)}, but line 1 "
+          f"gave it grade {shown(values['first_grade'], width)}" for width in (10, 11)]
+    assert conflict.line() == at[0] and len(at[0]) <= LINE_WIDTH < len(at[1])
+
+
+def test_a_conflicting_grade_of_long_values_gets_one_short_line(tmp_path):
+    (tmp_path / "run.txt").write_text("s1 Q0 d1 1 -1.0 t\n", encoding="utf-8")
+    (tmp_path / "s.json").write_text(json.dumps({"sessions": [{
+        "session_id": "s1", "topic_id": "t1", "current_query": "jazz"}]}), encoding="utf-8")
+    # Two 30-character ids and two 45-digit grades.
+    key = f"{'t' * 30} 0 {'d' * 30}"
+    (tmp_path / "qrels.txt").write_text(f"{key} {-10**44}\n{key} {-2 * 10**44}\n",
+                                        encoding="utf-8")
+    line = error_line(["eval", "--run", str(tmp_path / "run.txt"), "--qrels",
+                       str(tmp_path / "qrels.txt"), "--sessions", str(tmp_path / "s.json")])
+    assert "qrels.txt: line 2: topic 'ttt" in line and ", but line 1 gave it grade -1000" in line
 
 
 def test_location_leads_and_a_record_joins_the_values():
@@ -125,13 +178,17 @@ def test_location_leads_and_a_record_joins_the_values():
     assert str(error) == "c.jsonl: line 3: duplicate doc id 'd1' (first on line 1)"
     inner = InputError("clicked doc {doc} does not appear in the impressions", doc="y" * 50)
     outer = InputError.within(inner, "session {session}", "s.json", session="x" * 50)
-    assert str(outer) == (f"s.json: session {shown('x' * 50, PAIRED)}: clicked doc "
-                          f"{shown('y' * 50, PAIRED)} does not appear in the impressions")
+    assert str(outer) == (f"s.json: session {shown('x' * 50)}: clicked doc "
+                          f"{shown('y' * 50)} does not appear in the impressions")
+    # Its line cuts both ids to the one width that fits.
+    assert outer.line() == (f"error: s.json: session {shown('x' * 50, 23)}: clicked doc "
+                            f"{shown('y' * 50, 23)} does not appear in the impressions")
+    assert len(outer.line()) == LINE_WIDTH
     foreign = InputError.within(ValueError("a {brace}"), "session #{pos}", "s.json", pos=0)
     assert str(foreign) == "s.json: session #0: a {brace}"
 
 
-def test_a_long_path_is_cut_from_the_left_and_keeps_its_file_name():
+def test_a_long_path_is_cut_from_the_left_and_then_its_file_name():
     directory = "/" + "a" * 60 + "/" + "b" * 60
     error = InputError("invalid JSON: {reason!s}", f"{directory}/sessions.json",
                        reason="Expecting value: line 2 column 1 (char 15)")
@@ -140,10 +197,12 @@ def test_a_long_path_is_cut_from_the_left_and_keeps_its_file_name():
     assert len(line) == LINE_WIDTH
     assert line.startswith("error: …") and line.endswith(
         "b/sessions.json: invalid JSON: Expecting value: line 2 column 1 (char 15)")
-    # A short line keeps its path whole; a file name is never cut.
+    # A short line keeps its path whole; a file name too long for the line
+    # is cut from the left.
     assert InputError("x", "a/b.json").line() == "error: a/b.json: x"
     name = "n" * 130
-    assert InputError("x", f"{directory}/{name}").line() == f"error: …/{name}: x"
+    assert InputError("x", f"{directory}/{name}").line() == f"error: …{name[-109:]}: x"
+    assert len(f"error: …{name[-109:]}: x") == LINE_WIDTH
 
 
 @pytest.fixture
